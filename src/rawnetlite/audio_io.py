@@ -146,6 +146,10 @@ def _decode_frames(payload: bytes, fmt: tuple[int, int, int, int], data_offset: 
 
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        finite = np.isfinite(flat)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DecodeError(f"non-finite float sample {flat[i]}", data_offset + 8 + 4 * i)
     elif bits == 16:
         flat = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     elif bits == 32:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -220,14 +219,11 @@ def cmd_preprocess(args) -> int:
     entries = parse_manifest(args.manifest)
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    ok = silent = hits = 0
+    n_cached = len(list(cache_dir.glob("*.f32")))
+    ok = silent = 0
     skipped: list[str] = []
     for e in entries:
         try:
-            raw = Path(e.path).read_bytes()
-            digest = hashlib.sha256(raw).hexdigest()
-            if (cache_dir / f"{digest}.f32").exists():
-                hits += 1
             clip = load_clip(e.path, cache_dir=cache_dir)
         except (OSError, ValueError) as err:
             if args.strict:
@@ -237,6 +233,8 @@ def cmd_preprocess(args) -> int:
         ok += 1
         if clip.is_silent:
             silent += 1
+    # a clip not found in the cache was written to it
+    hits = ok - (len(list(cache_dir.glob("*.f32"))) - n_cached)
     print(f"processed {ok}/{len(entries)} files ({hits} cache hits, {silent} silent)")
     if skipped:
         print(f"skipped {len(skipped)} unreadable files:")

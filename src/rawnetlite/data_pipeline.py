@@ -20,10 +20,9 @@ import numpy as np
 from . import audio_io
 from .audio_io import CLIP_SAMPLES, FixedClip
 from .augment import AugmentConfig, augment_pipeline
+from .losses_metrics import LABEL_CODES
 
 log = logging.getLogger(__name__)
-
-LABEL_CODES = {"real": 0, "fake": 1}
 
 
 class ManifestError(ValueError):

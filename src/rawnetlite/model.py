@@ -1,9 +1,14 @@
-"""RawNetLite assembly: parameter registry, forward/backward, checkpoints.
+"""RawNetLite assembly: parameter registry, layer table, forward/backward, checkpoints.
 
 Layer stack: Conv1D(1->C, k3, s1, p1) + BN + ReLU -> n residual blocks ->
 AdaptiveAvgPool1D(pool_len) -> BiGRU -> Linear + ReLU -> Linear + Sigmoid.
-The registry owns every trainable tensor; batch-norm running statistics are
-serialized alongside but are not parameters.
+`Model.layers` is the single source of that order; one loop runs it forward
+and one backward. A layer's parameters are the registry entries under its
+prefix, in registration order, which is the order its backward kernel returns
+their gradients. Kernels are resolved on `nn_core` by name at each call, never
+stored, so a function rebound there (a test's mutation, the benchmark's
+tracer) is the one that runs. The registry owns every trainable tensor;
+batch-norm running statistics are serialized alongside but are not parameters.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,23 +62,31 @@ class RawNetLiteConfig:
             raise ConfigError(f"pool_len {self.pool_len} exceeds input_len {self.input_len}")
 
 
-_GRU_FIELDS = ("w_ir", "w_iz", "w_in", "w_hr", "w_hz", "w_hn",
-               "b_ir", "b_iz", "b_in", "b_hr", "b_hz", "b_hn")
-# residual-block grad keys -> registry name suffixes
-_RES_FIELDS = {
-    "conv1_w": "conv1.w", "conv1_b": "conv1.b",
-    "bn1_gamma": "bn1.gamma", "bn1_beta": "bn1.beta",
-    "conv2_w": "conv2.w", "conv2_b": "conv2.b",
-    "bn2_gamma": "bn2.gamma", "bn2_beta": "bn2.beta",
-}
+_GRU_FIELDS = tuple(f.name for f in fields(GRUDirParams))
+_HEADER_KEYS = ("payload_bytes", "payload_sha256", "config", "tensors", "bn_initialized")
+
+
+def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str]]:
+    """(registry prefix, nn_core kernel stem) for every layer, in forward order."""
+    return ([("stem.conv", "conv1d"), ("stem.bn", "batchnorm1d"), ("stem.relu", "relu")]
+            + [(f"res{i}", "residual_block") for i in range(config.n_res_blocks)]
+            + [("pool", "adaptive_avg_pool1d"), ("gru", "bigru"),
+               ("head.fc1", "linear"), ("head.relu", "relu"), ("head.fc2", "linear"),
+               ("out", "sigmoid")])
+
+
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(B, C, T) <-> (B, T, C): the GRU reads time-major sequences."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
 class Model:
-    """Parameter registry plus the wiring between nn_core kernels."""
+    """Parameter registry plus the layer table that wires nn_core kernels."""
 
     def __init__(self, config: RawNetLiteConfig, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
+        self.layers = _layer_table(config)
         self.params: dict[str, ParamTensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}
         self.metadata: dict = {}
@@ -94,99 +107,62 @@ class Model:
     def parameter_count(self) -> int:
         return sum(p.values.size for p in self.params.values())
 
-    # -- bundle views over the registry ----------------------------------
-
-    def _res_params(self, i: int) -> ResBlockParams:
-        tensors = {key: self.params[f"res{i}.{suffix}"].values for key, suffix in _RES_FIELDS.items()}
-        return ResBlockParams(
-            **tensors,
-            bn1_state=self.bn_states[f"res{i}.bn1"],
-            bn2_state=self.bn_states[f"res{i}.bn2"],
-        )
-
-    def _gru_params(self, direction: str) -> GRUDirParams:
-        return GRUDirParams(**{f: self.params[f"gru.{direction}.{f}"].values for f in _GRU_FIELDS})
-
     # -- forward / backward ----------------------------------------------
 
+    def _layer_params(self, prefix: str) -> list[ParamTensor]:
+        return [p for name, p in self.params.items() if name.startswith(prefix + ".")]
+
+    def _kernel_args(self, prefix: str, stem: str, mode: str) -> tuple:
+        """Arguments after the input for `nn_core.<stem>_forward`."""
+        v = [p.values for p in self._layer_params(prefix)]
+        if stem == "batchnorm1d":
+            return (*v, self.bn_states[prefix], mode)
+        if stem == "residual_block":
+            bn1, bn2 = self.bn_states[f"{prefix}.bn1"], self.bn_states[f"{prefix}.bn2"]
+            return ResBlockParams(*v[:4], bn1, *v[4:], bn2), mode
+        if stem == "bigru":
+            n = len(v) // 2
+            return GRUDirParams(*v[:n]), GRUDirParams(*v[n:])
+        if stem == "adaptive_avg_pool1d":
+            return (self.config.pool_len,)
+        return tuple(v)
+
     def forward(self, x: np.ndarray, mode: str = "eval") -> np.ndarray:
-        probs, _ = self._run(x, mode, collect=False)
-        return probs
+        return self._run(x, mode, caches=None)
 
     def forward_train(self, x: np.ndarray):
-        return self._run(x, "train", collect=True)
+        caches: list = []
+        return self._run(x, "train", caches), caches
 
-    def _run(self, x: np.ndarray, mode: str, collect: bool):
+    def _run(self, x: np.ndarray, mode: str, caches: list | None) -> np.ndarray:
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
             raise ShapeError(f"expected batch of shape (B, 1, {cfg.input_len}), got {x.shape}")
-        x = x.astype(self.dtype, copy=False)
-        caches = [] if collect else None
-
-        h, c = nn_core.conv1d_forward(x, self.params["stem.conv.w"].values, self.params["stem.conv.b"].values)
-        if collect: caches.append(c)
-        h, c = nn_core.batchnorm1d_forward(
-            h, self.params["stem.bn.gamma"].values, self.params["stem.bn.beta"].values,
-            self.bn_states["stem.bn"], mode)
-        if collect: caches.append(c)
-        h, c = nn_core.relu_forward(h)
-        if collect: caches.append(c)
-
-        for i in range(cfg.n_res_blocks):
-            h, c = nn_core.residual_block_forward(h, self._res_params(i), mode)
-            if collect: caches.append(c)
-
-        h, c = nn_core.adaptive_avg_pool1d_forward(h, cfg.pool_len)
-        if collect: caches.append(c)
-
-        seq = np.ascontiguousarray(h.transpose(0, 2, 1))
-        h, c = nn_core.bigru_forward(seq, self._gru_params("fwd"), self._gru_params("bwd"))
-        if collect: caches.append(c)
-
-        h, c = nn_core.linear_forward(h, self.params["head.fc1.w"].values, self.params["head.fc1.b"].values)
-        if collect: caches.append(c)
-        h, c = nn_core.relu_forward(h)
-        if collect: caches.append(c)
-        h, c = nn_core.linear_forward(h, self.params["head.fc2.w"].values, self.params["head.fc2.b"].values)
-        if collect: caches.append(c)
-
-        probs, c = nn_core.sigmoid_forward(h[:, 0])
-        if collect: caches.append(c)
-        return probs, caches
+        h = x.astype(self.dtype, copy=False)
+        for prefix, stem in self.layers:
+            if stem == "bigru":
+                h = _time_major(h)
+            elif stem == "sigmoid":
+                h = h[:, 0]
+            # without `caches` each cache is dropped when the next layer's replaces it
+            h, cache = getattr(nn_core, f"{stem}_forward")(h, *self._kernel_args(prefix, stem, mode))
+            if caches is not None:
+                caches.append(cache)
+        return h
 
     def backward(self, dprobs: np.ndarray, caches: list) -> None:
         """Accumulate gradients of a scalar loss into the registry, given dL/dprob."""
-        cfg = self.config
-        it = iter(reversed(caches))
-
-        d = nn_core.sigmoid_backward(dprobs, next(it))[:, None]
-        d, dw, db = nn_core.linear_backward(d, next(it))
-        self._acc("head.fc2.w", dw); self._acc("head.fc2.b", db)
-        d = nn_core.relu_backward(d, next(it))
-        d, dw, db = nn_core.linear_backward(d, next(it))
-        self._acc("head.fc1.w", dw); self._acc("head.fc1.b", db)
-
-        d, g_f, g_b = nn_core.bigru_backward(d, next(it))
-        for f in _GRU_FIELDS:
-            self._acc(f"gru.fwd.{f}", g_f[f])
-            self._acc(f"gru.bwd.{f}", g_b[f])
-
-        d = np.ascontiguousarray(d.transpose(0, 2, 1))
-        d = nn_core.adaptive_avg_pool1d_backward(d, next(it))
-
-        for i in range(cfg.n_res_blocks - 1, -1, -1):
-            d, grads = nn_core.residual_block_backward(d, next(it))
-            for key, suffix in _RES_FIELDS.items():
-                self._acc(f"res{i}.{suffix}", grads[key])
-
-        d = nn_core.relu_backward(d, next(it))
-        d, dgamma, dbeta = nn_core.batchnorm1d_backward(d, next(it))
-        self._acc("stem.bn.gamma", dgamma); self._acc("stem.bn.beta", dbeta)
-        _, dw, db = nn_core.conv1d_backward(d, next(it))
-        self._acc("stem.conv.w", dw); self._acc("stem.conv.b", db)
-
-    def _acc(self, name: str, g: np.ndarray) -> None:
-        self.params[name].grad += g
+        d = dprobs
+        for (prefix, stem), cache in zip(reversed(self.layers), reversed(caches), strict=True):
+            out = getattr(nn_core, f"{stem}_backward")(d, cache)
+            d, grads = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
+            flat = [g for item in grads for g in (item.values() if isinstance(item, dict) else (item,))]
+            for p, g in zip(self._layer_params(prefix), flat, strict=True):
+                p.grad += g
+            if stem == "bigru":
+                d = _time_major(d)
+            elif stem == "sigmoid":
+                d = d[:, None]
 
     # -- serialization ----------------------------------------------------
 
@@ -279,14 +255,21 @@ def load(path) -> Model:
         blob = f.read()
     if blob[: len(_MAGIC)] != _MAGIC:
         raise CheckpointFormatError("not a checkpoint file (bad magic)")
-    (header_len,) = struct.unpack_from("<Q", blob, len(_MAGIC))
     header_start = len(_MAGIC) + 8
+    if len(blob) < header_start:
+        raise CheckpointFormatError(f"truncated checkpoint: {len(blob)} bytes, no header length")
+    (header_len,) = struct.unpack_from("<Q", blob, len(_MAGIC))
     try:
         header = json.loads(blob[header_start : header_start + header_len])
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or bytes that are not text
         raise CheckpointFormatError(f"unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"header is a JSON {type(header).__name__}, not an object")
     if header.get("format_version") != _FORMAT_VERSION:
         raise CheckpointFormatError(f"unsupported format version {header.get('format_version')}")
+    missing_keys = [k for k in _HEADER_KEYS if k not in header]
+    if missing_keys:
+        raise CheckpointFormatError(f"header is missing {missing_keys}")
 
     payload = blob[header_start + header_len :]
     if len(payload) != header["payload_bytes"]:

@@ -403,11 +403,6 @@ class Adam:
             p.grad[...] = 0.0
 
 
-def zero_grads(params: dict[str, ParamTensor]) -> None:
-    for p in params.values():
-        p.grad[...] = 0.0
-
-
 # --- gradient oracle -------------------------------------------------------------
 
 

@@ -98,21 +98,16 @@ class BestTracker:
 
 
 def _snapshot(model: Model):
-    params = {k: p.values.copy() for k, p in model.params.items()}
-    bn = {k: (s.running_mean.copy(), s.running_var.copy(), s.initialized)
-          for k, s in model.bn_states.items()}
-    return params, bn
+    arrays = [a.copy() for _, a in model._state_arrays()]
+    return arrays, {k: s.initialized for k, s in model.bn_states.items()}
 
 
 def _restore(model: Model, snap) -> None:
-    params, bn = snap
-    for k, v in params.items():
-        model.params[k].values[...] = v
-    for k, (rm, rv, init) in bn.items():
-        st = model.bn_states[k]
-        st.running_mean[...] = rm
-        st.running_var[...] = rv
-        st.initialized = init
+    arrays, initialized = snap
+    for (_, dst), src in zip(model._state_arrays(), arrays, strict=True):
+        dst[...] = src
+    for k, flag in initialized.items():
+        model.bn_states[k].initialized = flag
 
 
 def score_entries(model: Model, entries: list[ManifestEntry], batch_size: int = 64,

@@ -94,6 +94,17 @@ def test_partial_frame_rejected():
         decode_wav(bytes(data))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_non_finite_sample_rejected(bad):
+    x = np.full((2, 4), 0.25)
+    x[1, 1] = bad  # interleaved sample 3, after the 44-byte canonical header
+    with pytest.raises(DecodeError, match="non-finite") as info:
+        decode_wav(make_wav(x, 16000, "float32"))
+    assert info.value.offset == 44 + 4 * 3
+    with pytest.raises(DecodeError):
+        preprocess(make_wav(x, 16000, "float32"))
+
+
 def test_skips_unknown_chunks():
     base = make_wav(np.full((1, 3), 0.25), 16000, "pcm16")
     fmt_chunk = base[12:36]

@@ -146,6 +146,13 @@ def test_train_eval_infer_roundtrip(tmp_path, corpus, monkeypatch):
     assert main(["infer", str(ckpt), wav]) == 0
 
 
+def test_infer_bad_checkpoint_is_data_error(tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"RNLCKPT1")
+    assert main(["infer", str(ckpt), str(tmp_path / "x.wav")]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
 def test_eval_single_class_manifest(tmp_path, corpus, tiny_ckpt, capsys):
     manifest = tmp_path / "single.csv"
     lines = [l for l in corpus.read_text().strip().splitlines() if ",real," in l]

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from rawnetlite import losses_metrics as lm
+from rawnetlite import losses_metrics as lm, nn_core
 from rawnetlite.model import (
     CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig,
     build, load, save,
@@ -165,6 +165,56 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(CheckpointFormatError, match="magic"):
         load(path)
+
+
+@pytest.mark.parametrize("blob", [b"RNLCKPT1", b"RNLCKPT1\x05\x00\x00\x00"])
+def test_checkpoint_no_header_length(tmp_path, blob):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load(path)
+
+
+def test_checkpoint_header_not_an_object(tmp_path):
+    header = json.dumps([1, 2]).encode()
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b"RNLCKPT1" + struct.pack("<Q", len(header)) + header)
+    with pytest.raises(CheckpointFormatError, match="not an object"):
+        load(path)
+
+
+@pytest.mark.parametrize("key", ["payload_bytes", "payload_sha256", "config", "tensors",
+                                 "bn_initialized"])
+def test_checkpoint_header_missing_key(tmp_path, key):
+    path = tmp_path / "m.ckpt"
+    save(build(SMALL), path)
+    _edit_header(path, lambda h: h.pop(key))
+    with pytest.raises(CheckpointFormatError, match=key):
+        load(path)
+
+
+# --- layer table -------------------------------------------------------------------
+
+N = SMALL.n_res_blocks
+FORWARD_CALLS = {  # per Model.forward, counting calls made inside composite kernels
+    "conv1d_forward": 1 + 2 * N, "batchnorm1d_forward": 1 + 2 * N, "relu_forward": 2 + 2 * N,
+    "residual_block_forward": N, "adaptive_avg_pool1d_forward": 1, "bigru_forward": 1,
+    "gru_forward": 2, "linear_forward": 2, "sigmoid_forward": 1,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(n for n in vars(nn_core) if n.endswith("_forward")))
+def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
+    orig = getattr(nn_core, kernel)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kernel)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(nn_core, kernel, counting)
+    build(SMALL).forward(small_batch(), mode="train")
+    assert len(calls) == FORWARD_CALLS[kernel]
 
 
 # --- gradient integrity -----------------------------------------------------------
