@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Run the sanity pipeline in a temp dir and print SHA-256 digests of its outputs.
+
+The pipeline is: generate the sanity corpus (the `make_sanity_data.py`
+defaults), `rawnetlite train configs/sanity.yaml`, then `rawnetlite eval` of
+the checkpoint on the same manifest. The script prints the digests of
+`checkpoint.ckpt`, of `scores.csv`, and of `history.csv` without its
+wall-clock `seconds` column. A change that must not alter results prints the
+same three lines before and after; run the script in a checkout of each.
+
+    python scripts/sanity_digests.py
+
+It imports `rawnetlite` from the `src/` next to it, ignores
+RAWNETLITE_CACHE_DIR, and takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from rawnetlite import cli  # noqa: E402
+from rawnetlite.sanity import generate_corpus  # noqa: E402
+
+
+def history_without_seconds(path: Path) -> bytes:
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    drop = rows[0].index("seconds")
+    return "".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows).encode()
+
+
+def main() -> None:
+    os.environ.pop(cli.CACHE_ENV_VAR, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # relative, as configs/sanity.yaml expects: scores.csv then names no temp dir
+        os.chdir(tmp)
+        manifest = generate_corpus(Path("data/sanity"), n_per_class=64, seed=42)
+        run, evaluated = tmp / "run", tmp / "eval"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["train", str(ROOT / "configs" / "sanity.yaml"), "--output-dir", str(run)],
+                         ["eval", str(run / "checkpoint.ckpt"), str(manifest), str(evaluated)]):
+                if cli.main(argv) != cli.EXIT_OK:
+                    sys.exit(f"rawnetlite {argv[0]} failed")
+        for name, data in (("checkpoint.ckpt", (run / "checkpoint.ckpt").read_bytes()),
+                           ("scores.csv", (evaluated / "scores.csv").read_bytes()),
+                           ("history.csv without seconds",
+                            history_without_seconds(run / "history.csv"))):
+            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,7 @@ All functions are pure; nothing here touches global state.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -297,8 +298,11 @@ def preprocess(data: bytes) -> FixedClip:
 
 
 def write_clip(clip: FixedClip, path) -> None:
-    with open(path, "wb") as f:
+    """Write through a temp file in the same directory, so no reader sees a torn clip."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
         f.write(clip.samples.astype("<f4").tobytes())
+    os.replace(tmp, path)
 
 
 def read_clip(path) -> FixedClip:

@@ -23,7 +23,7 @@ from . import audio_io, losses_metrics as lm, model as model_mod, train_eval
 from .augment import AugmentConfig
 from .data_pipeline import (
     DataError, DomainCap, ManifestError, MixSpec, ProtocolViolationError,
-    compose_mix, load_clip, parse_manifest, stratified_split,
+    compose_pools, load_clip, parse_manifest,
 )
 from .losses_metrics import UndefinedMetricError
 from .model import CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig
@@ -41,15 +41,6 @@ EXIT_NUMERIC = 4
 
 
 @dataclass
-class MixConfig:
-    primary_domain: Optional[str] = None
-    scale: float = 1.0
-    split_seed: int = 0
-    seed: int = 0
-    caps: tuple[DomainCap, ...] = ()
-
-
-@dataclass
 class RunConfig:
     version: int
     output_dir: str = "runs/out"
@@ -57,7 +48,7 @@ class RunConfig:
     model: RawNetLiteConfig = dataclasses.field(default_factory=RawNetLiteConfig)
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     augment: Optional[AugmentConfig] = None
-    mix: MixConfig = dataclasses.field(default_factory=MixConfig)
+    mix: MixSpec = dataclasses.field(default_factory=MixSpec)
     cache_dir: Optional[str] = None
 
 
@@ -93,10 +84,9 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unsupported config version {doc['version']!r}, expected {CONFIG_VERSION}")
 
     mix_doc = dict(doc.get("mix") or {})
-    caps_doc = mix_doc.pop("caps", [])
-    caps = tuple(_build_section(DomainCap, c, f"mix.caps[{i}]") for i, c in enumerate(caps_doc))
-    mix = _build_section(MixConfig, mix_doc, "mix")
-    mix = dataclasses.replace(mix, caps=caps)
+    mix_doc["caps"] = tuple(_build_section(DomainCap, c, f"mix.caps[{i}]")
+                            for i, c in enumerate(mix_doc.get("caps") or []))
+    mix = _build_section(MixSpec, mix_doc, "mix")
 
     manifests = doc.get("manifests") or {}
     if not isinstance(manifests, dict) or not all(
@@ -173,45 +163,6 @@ def _load_manifests(cfg: RunConfig) -> dict[str, list]:
     return manifests
 
 
-def _assemble_training(cfg: RunConfig):
-    """Resolve the generic (non-protocol) train/val pools from the config.
-
-    The primary domain is split 80/10/10 (or taken from explicit split tags);
-    other domains contribute through scaled role=train caps.
-    """
-    if not cfg.manifests:
-        raise ConfigError("manifests: at least one manifest is required")
-    manifests = _load_manifests(cfg)
-    primary = cfg.mix.primary_domain
-    if primary is None:
-        if len(manifests) == 1:
-            primary = next(iter(manifests))
-        else:
-            raise ConfigError("mix.primary_domain is required with multiple manifests")
-    if primary not in manifests:
-        raise ConfigError(f"mix.primary_domain {primary!r} has no manifest")
-
-    entries = manifests[primary]
-    if entries and all(e.split is not None for e in entries):
-        pools = {s: [e for e in entries if e.split == s] for s in ("train", "val", "test")}
-        train_pool, val = pools["train"], pools["val"]
-    else:
-        train_pool, val, _ = stratified_split(entries, (0.8, 0.1, 0.1), seed=cfg.mix.split_seed)
-
-    caps = [dataclasses.replace(
-                c, n_real=int(round(c.n_real * cfg.mix.scale)),
-                n_fake=int(round(c.n_fake * cfg.mix.scale)))
-            for c in cfg.mix.caps if c.role == "train" and c.domain != primary]
-    if caps:
-        extra, _ = compose_mix(MixSpec(tuple(caps), seed=cfg.mix.seed),
-                               {c.domain: manifests[c.domain] for c in caps})
-        train_pool = train_pool + extra
-    overlap = {e.path for e in train_pool} & {e.path for e in val}
-    if overlap:
-        raise ProtocolViolationError(f"train/val pools share {len(overlap)} paths")
-    return train_pool, val, manifests
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -245,7 +196,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
-    train_pool, val, _ = _assemble_training(cfg)
+    if not cfg.manifests:
+        raise ConfigError("manifests: at least one manifest is required")
+    train_pool, val, _ = compose_pools(cfg.mix, _load_manifests(cfg))
     n_real = sum(1 for e in train_pool if e.label == 0)
     n_fake = len(train_pool) - n_real
     print(f"train pool: {len(train_pool)} entries ({n_real} real / {n_fake} fake), "

@@ -1,15 +1,18 @@
 """Manifest ingestion, stratified splits, domain mixes, and batch assembly.
 
 Manifests are CSV files with header `path,label,domain[,split]`; labels are
-the literals `real` and `fake`. Every random choice is keyed by explicit
-seeds, so (manifests, spec, seeds) fully determine every batch.
+the literals `real` and `fake`. `compose_pools` is the single pool composer:
+the `train` command and every protocol draw their train/val/test pools from
+it over one `MixSpec`. Every random choice is keyed by explicit seeds, so
+(manifests, spec, seeds) fully determine every batch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -23,6 +26,9 @@ from .augment import AugmentConfig, augment_pipeline
 from .losses_metrics import LABEL_CODES
 
 log = logging.getLogger(__name__)
+
+
+ROLES = ("train", "val", "test")
 
 
 class ManifestError(ValueError):
@@ -58,19 +64,29 @@ class DomainCap:
     domain: str
     n_real: int
     n_fake: int
-    role: str  # "train" | "test"
+    role: str  # "train" | "val" | "test"
 
     def __post_init__(self):
         if self.n_real < 0 or self.n_fake < 0:
             raise ValueError(f"caps must be >= 0, got ({self.n_real}, {self.n_fake})")
-        if self.role not in ("train", "test"):
-            raise ValueError(f"role must be 'train' or 'test', got {self.role!r}")
+        if self.role not in ROLES:
+            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
 
 
 @dataclass(frozen=True)
 class MixSpec:
-    caps: tuple[DomainCap, ...]
+    """Caps plus the seeds, scale and primary domain that `compose_pools` reads."""
+    caps: tuple[DomainCap, ...] = ()
     seed: int = 0
+    primary_domain: Optional[str] = None  # may be omitted with a single manifest
+    scale: float = 1.0  # every cap count is multiplied by this, then rounded
+    split_seed: int = 0
+
+    def __post_init__(self):
+        if type(self.seed) is not int or type(self.split_seed) is not int:
+            raise ValueError(f"seeds must be integers, got {self.seed!r} and {self.split_seed!r}")
+        if not isinstance(self.scale, (int, float)):
+            raise ValueError(f"scale must be a number, got {self.scale!r}")
 
 
 def parse_manifest(path) -> list[ManifestEntry]:
@@ -94,7 +110,7 @@ def parse_manifest(path) -> list[ManifestEntry]:
                 split = None
             if label not in LABEL_CODES:
                 raise ManifestError(f"{path}: line {lineno}: unknown label {label!r}")
-            if split is not None and split not in ("train", "val", "test"):
+            if split is not None and split not in ROLES:
                 raise ManifestError(f"{path}: line {lineno}: unknown split {split!r}")
             if not file_path:
                 raise ManifestError(f"{path}: line {lineno}: empty path")
@@ -150,9 +166,11 @@ def compose_mix(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
     """Assemble (train, test) pools from per-domain caps.
 
     Train caps are filled first; test caps sample from each domain's
-    remainder, so no file can serve both roles. Disjointness is verified
-    before returning.
+    remainder, so no file can serve both roles.
     """
+    val_domains = [c.domain for c in spec.caps if c.role == "val"]
+    if val_domains:
+        raise CompositionError(f"val caps on {val_domains}: only the primary domain has a val split")
     rng = np.random.default_rng(spec.seed & ((1 << 64) - 1))
     taken: dict[str, set[str]] = {d: set() for d in manifests}
     train_pool: list[ManifestEntry] = []
@@ -168,12 +186,68 @@ def compose_mix(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
                                       what=f"domain {cap.domain!r} ({role})")
             taken[cap.domain].update(e.path for e in chosen)
             target.extend(chosen)
-
-    overlap = {e.path for e in train_pool} & {e.path for e in test_pool}
-    if overlap:
-        raise ProtocolViolationError(
-            f"{len(overlap)} paths appear in both train and test pools, e.g. {sorted(overlap)[:3]}")
     return train_pool, test_pool
+
+
+def compose_pools(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
+    """The one pool composer: (train, val, {manifest name: test entries}).
+
+    The primary domain is split by its `split` tags when every entry has one,
+    else 80/10/10. Scaled primary train caps and all other caps go through
+    `compose_mix`; a primary val/test cap samples its split, and an uncapped
+    primary role takes its whole split. Paths in two manifests or two pools
+    raise ProtocolViolationError.
+    """
+    primary = spec.primary_domain
+    if primary is None:
+        if len(manifests) != 1:
+            raise CompositionError("primary_domain is required with more than one manifest")
+        primary = next(iter(manifests))
+    if primary not in manifests:
+        raise CompositionError(f"primary_domain {primary!r} has no manifest")
+
+    owner: dict[str, str] = {}
+    for key in sorted(manifests):
+        for e in manifests[key]:
+            if e.path in owner:
+                raise ProtocolViolationError(
+                    f"path {e.path!r} appears in both {owner[e.path]!r} and {key!r} manifests")
+            owner[e.path] = key
+
+    entries = manifests[primary]
+    if entries and all(e.split is not None for e in entries):
+        splits = {s: [e for e in entries if e.split == s] for s in ROLES}
+    else:
+        splits = dict(zip(ROLES, stratified_split(entries, (0.8, 0.1, 0.1), seed=spec.split_seed)))
+
+    caps = [replace(c, n_real=int(round(c.n_real * spec.scale)),
+                    n_fake=int(round(c.n_fake * spec.scale))) for c in spec.caps]
+    mixed = tuple(c for c in caps if c.domain != primary or c.role == "train")
+    train, mix_test = compose_mix(MixSpec(mixed, seed=spec.seed),
+                                  {**manifests, primary: splits["train"]})
+    if not any(c.domain == primary for c in mixed):
+        train = splits["train"] + train
+
+    seed = spec.seed & ((1 << 64) - 1)
+    for role, stream in (("val", 101), ("test", 102)):
+        own = [c for c in caps if c.domain == primary and c.role == role]
+        if len(own) > 1:
+            raise CompositionError(f"more than one {role} cap on primary domain {primary!r}")
+        if own:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+            splits[role] = sample_per_class(splits[role], own[0].n_real, own[0].n_fake, rng,
+                                            what=f"domain {primary!r} ({role})")
+    tests = {primary: splits["test"], **{c.domain: [] for c in mixed if c.role == "test"}}
+    for e in mix_test:
+        tests[owner[e.path]].append(e)
+
+    pools = {"train": train, "val": splits["val"], "test": [e for t in tests.values() for e in t]}
+    for (a, pa), (b, pb) in combinations(pools.items(), 2):
+        overlap = {e.path for e in pa} & {e.path for e in pb}
+        if overlap:
+            raise ProtocolViolationError(
+                f"{a}/{b} pools share {len(overlap)} paths, e.g. {sorted(overlap)[:3]}")
+    return train, splits["val"], tests
 
 
 # --- clip loading and batching -------------------------------------------------
@@ -185,14 +259,21 @@ class BatchStats:
 
 
 def load_clip(path: str, cache_dir=None) -> FixedClip:
-    """Preprocess one file, optionally through a content-hash keyed cache."""
+    """Preprocess one file, optionally through a content-hash keyed cache.
+
+    A cache entry that does not hold a whole clip is a miss: the file is
+    preprocessed again and the entry rewritten.
+    """
     raw = Path(path).read_bytes()
     if cache_dir is None:
         return audio_io.preprocess(raw)
     digest = hashlib.sha256(raw).hexdigest()
     cached = Path(cache_dir) / f"{digest}.f32"
     if cached.exists():
-        return audio_io.read_clip(cached)
+        try:
+            return audio_io.read_clip(cached)
+        except ValueError as e:
+            log.warning("rebuilding cache entry %s: %s", cached, e)
     clip = audio_io.preprocess(raw)
     cached.parent.mkdir(parents=True, exist_ok=True)
     audio_io.write_clip(clip, cached)

@@ -282,23 +282,31 @@ def load(path) -> Model:
         config = RawNetLiteConfig(**header["config"])
     except TypeError as e:
         raise CheckpointFormatError(f"bad config block: {e}") from e
+    tensors, flags = header["tensors"], header["bn_initialized"]
+    if not isinstance(tensors, list):
+        raise CheckpointFormatError(f"'tensors' is a JSON {type(tensors).__name__}, not a list")
+    if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+        raise CheckpointFormatError("'bn_initialized' is not an object of booleans")
     model = build(config)
     expected = dict(model._state_arrays())
     seen = set()
-    for entry in header["tensors"]:
-        name = entry["name"]
+    for entry in tensors:
+        try:
+            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except (KeyError, TypeError) as e:
+            raise CheckpointFormatError(f"malformed tensor entry {entry!r}: {e!r}") from e
+        if not isinstance(name, str) or type(start) is not int or start < 0:
+            raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
         if name not in expected:
             raise CheckpointFormatError(f"unknown tensor {name!r} in checkpoint")
         if name in seen:
             raise CheckpointFormatError(f"tensor {name!r} appears twice")
         seen.add(name)
         target = expected[name]
-        if tuple(entry["shape"]) != target.shape:
+        if shape != target.shape:
             raise CheckpointFormatError(
-                f"tensor {name!r}: checkpoint shape {tuple(entry['shape'])} != model shape {target.shape}")
-        count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        start = entry["offset"]
-        end = start + count * 4
+                f"tensor {name!r}: checkpoint shape {shape} != model shape {target.shape}")
+        end = start + target.size * 4
         if end > len(payload):
             raise CheckpointIntegrityError(f"tensor {name!r} overruns payload")
         target[...] = np.frombuffer(payload[start:end], dtype="<f4").reshape(target.shape)
@@ -306,7 +314,7 @@ def load(path) -> Model:
     if missing:
         raise CheckpointFormatError(f"checkpoint missing tensors: {sorted(missing)}")
 
-    for bn_name, flag in header["bn_initialized"].items():
+    for bn_name, flag in flags.items():
         if bn_name not in model.bn_states:
             raise CheckpointFormatError(f"unknown batch-norm state {bn_name!r}")
         model.bn_states[bn_name].initialized = flag

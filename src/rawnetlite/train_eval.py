@@ -3,6 +3,9 @@
 `run_protocol` reproduces the experiment matrix: in-domain training on one
 corpus, cross/triple-domain mixes with fixed per-domain sample caps, and the
 augmented variants, all scalable by a single factor for desk-size runs.
+`compose_protocol` only turns a protocol name into caps and test-set names;
+the pools themselves come from `data_pipeline.compose_pools`, the single
+pool composer that the `train` command uses too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import losses_metrics as lm
 from .augment import AugmentConfig
 from .data_pipeline import (
     BatchStats, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
-    compose_mix, make_batches, sample_per_class, stratified_split,
+    compose_pools, make_batches,
 )
 from .model import ConfigError, Model, RawNetLiteConfig, build, save
 from .nn_core import Adam, TrainingError
@@ -276,16 +279,13 @@ PROTOCOLS = {
 }
 
 
-def _scaled(counts: tuple[int, int], scale: float) -> tuple[int, int]:
-    return int(round(counts[0] * scale)), int(round(counts[1] * scale))
-
-
 def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
                      scale: float = 1.0, split_seed: int = 0, mix_seed: int = 0):
     """Assemble the train/val/test pools for one protocol configuration.
 
-    Returns (train, val, {test_set_name: entries}). All pools are verified
-    pairwise disjoint by path.
+    Builds the protocol's caps from FULL_COUNTS and draws them with
+    `compose_pools` (primary domain "for"); returns (train, val,
+    {test_set_name: entries}), all pairwise disjoint by path.
     """
     if name not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
@@ -295,66 +295,17 @@ def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
     if missing:
         raise ConfigError(f"protocol {name!r} requires manifests for {missing}")
 
-    # duplicate paths across manifests would poison the hygiene guarantees
-    path_owner: dict[str, str] = {}
-    for key in sorted(needed):
-        for e in manifests[key]:
-            if e.path in path_owner:
-                raise ProtocolViolationError(
-                    f"path {e.path!r} appears in both {path_owner[e.path]!r} and {key!r} manifests")
-            path_owner[e.path] = key
+    caps = [DomainCap("for", *FULL_COUNTS["for"][role], role) for role in ("train", "val", "test")]
+    caps += [DomainCap(d, *FULL_COUNTS[d]["train"], "train") for d in proto["train_extra"]]
+    caps += [DomainCap(d, *FULL_COUNTS[d]["test"], "test")
+             for d in ("avspoof", "codecfake") if d in needed]
+    spec = MixSpec(tuple(caps), seed=mix_seed, primary_domain="for", scale=scale,
+                   split_seed=split_seed)
+    train_pool, val, pools = compose_pools(spec, {d: manifests[d] for d in needed})
 
-    for_train, for_val, for_test_pool = stratified_split(
-        manifests["for"], (0.8, 0.1, 0.1), seed=split_seed)
-
-    caps = [DomainCap("for", *_scaled(FULL_COUNTS["for"]["train"], scale), "train")]
-    for d in proto["train_extra"]:
-        caps.append(DomainCap(d, *_scaled(FULL_COUNTS[d]["train"], scale), "train"))
-    for d in ("avspoof", "codecfake"):
-        if d in needed:
-            caps.append(DomainCap(d, *_scaled(FULL_COUNTS[d]["test"], scale), "test"))
-
-    mix_manifests = {"for": for_train}
-    for d in ("avspoof", "codecfake"):
-        if d in needed:
-            mix_manifests[d] = manifests[d]
-    train_pool, extra_test = compose_mix(MixSpec(tuple(caps), seed=mix_seed), mix_manifests)
-
-    rng_val = np.random.default_rng(np.random.SeedSequence([mix_seed & ((1 << 64) - 1), 101]))
-    rng_test = np.random.default_rng(np.random.SeedSequence([mix_seed & ((1 << 64) - 1), 102]))
-    val = sample_per_class(for_val, *_scaled(FULL_COUNTS["for"]["val"], scale), rng_val,
-                           what="for validation")
-    for_test = sample_per_class(for_test_pool, *_scaled(FULL_COUNTS["for"]["test"], scale),
-                                rng_test, what="for test")
-
-    by_domain = {d: [e for e in extra_test if path_owner[e.path] == d]
-                 for d in ("avspoof", "codecfake")}
-    test_sets: dict[str, list[ManifestEntry]] = {}
-    for t in proto["tests"]:
-        if t == "for":
-            test_sets[t] = for_test
-        elif t in ("avspoof", "codecfake"):
-            test_sets[t] = by_domain[t]
-        elif t == "cross":
-            test_sets[t] = by_domain["avspoof"] + by_domain["codecfake"]
-        elif t == "triple":
-            test_sets[t] = for_test + by_domain["avspoof"] + by_domain["codecfake"]
-
-    _assert_disjoint(train_pool, val, test_sets)
-    return train_pool, val, test_sets
-
-
-def _assert_disjoint(train_pool, val, test_sets) -> None:
-    train_paths = {e.path for e in train_pool}
-    val_paths = {e.path for e in val}
-    test_paths = {e.path for ts in test_sets.values() for e in ts}
-    for a, b, what in ((train_paths, val_paths, "train/val"),
-                       (train_paths, test_paths, "train/test"),
-                       (val_paths, test_paths, "val/test")):
-        overlap = a & b
-        if overlap:
-            raise ProtocolViolationError(
-                f"{what} pools share {len(overlap)} paths, e.g. {sorted(overlap)[:3]}")
+    cross = pools.get("avspoof", []) + pools.get("codecfake", [])
+    pools.update(cross=cross, triple=pools["for"] + cross)
+    return train_pool, val, {t: pools[t] for t in proto["tests"]}
 
 
 def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],

@@ -90,6 +90,94 @@ def test_set_override(tmp_path, corpus, capsys):
     assert main(["train", str(cfg), "--dry-run", "--set", "train.loss=hinge"]) == cli.EXIT_CONFIG
 
 
+# --- train pool composition (manifest paths only; --dry-run reads no audio) -----------
+
+
+def write_manifest(path, domain, n_real, n_fake, tags=None, extra_rows=()):
+    """Synthetic manifest; `tags(i)` gives entry i's split tag per class."""
+    header = "path,label,domain" + (",split" if tags else "")
+    rows = [f"{domain}/{label}_{i}.wav,{label},{domain}" + (f",{tags(i)}" if tags else "")
+            for label, n in (("real", n_real), ("fake", n_fake)) for i in range(n)]
+    path.write_text("\n".join([header, *rows, *extra_rows]) + "\n")
+    return path
+
+
+def pool_config(tmp_path, mix, extra_rows=()):
+    manifests = {"for": str(write_manifest(tmp_path / "for.csv", "for", 40, 40)),
+                 "avs": str(write_manifest(tmp_path / "avs.csv", "avs", 20, 20,
+                                           extra_rows=extra_rows))}
+    return write_config(tmp_path / "c.yaml", tmp_path / "unused.csv", tmp_path / "out",
+                        manifests=manifests, mix=mix)
+
+
+def dry_run_pools(cfg, capsys):
+    assert main(["train", str(cfg), "--dry-run"]) == 0
+    return capsys.readouterr().out.strip()
+
+
+TRAIN_CAPS = [{"domain": "avs", "n_real": 8, "n_fake": 6, "role": "train"},
+              {"domain": "avs", "n_real": 2, "n_fake": 2, "role": "train"}]
+
+
+def test_train_pools_scaled_caps(tmp_path, capsys):
+    # for splits 32/4/4 per class; avs caps scale to 4/3 and 1/1
+    cfg = pool_config(tmp_path, {"primary_domain": "for", "scale": 0.5, "split_seed": 3,
+                                 "seed": 5, "caps": TRAIN_CAPS})
+    assert dry_run_pools(cfg, capsys) == (
+        "train pool: 73 entries (37 real / 36 fake), val: 8 entries")
+
+
+def test_train_primary_domain_required_with_two_manifests(tmp_path, capsys):
+    cfg = pool_config(tmp_path, {"split_seed": 3})
+    assert main(["train", str(cfg), "--dry-run"]) == cli.EXIT_CONFIG
+    assert "primary_domain" in capsys.readouterr().err
+
+
+def test_train_unknown_primary_domain(tmp_path, capsys):
+    cfg = pool_config(tmp_path, {"primary_domain": "asvspoof"})
+    assert main(["train", str(cfg), "--dry-run"]) == cli.EXIT_CONFIG
+    assert "asvspoof" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mix", [{"seed": "x"}, {"split_seed": 1.5}, {"scale": "half"}])
+def test_train_non_numeric_mix_value_is_config_error(tmp_path, corpus, capsys, mix):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", mix=mix)
+    assert main(["train", str(cfg), "--dry-run"]) == cli.EXIT_CONFIG
+    assert "config error: mix:" in capsys.readouterr().err
+
+
+def test_train_split_tags_give_val_pool(tmp_path, capsys):
+    # per class: 6 train, 3 val, 1 test; an 80/10/10 split would give 1 val per class
+    manifest = write_manifest(tmp_path / "tagged.csv", "for", 10, 10,
+                              tags=lambda i: "train" if i < 6 else "val" if i < 9 else "test")
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out")
+    assert dry_run_pools(cfg, capsys) == (
+        "train pool: 12 entries (6 real / 6 fake), val: 6 entries")
+
+
+def test_train_restart_from_echoed_config_same_pools(tmp_path, capsys):
+    cfg_path = pool_config(tmp_path, {"primary_domain": "for", "scale": 0.5, "split_seed": 3,
+                                      "seed": 5, "caps": TRAIN_CAPS})
+    cfg = cli.load_run_config(cfg_path)
+    cli._echo_config(cfg, tmp_path / "echo")
+    echo = tmp_path / "echo" / "effective_config.yaml"
+    assert cli.load_run_config(echo) == cfg
+    assert dry_run_pools(echo, capsys) == dry_run_pools(cfg_path, capsys)
+
+
+def test_train_duplicate_path_across_manifests(tmp_path, capsys):
+    cfg = pool_config(tmp_path, {"primary_domain": "for"}, extra_rows=["for/real_0.wav,real,avs"])
+    assert main(["train", str(cfg), "--dry-run"]) == cli.EXIT_PROTOCOL
+    assert "for/real_0.wav" in capsys.readouterr().err
+
+
+def test_train_applies_primary_val_cap(tmp_path, capsys):
+    cfg = pool_config(tmp_path, {"primary_domain": "for", "split_seed": 3, "caps": [
+        {"domain": "for", "n_real": 2, "n_fake": 1, "role": "val"}]})
+    assert dry_run_pools(cfg, capsys) == (
+        "train pool: 64 entries (32 real / 32 fake), val: 3 entries")
+
+
 # --- preprocess -------------------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ import pytest
 from rawnetlite.augment import AugmentConfig
 from rawnetlite.data_pipeline import (
     BatchStats, CompositionError, DataError, DomainCap, ManifestEntry, ManifestError,
-    MixSpec, ProtocolViolationError, SplitError, compose_mix, load_clip, make_batches,
-    parse_manifest, stratified_split,
+    MixSpec, ProtocolViolationError, SplitError, compose_mix, compose_pools, load_clip,
+    make_batches, parse_manifest, stratified_split,
 )
 
 from conftest import make_wav
@@ -174,6 +174,34 @@ def test_cap_validation():
         DomainCap("d", 1, 1, "validate")
 
 
+# --- compose_pools ----------------------------------------------------------------
+
+
+def test_pools_single_manifest_takes_whole_splits():
+    entries = synthetic_entries(20, 20)
+    train, val, tests = compose_pools(MixSpec(split_seed=2), {"d": entries})
+    assert (train, val, tests["d"]) == stratified_split(entries, (0.8, 0.1, 0.1), seed=2)
+    assert set(tests) == {"d"}
+
+
+def test_pools_test_sets_keyed_by_manifest():
+    manifests = {"for": synthetic_entries(20, 20, "for"),
+                 "other": synthetic_entries(10, 10, "x", prefix="o/")}
+    spec = MixSpec((DomainCap("other", 2, 2, "train"), DomainCap("other", 3, 1, "test")),
+                   primary_domain="for", scale=2.0)
+    train, _, tests = compose_pools(spec, manifests)
+    assert len(train) == 32 + 8
+    assert set(tests) == {"for", "other"}
+    assert [e.label for e in tests["other"]] == [0] * 6 + [1] * 2
+
+
+def test_pools_val_cap_only_on_primary():
+    manifests = {"for": synthetic_entries(20, 20, "for"), "b": synthetic_entries(5, 5, "b")}
+    spec = MixSpec((DomainCap("b", 1, 1, "val"),), primary_domain="for")
+    with pytest.raises(CompositionError, match="primary"):
+        compose_pools(spec, manifests)
+
+
 # --- batching -------------------------------------------------------------------
 
 
@@ -258,3 +286,25 @@ def test_clip_cache_hits(wav_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(data_pipeline.audio_io, "preprocess", boom)
     clip = load_clip(entry0.path, cache_dir=cache)
     assert clip.samples.shape == (48000,)
+
+
+
+def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path):
+    import hashlib
+
+    from rawnetlite import audio_io
+
+    cache = tmp_path / "cache"
+    raw = open(wav_corpus[0].path, "rb").read()
+    entry_file = cache / f"{hashlib.sha256(raw).hexdigest()}.f32"
+    load_clip(wav_corpus[0].path, cache_dir=cache)
+    entry_file.write_bytes(entry_file.read_bytes()[:100])
+    fresh = audio_io.preprocess(raw).samples
+    assert np.array_equal(load_clip(wav_corpus[0].path, cache_dir=cache).samples, fresh)
+    assert np.array_equal(audio_io.read_clip(entry_file).samples, fresh)  # entry rewritten
+    assert [p.name for p in cache.iterdir()] == [entry_file.name]  # no temp file left behind
+
+    entry_file.write_bytes(entry_file.read_bytes()[:100])
+    stats = BatchStats()
+    total = sum(y.size for _, y, _ in make_batches(wav_corpus, cache_dir=cache, stats=stats))
+    assert total == 33 and stats.skipped == []

@@ -193,6 +193,31 @@ def test_checkpoint_header_missing_key(tmp_path, key):
         load(path)
 
 
+MALFORMED_HEADERS = {
+    "entry_without_offset": lambda h: h["tensors"][0].pop("offset"),
+    "entry_without_name": lambda h: h["tensors"][0].pop("name"),
+    "entry_not_an_object": lambda h: h["tensors"].__setitem__(0, "stem.conv.w"),
+    "entry_string_offset": lambda h: h["tensors"][0].update(offset="0"),
+    "entry_negative_offset": lambda h: h["tensors"][0].update(offset=-4),
+    "tensors_an_object": lambda h: h.update(tensors={"stem.conv.w": 0}),
+    "tensors_a_number": lambda h: h.update(tensors=3),
+    "bn_initialized_a_list": lambda h: h.update(bn_initialized=[True]),
+    "bn_flag_a_string": lambda h: h["bn_initialized"].update({"stem.bn": "yes"}),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_checkpoint_malformed_tensor_entries_and_flags(tmp_path, mutate):
+    from rawnetlite import cli
+
+    path = tmp_path / "m.ckpt"
+    save(build(SMALL), path)
+    _edit_header(path, mutate)
+    with pytest.raises(CheckpointFormatError):
+        load(path)
+    assert cli.main(["infer", str(path), str(tmp_path / "x.wav")]) == cli.EXIT_DATA
+
+
 # --- layer table -------------------------------------------------------------------
 
 N = SMALL.n_res_blocks

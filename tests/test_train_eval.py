@@ -239,6 +239,17 @@ def test_compose_duplicate_path_across_manifests():
         compose_protocol("cross_domain", manifests, scale=0.01)
 
 
+def test_compose_honours_split_tags_on_for():
+    tag = lambda i: "train" if i % 10 < 8 else "val" if i % 10 == 8 else "test"
+    manifests = protocol_manifests()
+    manifests["for"] = [ManifestEntry(e.path, e.label, e.domain, tag(i))
+                        for i, e in enumerate(manifests["for"])]
+    train_pool, val, tests = compose_protocol("cross_domain", manifests, scale=0.01)
+    assert len(val) == 64 and {e.split for e in val} == {"val"}
+    assert len(tests["for"]) == 64 and {e.split for e in tests["for"]} == {"test"}
+    assert {e.split for e in train_pool if e.domain == "for"} == {"train"}
+
+
 def test_compose_determinism():
     a = compose_protocol("triple_domain", protocol_manifests(), scale=0.01, split_seed=4, mix_seed=9)
     b = compose_protocol("triple_domain", protocol_manifests(), scale=0.01, split_seed=4, mix_seed=9)
