@@ -7,12 +7,13 @@ All functions are pure; nothing here touches global state.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import upfirdn
+
+from .fileio import atomic_write
 
 TARGET_RATE_HZ = 16000
 CLIP_SAMPLES = 48000
@@ -299,10 +300,8 @@ def preprocess(data: bytes) -> FixedClip:
 
 def write_clip(clip: FixedClip, path) -> None:
     """Write through a temp file in the same directory, so no reader sees a torn clip."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(clip.samples.astype("<f4").tobytes())
-    os.replace(tmp, path)
 
 
 def read_clip(path) -> FixedClip:

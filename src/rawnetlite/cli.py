@@ -25,6 +25,7 @@ from .data_pipeline import (
     DataError, DomainCap, ManifestError, MixSpec, ProtocolViolationError,
     compose_pools, load_clip, parse_manifest,
 )
+from .fileio import atomic_write
 from .losses_metrics import UndefinedMetricError
 from .model import CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig
 from .nn_core import ShapeError, TrainingError
@@ -146,7 +147,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "effective_config.yaml", "w") as f:
+    with atomic_write(out_dir / "effective_config.yaml") as f:
         yaml.safe_dump(config_to_dict(cfg), f, sort_keys=True)
 
 
@@ -228,7 +229,7 @@ def cmd_eval(args) -> int:
         cache_dir=os.environ.get(CACHE_ENV_VAR), strict=args.strict)
     doc = {"test_set": Path(args.manifest).stem, "config": "eval",
            "n_skipped": len(stats.skipped), "report": report.to_dict()}
-    with open(out_dir / "report.json", "w") as f:
+    with atomic_write(out_dir / "report.json") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     print(format_report(report, title=f"Evaluation of {args.manifest}"))
@@ -249,7 +250,7 @@ def cmd_metrics(args) -> int:
     report.eer, report.eer_threshold = lm.eer(records)
     doc = {"score_file": str(args.scores), "report": report.to_dict()}
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_write(args.out) as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
     print(format_report(report, title=f"Metrics for {args.scores}"))
@@ -271,7 +272,8 @@ def cmd_figure_data(args) -> int:
         lines.append(f"{test_set},{config},{'' if f1 is None else repr(f1)},{'' if e is None else repr(e)}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_write(args.out) as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -279,6 +281,11 @@ def cmd_figure_data(args) -> int:
 
 def cmd_protocol(args) -> int:
     cfg = load_run_config(args.config, args.set)
+    ignored = [f"mix.{k}" for k in ("caps", "primary_domain")
+               if getattr(cfg.mix, k) != getattr(MixSpec(), k)]
+    if ignored:
+        raise ConfigError(f"protocol draws its caps from FULL_COUNTS with primary domain 'for'; "
+                          f"remove {', '.join(ignored)}")
     manifests = _load_manifests(cfg)
     scale = args.scale if args.scale is not None else cfg.mix.scale
     out_dir = Path(args.output_dir or cfg.output_dir) / args.name

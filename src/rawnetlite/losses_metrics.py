@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .fileio import atomic_write
+
 PROB_CLAMP = 1e-7
 
 LABEL_NAMES = {0: "real", 1: "fake"}
@@ -187,7 +189,7 @@ SCORE_HEADER = ["path", "label", "score"]
 
 
 def write_score_file(records: list[ScoreRecord], path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SCORE_HEADER)
         for r in records:

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn_core
+from .fileio import atomic_write
 from .nn_core import BatchNormState, GRUDirParams, ParamTensor, ResBlockParams, ShapeError
 
 _MAGIC = b"RNLCKPT1"
@@ -144,10 +145,10 @@ class Model:
                 h = _time_major(h)
             elif stem == "sigmoid":
                 h = h[:, 0]
-            # without `caches` each cache is dropped when the next layer's replaces it
             h, cache = getattr(nn_core, f"{stem}_forward")(h, *self._kernel_args(prefix, stem, mode))
             if caches is not None:
                 caches.append(cache)
+            del cache  # without `caches`, freed before the next layer allocates
         return h
 
     def backward(self, dprobs: np.ndarray, caches: list) -> None:
@@ -222,7 +223,10 @@ def build(config: RawNetLiteConfig, dtype=np.float32) -> Model:
 
 
 def save(model: Model, path) -> None:
-    """Write a self-describing checkpoint: JSON header + float32 payload + checksum."""
+    """Write a self-describing checkpoint: JSON header + float32 payload + checksum.
+
+    The file is replaced atomically, so an interrupted save keeps the previous one.
+    """
     entries = []
     chunks = []
     offset = 0
@@ -242,7 +246,7 @@ def save(model: Model, path) -> None:
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)

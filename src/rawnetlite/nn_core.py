@@ -5,6 +5,12 @@ backward takes the upstream gradient plus the cache and returns input and
 parameter gradients. Training runs in float32; gradient checking builds the
 same graph in float64, where central finite differences are trustworthy.
 
+Cache conventions, which bound what a training forward keeps alive: ReLU caches
+its output (out > 0 exactly where x > 0), and conv1d caches its unpadded input,
+so a conv after a ReLU holds the very same array. Batch norm caches xhat, not
+its input. No kernel keeps a padded or otherwise copied (B, C, T) array, and
+kernels write into fresh outputs only, never into an array a cache holds.
+
 GRU convention: the reset gate multiplies the hidden-to-candidate product,
     r_t = sigm(W_ir x_t + b_ir + W_hr h_{t-1} + b_hr)
     z_t = sigm(W_iz x_t + b_iz + W_hz h_{t-1} + b_hz)
@@ -71,7 +77,7 @@ class BatchNormState:
 
 def relu_forward(x):
     out = np.maximum(x, 0)
-    return out, x
+    return out, out  # out > 0 exactly where x > 0
 
 
 def relu_backward(dout, cache):
@@ -134,25 +140,38 @@ def conv1d_forward(x, w, b):
         raise ShapeError(f"conv1d: expected w (C_out, C_in, 3), got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: x has {x.shape[1]} channels but w expects {w.shape[1]}")
-    t = x.shape[2]
-    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1)))
-    out = np.broadcast_to(b[None, :, None], (x.shape[0], w.shape[0], t)).copy()
-    for k in range(3):
-        out += np.matmul(w[:, :, k], xpad[:, :, k : k + t])
-    return out, (xpad, w)
+    shape = (x.shape[0], w.shape[0], x.shape[2])
+    out = np.empty(shape, dtype=b.dtype)
+    out[...] = b[None, :, None]
+    tap = np.empty(shape, dtype=np.result_type(w, x))
+    # tap k reads x[t + k - 1] (zero outside); each output sums bias, tap 0, 1, 2 in that order
+    np.matmul(w[:, :, 0], x, out=tap)
+    out[:, :, 1:] += tap[:, :, :-1]
+    np.matmul(w[:, :, 1], x, out=tap)
+    out += tap
+    np.matmul(w[:, :, 2], x, out=tap)
+    out[:, :, :-1] += tap[:, :, 1:]
+    return out, (x, w)
 
 
 def conv1d_backward(dout, cache):
-    xpad, w = cache
-    t = dout.shape[2]
+    x, w = cache
     db = dout.sum(axis=(0, 2))
+    xt = x.transpose(0, 2, 1)
     dw = np.empty_like(w)
-    dxpad = np.zeros_like(xpad)
-    for k in range(3):
-        xs = xpad[:, :, k : k + t]
-        dw[:, :, k] = np.tensordot(dout, xs, axes=([0, 2], [0, 2]))
-        dxpad[:, :, k : k + t] += np.matmul(w[:, :, k].T, dout)
-    return dxpad[:, :, 1:-1], dw, db
+    dw[:, :, 0] = np.matmul(dout[:, :, 1:], xt[:, :-1]).sum(axis=0)
+    dw[:, :, 1] = np.matmul(dout, xt).sum(axis=0)
+    dw[:, :, 2] = np.matmul(dout[:, :, :-1], xt[:, 1:]).sum(axis=0)
+    dx = np.empty(x.shape, dtype=np.result_type(w, dout))
+    tap = np.empty_like(dx)
+    np.matmul(w[:, :, 0].T, dout, out=tap)
+    dx[:, :, :-1] = tap[:, :, 1:]
+    dx[:, :, -1] = 0
+    np.matmul(w[:, :, 1].T, dout, out=tap)
+    dx += tap
+    np.matmul(w[:, :, 2].T, dout, out=tap)
+    dx[:, :, 1:] += tap[:, :, :-1]
+    return dx, dw, db
 
 
 # --- batch normalization over (batch, time) per channel -----------------------
@@ -166,24 +185,24 @@ def batchnorm1d_forward(x, gamma, beta, state: BatchNormState, mode: str):
         if n < 2:
             raise ShapeError("batchnorm1d train mode needs >= 2 elements per channel")
         mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))  # biased
+        xhat = x - mean[None, :, None]
+        var = (xhat * xhat).sum(axis=(0, 2)) / n  # biased; the same sums as x.var
         invstd = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x - mean[None, :, None]) * invstd[None, :, None]
         m = state.momentum
         state.running_mean[...] = (1 - m) * state.running_mean + m * mean
         state.running_var[...] = (1 - m) * state.running_var + m * var * (n / (n - 1))
         state.initialized = True
-        cache = ("train", xhat, gamma, invstd)
     elif mode == "eval":
         if not state.initialized:
             raise TrainingError("batchnorm1d: eval mode before any train step or checkpoint load")
         invstd = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x - state.running_mean[None, :, None]) * invstd[None, :, None]
-        cache = ("eval", xhat, gamma, invstd)
+        xhat = x - state.running_mean[None, :, None]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
-    return out, cache
+    xhat *= invstd[None, :, None]
+    out = gamma[None, :, None] * xhat
+    out += beta[None, :, None]
+    return out, (mode, xhat, gamma, invstd)
 
 
 def batchnorm1d_backward(dout, cache):
@@ -194,10 +213,12 @@ def batchnorm1d_backward(dout, cache):
         dx = dout * (gamma * invstd)[None, :, None]
         return dx, dgamma, dbeta
     n = dout.shape[0] * dout.shape[2]
-    # fused train-mode backward through mean and variance
-    s1 = dout.sum(axis=(0, 2))[None, :, None]
-    s2 = (dout * xhat).sum(axis=(0, 2))[None, :, None]
-    dx = (gamma * invstd)[None, :, None] / n * (n * dout - s1 - xhat * s2)
+    # fused train-mode backward through mean and variance:
+    # dx = gamma * invstd / n * (n * dout - dbeta - xhat * dgamma)
+    dx = n * dout
+    dx -= dbeta[None, :, None]
+    dx -= xhat * dgamma[None, :, None]
+    dx *= (gamma * invstd)[None, :, None] / n
     return dx, dgamma, dbeta
 
 
@@ -349,7 +370,8 @@ def residual_block_forward(x, p: ResBlockParams, mode: str):
     a1, cache_a1 = relu_forward(n1)
     c2, cache_c2 = conv1d_forward(a1, p.conv2_w, p.conv2_b)
     n2, cache_n2 = batchnorm1d_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode)
-    out, cache_out = relu_forward(n2 + x)
+    n2 += x
+    out, cache_out = relu_forward(n2)
     return out, (cache_c1, cache_n1, cache_a1, cache_c2, cache_n2, cache_out)
 
 
@@ -365,7 +387,8 @@ def residual_block_backward(dout, cache):
         "conv1_w": dw1, "conv1_b": db1, "bn1_gamma": dg1, "bn1_beta": dbeta1,
         "conv2_w": dw2, "conv2_b": db2, "bn2_gamma": dg2, "bn2_beta": dbeta2,
     }
-    return dx + dsum, grads
+    dx += dsum
+    return dx, grads
 
 
 # --- optimizer -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from .data_pipeline import (
     BatchStats, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
     compose_pools, make_batches,
 )
+from .fileio import atomic_write
 from .model import ConfigError, Model, RawNetLiteConfig, build, save
 from .nn_core import Adam, TrainingError
 
@@ -206,7 +207,7 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "val_loss", "val_f1", "seconds"])
         for r in history.records:
@@ -341,7 +342,7 @@ def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
             "n_skipped": len(stats.skipped),
             "report": report.to_dict(),
         }
-        with open(out_dir / f"report_{ts_name}.json", "w") as f:
+        with atomic_write(out_dir / f"report_{ts_name}.json") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
         summary["test_sets"][ts_name] = doc

@@ -178,6 +178,19 @@ def test_train_applies_primary_val_cap(tmp_path, capsys):
         "train pool: 64 entries (32 real / 32 fake), val: 3 entries")
 
 
+@pytest.mark.parametrize("mix, fields", [
+    ({"primary_domain": "nowhere"}, "mix.primary_domain"),
+    ({"caps": [{"domain": "nowhere", "n_real": 100000, "n_fake": 0, "role": "train"}]},
+     "mix.caps"),
+])
+def test_protocol_rejects_mix_fields_it_would_ignore(tmp_path, corpus, capsys, mix, fields):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", mix=mix,
+                       manifests={"for": str(corpus)})
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.002"]) == cli.EXIT_CONFIG
+    assert fields in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- preprocess -------------------------------------------------------------------
 
 

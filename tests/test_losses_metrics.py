@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rawnetlite import losses_metrics as lm
@@ -177,15 +177,18 @@ def test_eer_label_and_score_swap_symmetry(seed):
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
+@example(seed=1824842)  # most fakes below most reals: the sample's EER is 2/3 at n=6
 def test_eer_bounded_near_chance_for_informative_scores(seed):
-    # when fakes are stochastically above reals, the sweep crossing stays at
-    # or below the chance diagonal plus discretization slack
+    # a finite sample can invert the classes, so the bound comes from the sample
+    # itself: no threshold on its scores does better than max(FPR, FNR) there,
+    # and the sweep's crossing stays within the 1/(2N) discretization of it
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 50))
     real = rng.uniform(0.0, 0.7, n)
     fake = rng.uniform(0.3, 1.0, n)
     e, _ = eer(records_from_scores(real, fake))
-    assert 0.0 <= e <= 0.5 + 1.0 / (2 * n)
+    minimax = min(max(np.mean(real >= t), np.mean(fake < t)) for t in np.concatenate([real, fake]))
+    assert 0.0 <= e <= minimax + 1.0 / (2 * n)
 
 
 def test_eer_chance_level():

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,52 @@ def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
     monkeypatch.setattr(nn_core, kernel, counting)
     build(SMALL).forward(small_batch(), mode="train")
     assert len(calls) == FORWARD_CALLS[kernel]
+
+
+# --- memory ---------------------------------------------------------------------------
+# NumPy allocations are visible to tracemalloc, so these byte counts are exact and
+# repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
+# output of every ReLU (each also the next conv's input) and every batch norm's
+# xhat: 7 + 7 activations for three blocks.
+
+MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
+                           fc_hidden=8, input_len=8000, seed=1)
+
+
+def _activations(nbytes, batch):
+    return nbytes / (batch * MEM_CFG.channels * MEM_CFG.input_len * 4)
+
+
+def test_memory_bound_forward_backward():
+    m = build(MEM_CFG)
+    x = small_batch(MEM_CFG, n=4)
+    m.forward(x, mode="train")  # warm-up, so one-time allocations stay out of the counts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p, caches = m.forward_train(x)
+        held = tracemalloc.get_traced_memory()[0] - base
+        m.backward(np.ones_like(p), caches)
+        peak_train = tracemalloc.get_traced_memory()[1] - base
+        del p, caches
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m.forward(x, mode="eval")
+        peak_eval = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert _activations(held, 4) < 14.5
+    assert _activations(peak_train, 4) < 22.5
+    assert _activations(peak_eval, 4) < 9.5
+
+
+def test_conv_after_relu_caches_the_relu_output():
+    m = build(SMALL)
+    _, caches = m.forward_train(small_batch())
+    stem_relu, res0 = caches[2], caches[3]
+    cache_c1, _, cache_a1, cache_c2, _, _ = res0
+    assert cache_c1[0] is stem_relu  # res0.conv1 reads the stem ReLU's output
+    assert cache_c2[0] is cache_a1  # conv2 reads the block's first ReLU's output
 
 
 # --- gradient integrity -----------------------------------------------------------

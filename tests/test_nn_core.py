@@ -226,6 +226,97 @@ def test_batchnorm_gradients_match_fd_train_and_eval():
                    nn.batchnorm1d_backward, [x, gamma, beta], rng)
 
 
+# --- conv and batch norm against the padded reference formulas -------------------
+# The references are the straightforward formulas: a zero-padded copy of x, one
+# tensordot per tap for dw, statistics from x.mean / x.var. The kernels must
+# match them bit for bit, except conv dw, whose batch and time sums run in
+# another order (a batched matmul per tap, then a sum over the batch).
+
+DW_TOL_EPS = 128  # conv dw: |dw - ref| <= DW_TOL_EPS * eps(dtype) * max|ref|
+
+
+def conv1d_reference(x, w, b):
+    t = x.shape[2]
+    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1)))
+    out = np.broadcast_to(b[None, :, None], (x.shape[0], w.shape[0], t)).copy()
+    for k in range(3):
+        out += np.matmul(w[:, :, k], xpad[:, :, k : k + t])
+    return out
+
+
+def conv1d_backward_reference(dout, x, w):
+    t = x.shape[2]
+    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1)))
+    dw = np.empty_like(w)
+    dxpad = np.zeros_like(xpad)
+    for k in range(3):
+        dw[:, :, k] = np.tensordot(dout, xpad[:, :, k : k + t], axes=([0, 2], [0, 2]))
+        dxpad[:, :, k : k + t] += np.matmul(w[:, :, k].T, dout)
+    return dxpad[:, :, 1:-1], dw, dout.sum(axis=(0, 2))
+
+
+def batchnorm_reference(x, gamma, beta, mean, var, eps, dout, train):
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None]) * invstd[None, :, None]
+    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    dgamma = (dout * xhat).sum(axis=(0, 2))
+    dbeta = dout.sum(axis=(0, 2))
+    if not train:
+        return out, dout * (gamma * invstd)[None, :, None], dgamma, dbeta
+    n = dout.shape[0] * dout.shape[2]
+    s1 = dout.sum(axis=(0, 2))[None, :, None]
+    s2 = (dout * xhat).sum(axis=(0, 2))[None, :, None]
+    dx = (gamma * invstd)[None, :, None] / n * (n * dout - s1 - xhat * s2)
+    return out, dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in, t", [(1, 2000), (24, 2000), (24, 1)])
+def test_conv1d_matches_padded_reference(dtype, c_in, t):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(3, c_in, t)).astype(dtype)
+    w = rng.normal(size=(32, c_in, 3)).astype(dtype)
+    b = rng.normal(size=32).astype(dtype)
+    dout = rng.normal(size=(3, 32, t)).astype(dtype)
+    out, cache = nn.conv1d_forward(x, w, b)
+    dx, dw, db = nn.conv1d_backward(dout, cache)
+    ref_dx, ref_dw, ref_db = conv1d_backward_reference(dout, x, w)
+    assert np.array_equal(out, conv1d_reference(x, w, b))
+    assert np.array_equal(dx, ref_dx) and dx.flags.c_contiguous
+    assert np.array_equal(db, ref_db)
+    tol = DW_TOL_EPS * np.finfo(dtype).eps * np.abs(ref_dw).max()
+    assert np.abs(dw - ref_dw).max() <= tol
+    assert dw.dtype == out.dtype == dx.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_matches_reference_train_and_eval(dtype):
+    rng = np.random.default_rng(22)
+    x = rng.normal(loc=0.7, scale=2.0, size=(3, 32, 2000)).astype(dtype)
+    gamma = (rng.normal(size=32) + 1.0).astype(dtype)
+    beta = rng.normal(size=32).astype(dtype)
+    dout = rng.normal(size=x.shape).astype(dtype)
+    st_ = BatchNormState.create(32, dtype=dtype)
+    out, cache = nn.batchnorm1d_forward(x, gamma, beta, st_, "train")
+    got = (out, *nn.batchnorm1d_backward(dout, cache))
+    ref = batchnorm_reference(x, gamma, beta, x.mean(axis=(0, 2)), x.var(axis=(0, 2)),
+                              st_.eps, dout, train=True)
+    assert all(np.array_equal(g, r) and g.dtype == dtype for g, r in zip(got, ref))
+    out, cache = nn.batchnorm1d_forward(x, gamma, beta, st_, "eval")
+    got = (out, *nn.batchnorm1d_backward(dout, cache))
+    ref = batchnorm_reference(x, gamma, beta, st_.running_mean, st_.running_var,
+                              st_.eps, dout, train=False)
+    assert all(np.array_equal(g, r) and g.dtype == dtype for g, r in zip(got, ref))
+
+
+def test_relu_caches_its_output():
+    x = np.random.default_rng(23).normal(size=(2, 3, 10))
+    out, cache = nn.relu_forward(x)
+    assert cache is out
+    dout = np.random.default_rng(24).normal(size=x.shape)
+    assert np.array_equal(nn.relu_backward(dout, cache), dout * (x > 0))
+
+
 # --- adaptive average pooling ----------------------------------------------------
 
 
