@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import upfirdn
 
 from .fileio import atomic_write
 
@@ -231,6 +230,8 @@ def _resample_by_ratio(x: np.ndarray, up: int, down: int) -> np.ndarray:
     m_needed = -(-((skip + n_out) * down - h.size) // up) + 1
     if m_needed > x.size:
         x = np.concatenate([x, np.zeros(m_needed - x.size)])
+
+    from scipy.signal import upfirdn  # imported here: it takes ~1 s and most commands never resample
 
     y = upfirdn(h, x, up=up, down=down)
     return y[skip : skip + n_out]

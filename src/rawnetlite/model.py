@@ -7,8 +7,13 @@ and one backward. A layer's parameters are the registry entries under its
 prefix, in registration order, which is the order its backward kernel returns
 their gradients. Kernels are resolved on `nn_core` by name at each call, never
 stored, so a function rebound there (a test's mutation, the benchmark's
-tracer) is the one that runs. The registry owns every trainable tensor;
-batch-norm running statistics are serialized alongside but are not parameters.
+tracer) is the one that runs. In eval mode the walk keeps nothing: the stem's
+conv -> BN -> ReLU and each residual block's two conv -> BN pairs run as convs
+with the batch norm folded in (`nn_core.fold_batchnorm`, recomputed on every
+call, never cached), the skip add and ReLU in place in the conv's output, and
+each layer's input is freed once its output exists. The registry owns every
+trainable tensor; batch-norm running statistics are serialized alongside but
+are not parameters.
 """
 
 from __future__ import annotations
@@ -140,7 +145,16 @@ class Model:
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
             raise ShapeError(f"expected batch of shape (B, 1, {cfg.input_len}), got {x.shape}")
         h = x.astype(self.dtype, copy=False)
-        for prefix, stem in self.layers:
+        layers = iter(self.layers)
+        for prefix, stem in layers:
+            if mode == "eval" and stem == "conv1d":
+                bn, _ = next(layers)
+                next(layers)  # the ReLU, applied in place by the folded conv
+                h = self._folded_conv_relu(h, prefix, bn)
+                continue
+            if mode == "eval" and stem == "residual_block":
+                h = self._folded_block(h, prefix)
+                continue
             if stem == "bigru":
                 h = _time_major(h)
             elif stem == "sigmoid":
@@ -150,6 +164,17 @@ class Model:
                 caches.append(cache)
             del cache  # without `caches`, freed before the next layer allocates
         return h
+
+    def _folded_conv_relu(self, h, conv: str, bn: str, skip=None) -> np.ndarray:
+        p = self.params
+        w, b = nn_core.fold_batchnorm(p[f"{conv}.w"].values, p[f"{conv}.b"].values,
+                                      p[f"{bn}.gamma"].values, p[f"{bn}.beta"].values,
+                                      self.bn_states[bn])
+        return nn_core.conv1d_relu(h, w, b, skip)
+
+    def _folded_block(self, x, prefix: str) -> np.ndarray:
+        a = self._folded_conv_relu(x, f"{prefix}.conv1", f"{prefix}.bn1")
+        return self._folded_conv_relu(a, f"{prefix}.conv2", f"{prefix}.bn2", skip=x)
 
     def backward(self, dprobs: np.ndarray, caches: list) -> None:
         """Accumulate gradients of a scalar loss into the registry, given dL/dprob."""

@@ -11,6 +11,13 @@ so a conv after a ReLU holds the very same array. Batch norm caches xhat, not
 its input. No kernel keeps a padded or otherwise copied (B, C, T) array, and
 kernels write into fresh outputs only, never into an array a cache holds.
 
+Eval convention: an eval forward keeps nothing for a backward pass, so it does
+not run batch norm at all. `fold_batchnorm` folds each batch norm into the conv
+before it, from the current parameters and running statistics on every call
+(nothing is cached; the optimizer updates weights in place between calls), and
+`conv1d_relu` adds the residual skip and applies the ReLU in place in the
+conv's output. `batchnorm1d_forward`'s eval branch is the unfolded reference.
+
 GRU convention: the reset gate multiplies the hidden-to-candidate product,
     r_t = sigm(W_ir x_t + b_ir + W_hr h_{t-1} + b_hr)
     z_t = sigm(W_iz x_t + b_iz + W_hz h_{t-1} + b_hz)
@@ -177,6 +184,12 @@ def conv1d_backward(dout, cache):
 # --- batch normalization over (batch, time) per channel -----------------------
 
 
+def _running_invstd(state: BatchNormState):
+    if not state.initialized:
+        raise TrainingError("batchnorm1d: eval mode before any train step or checkpoint load")
+    return 1.0 / np.sqrt(state.running_var + state.eps)
+
+
 def batchnorm1d_forward(x, gamma, beta, state: BatchNormState, mode: str):
     if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm1d: expected x (B, {gamma.shape[0]}, T), got {x.shape}")
@@ -193,9 +206,7 @@ def batchnorm1d_forward(x, gamma, beta, state: BatchNormState, mode: str):
         state.running_var[...] = (1 - m) * state.running_var + m * var * (n / (n - 1))
         state.initialized = True
     elif mode == "eval":
-        if not state.initialized:
-            raise TrainingError("batchnorm1d: eval mode before any train step or checkpoint load")
-        invstd = 1.0 / np.sqrt(state.running_var + state.eps)
+        invstd = _running_invstd(state)
         xhat = x - state.running_mean[None, :, None]
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -220,6 +231,28 @@ def batchnorm1d_backward(dout, cache):
     dx -= xhat * dgamma[None, :, None]
     dx *= (gamma * invstd)[None, :, None] / n
     return dx, dgamma, dbeta
+
+
+# --- inference: batch norm folded into the conv before it ----------------------
+
+
+def fold_batchnorm(w, b, gamma, beta, state: BatchNormState):
+    """Conv weight and bias with the eval-mode batch norm after the conv folded in.
+
+    Per output channel, with s = gamma / sqrt(running_var + eps):
+    w' = w * s and b' = (b - running_mean) * s + beta, so conv1d(x, w', b')
+    equals batchnorm1d(conv1d(x, w, b), mode="eval") up to rounding.
+    """
+    scale = gamma * _running_invstd(state)
+    return w * scale[:, None, None], (b - state.running_mean) * scale + beta
+
+
+def conv1d_relu(x, w, b, skip=None):
+    """Inference only: relu(conv1d(x, w, b) + skip), computed in the conv's output; no cache."""
+    out, _ = conv1d_forward(x, w, b)
+    if skip is not None:
+        out += skip
+    return np.maximum(out, 0, out=out)
 
 
 # --- adaptive average pooling --------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +190,16 @@ def test_resample_length_formula():
     for n, src, dst in [(12345, 44100, 16000), (500, 8000, 16000), (48000, 48000, 16000)]:
         w = Waveform(src, np.zeros((1, n)))
         assert resample(w, dst).n_samples == int(round(n * dst / src))
+
+
+def test_importing_the_package_leaves_scipy_signal_unloaded():
+    # scipy.signal costs ~1 s to import; only resampling needs it
+    code = "import sys, rawnetlite.cli, rawnetlite.train_eval; print('scipy.signal' in sys.modules)"
+    src = str(Path(aio.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- peak_normalize / fix_length ----------------------------------------------

@@ -10,7 +10,7 @@ from rawnetlite.model import (
     CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig,
     build, load, save,
 )
-from rawnetlite.nn_core import ShapeError, finite_difference_check
+from rawnetlite.nn_core import Adam, ShapeError, TrainingError, finite_difference_check
 
 SMALL = RawNetLiteConfig(channels=4, n_res_blocks=2, pool_len=8, gru_hidden=3,
                          fc_hidden=4, input_len=64, seed=9)
@@ -243,11 +243,85 @@ def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
     assert len(calls) == FORWARD_CALLS[kernel]
 
 
+# --- eval: batch norm folded into its conv ------------------------------------------
+
+
+def unfolded_eval(m, x):
+    """The eval forward without folding: conv -> BN(eval) -> ReLU, residual_block_forward."""
+    h = x
+    for prefix, stem in m.layers:
+        if stem == "bigru":
+            h = np.ascontiguousarray(h.transpose(0, 2, 1))
+        elif stem == "sigmoid":
+            h = h[:, 0]
+        h, _ = getattr(nn_core, f"{stem}_forward")(h, *m._kernel_args(prefix, stem, "eval"))
+    return h
+
+
+def randomized_bn_model(dtype):
+    m = build(SMALL, dtype=dtype)
+    rng = np.random.default_rng(0)
+    m.forward(small_batch(n=4).astype(dtype), mode="train")
+    for bn, st in m.bn_states.items():
+        c = st.running_var.size
+        m.params[f"{bn}.gamma"].values[...] = rng.uniform(0.5, 2.0, c)
+        m.params[f"{bn}.beta"].values[...] = rng.normal(size=c)
+        st.running_mean[...] = rng.normal(size=c)
+        st.running_var[...] = rng.uniform(0.25, 4.0, c)
+    for name, p in m.params.items():
+        if ".conv" in name and name.endswith(".b"):
+            p.values[...] = rng.normal(size=p.shape)
+    return m
+
+
+def assert_matches_unfolded(m, x):
+    probs, ref = m.forward(x, mode="eval"), unfolded_eval(m, x)
+    if m.dtype == np.float64:
+        np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0)
+    else:
+        np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_forward_folds_batch_norm_into_conv(dtype):
+    m = randomized_bn_model(dtype)
+    assert_matches_unfolded(m, small_batch(n=5, seed=4).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_fold_follows_a_training_step(dtype):
+    m = randomized_bn_model(dtype)
+    x = small_batch(n=5, seed=4).astype(dtype)
+    before = m.forward(x, mode="eval")
+    p, caches = m.forward_train(small_batch(n=4, seed=5).astype(dtype))
+    _, dp = lm.bce_loss(p.astype(np.float64), np.array([0.0, 1.0, 1.0, 0.0]))
+    m.backward(dp.astype(dtype), caches)
+    Adam(m.params, lr=0.05).step()
+    assert not np.array_equal(m.forward(x, mode="eval"), before)
+    assert_matches_unfolded(m, x)
+
+
+def test_eval_forward_changes_no_state():
+    m = randomized_bn_model(np.float32)
+    state = {name: a.copy() for name, a in m._state_arrays()}
+    flags = {name: st.initialized for name, st in m.bn_states.items()}
+    m.forward(small_batch(seed=6), mode="eval")
+    assert all(np.array_equal(a, state[name]) for name, a in m._state_arrays())
+    assert {name: st.initialized for name, st in m.bn_states.items()} == flags
+
+
+def test_eval_forward_before_training_raises():
+    with pytest.raises(TrainingError, match="eval mode before"):
+        build(SMALL).forward(small_batch(), mode="eval")
+
+
 # --- memory ---------------------------------------------------------------------------
 # NumPy allocations are visible to tracemalloc, so these byte counts are exact and
 # repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
 # output of every ReLU (each also the next conv's input) and every batch norm's
-# xhat: 7 + 7 activations for three blocks.
+# xhat: 7 + 7 activations for three blocks. An eval forward keeps no caches and
+# folds each batch norm into its conv; its peak is inside a residual block: the
+# block's input (the skip), conv1's output, conv2's output and conv2's tap buffer.
 
 MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
                            fc_hidden=8, input_len=8000, seed=1)
@@ -277,7 +351,7 @@ def test_memory_bound_forward_backward():
         tracemalloc.stop()
     assert _activations(held, 4) < 14.5
     assert _activations(peak_train, 4) < 22.5
-    assert _activations(peak_eval, 4) < 9.5
+    assert _activations(peak_eval, 4) < 4.5
 
 
 def test_conv_after_relu_caches_the_relu_output():
