@@ -22,7 +22,7 @@ import yaml
 from . import audio_io, losses_metrics as lm, model as model_mod, train_eval
 from .augment import AugmentConfig
 from .data_pipeline import (
-    DataError, DomainCap, ManifestError, MixSpec, ProtocolViolationError,
+    BatchStats, DataError, DomainCap, ManifestError, MixSpec, ProtocolViolationError,
     compose_pools, load_clip, parse_manifest,
 )
 from .fileio import atomic_write
@@ -171,26 +171,23 @@ def cmd_preprocess(args) -> int:
     entries = parse_manifest(args.manifest)
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    n_cached = len(list(cache_dir.glob("*.f32")))
-    ok = silent = 0
-    skipped: list[str] = []
+    silent = 0
+    stats = BatchStats()
     for e in entries:
         try:
-            clip = load_clip(e.path, cache_dir=cache_dir)
+            clip = load_clip(e.path, cache_dir=cache_dir, stats=stats)
         except (OSError, ValueError) as err:
             if args.strict:
                 raise DataError(f"unreadable audio {e.path!r}: {err}") from err
-            skipped.append(e.path)
+            stats.skipped.append(e.path)
             continue
-        ok += 1
         if clip.is_silent:
             silent += 1
-    # a clip not found in the cache was written to it
-    hits = ok - (len(list(cache_dir.glob("*.f32"))) - n_cached)
-    print(f"processed {ok}/{len(entries)} files ({hits} cache hits, {silent} silent)")
-    if skipped:
-        print(f"skipped {len(skipped)} unreadable files:")
-        for p in skipped:
+    ok = len(entries) - len(stats.skipped)
+    print(f"processed {ok}/{len(entries)} files ({stats.cache_hits} cache hits, {silent} silent)")
+    if stats.skipped:
+        print(f"skipped {len(stats.skipped)} unreadable files:")
+        for p in stats.skipped:
             print(f"  {p}")
     return EXIT_OK
 

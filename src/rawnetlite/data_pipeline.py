@@ -256,24 +256,31 @@ def compose_pools(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
 @dataclass
 class BatchStats:
     skipped: list[str] = field(default_factory=list)
+    cache_hits: int = 0
+    cache_misses: int = 0  # each rebuilds the entry, torn ones included
 
 
-def load_clip(path: str, cache_dir=None) -> FixedClip:
+def load_clip(path: str, cache_dir=None, stats: Optional[BatchStats] = None) -> FixedClip:
     """Preprocess one file, optionally through a content-hash keyed cache.
 
     A cache entry that does not hold a whole clip is a miss: the file is
-    preprocessed again and the entry rewritten.
+    preprocessed again and the entry rewritten. `stats` counts hits and misses.
     """
     raw = Path(path).read_bytes()
     if cache_dir is None:
         return audio_io.preprocess(raw)
+    stats = stats or BatchStats()
     digest = hashlib.sha256(raw).hexdigest()
     cached = Path(cache_dir) / f"{digest}.f32"
     if cached.exists():
         try:
-            return audio_io.read_clip(cached)
+            clip = audio_io.read_clip(cached)
         except ValueError as e:
             log.warning("rebuilding cache entry %s: %s", cached, e)
+        else:
+            stats.cache_hits += 1
+            return clip
+    stats.cache_misses += 1
     clip = audio_io.preprocess(raw)
     cached.parent.mkdir(parents=True, exist_ok=True)
     audio_io.write_clip(clip, cached)
@@ -307,7 +314,7 @@ def make_batches(entries: list[ManifestEntry], batch_size: int = 16, shuffle_see
     for idx, augmented in items:
         entry = entries[idx]
         try:
-            clip = load_clip(entry.path, cache_dir=cache_dir)
+            clip = load_clip(entry.path, cache_dir=cache_dir, stats=stats)
         except (OSError, ValueError) as e:
             if strict:
                 raise DataError(f"unreadable audio {entry.path!r}: {e}") from e

@@ -13,7 +13,9 @@ with the batch norm folded in (`nn_core.fold_batchnorm`, recomputed on every
 call, never cached), the skip add and ReLU in place in the conv's output, and
 each layer's input is freed once its output exists. The registry owns every
 trainable tensor; batch-norm running statistics are serialized alongside but
-are not parameters.
+are not parameters. Checkpoints are format 2. `load` also reads format 1,
+which held a bias per conv: it subtracts each from its batch norm's running
+mean, which keeps the eval function and the training trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .fileio import atomic_write
 from .nn_core import BatchNormState, GRUDirParams, ParamTensor, ResBlockParams, ShapeError
 
 _MAGIC = b"RNLCKPT1"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -125,7 +127,7 @@ class Model:
             return (*v, self.bn_states[prefix], mode)
         if stem == "residual_block":
             bn1, bn2 = self.bn_states[f"{prefix}.bn1"], self.bn_states[f"{prefix}.bn2"]
-            return ResBlockParams(*v[:4], bn1, *v[4:], bn2), mode
+            return ResBlockParams(*v[:3], bn1, *v[3:], bn2), mode
         if stem == "bigru":
             n = len(v) // 2
             return GRUDirParams(*v[:n]), GRUDirParams(*v[n:])
@@ -167,9 +169,8 @@ class Model:
 
     def _folded_conv_relu(self, h, conv: str, bn: str, skip=None) -> np.ndarray:
         p = self.params
-        w, b = nn_core.fold_batchnorm(p[f"{conv}.w"].values, p[f"{conv}.b"].values,
-                                      p[f"{bn}.gamma"].values, p[f"{bn}.beta"].values,
-                                      self.bn_states[bn])
+        w, b = nn_core.fold_batchnorm(p[f"{conv}.w"].values, p[f"{bn}.gamma"].values,
+                                      p[f"{bn}.beta"].values, self.bn_states[bn])
         return nn_core.conv1d_relu(h, w, b, skip)
 
     def _folded_block(self, x, prefix: str) -> np.ndarray:
@@ -204,8 +205,9 @@ class Model:
 def build(config: RawNetLiteConfig, dtype=np.float32) -> Model:
     """Construct a model with seeded initialization.
 
-    Conv and linear weights ~ U(+-sqrt(6 / fan_in)) with zero biases; all GRU
-    tensors ~ U(+-1/sqrt(H)); BN gamma 1 and beta 0. Equal seeds give
+    Conv and linear weights ~ U(+-sqrt(6 / fan_in)), linear biases zero; all
+    GRU tensors ~ U(+-1/sqrt(H)); BN gamma 1 and beta 0. No conv biases: each
+    conv feeds a batch norm whose beta plays that role. Equal seeds give
     bit-identical parameters.
     """
     m = Model(config, dtype=dtype)
@@ -216,16 +218,13 @@ def build(config: RawNetLiteConfig, dtype=np.float32) -> Model:
         return rng.uniform(-bound, bound, size=shape)
 
     m._add("stem.conv.w", uniform(np.sqrt(6.0 / 3.0), c, 1, 3))
-    m._add("stem.conv.b", np.zeros(c))
     m._add_bn("stem.bn", c)
 
     conv_bound = np.sqrt(6.0 / (c * 3))
     for i in range(config.n_res_blocks):
         m._add(f"res{i}.conv1.w", uniform(conv_bound, c, c, 3))
-        m._add(f"res{i}.conv1.b", np.zeros(c))
         m._add_bn(f"res{i}.bn1", c)
         m._add(f"res{i}.conv2.w", uniform(conv_bound, c, c, 3))
-        m._add(f"res{i}.conv2.b", np.zeros(c))
         m._add_bn(f"res{i}.bn2", c)
 
     h = config.gru_hidden
@@ -279,7 +278,7 @@ def save(model: Model, path) -> None:
 
 
 def load(path) -> Model:
-    """Load a checkpoint written by `save`; round trips are bit-exact."""
+    """Load a checkpoint written by `save` (format 2) or in format 1; round trips are bit-exact."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(_MAGIC)] != _MAGIC:
@@ -294,8 +293,9 @@ def load(path) -> Model:
         raise CheckpointFormatError(f"unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointFormatError(f"header is a JSON {type(header).__name__}, not an object")
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise CheckpointFormatError(f"unsupported format version {header.get('format_version')}")
+    version = header.get("format_version")
+    if type(version) is not int or version not in (1, _FORMAT_VERSION):
+        raise CheckpointFormatError(f"unsupported format version {version!r}")
     missing_keys = [k for k in _HEADER_KEYS if k not in header]
     if missing_keys:
         raise CheckpointFormatError(f"header is missing {missing_keys}")
@@ -318,6 +318,10 @@ def load(path) -> Model:
         raise CheckpointFormatError("'bn_initialized' is not an object of booleans")
     model = build(config)
     expected = dict(model._state_arrays())
+    conv_biases = {}
+    if version == 1:  # it also holds conv biases, to be folded into the batch norms' running means
+        conv_biases = {bn.replace(".bn", ".conv") + ".b": st for bn, st in model.bn_states.items()}
+        expected.update((name, np.empty_like(st.running_mean)) for name, st in conv_biases.items())
     seen = set()
     for entry in tensors:
         try:
@@ -342,6 +346,8 @@ def load(path) -> Model:
     missing = set(expected) - seen
     if missing:
         raise CheckpointFormatError(f"checkpoint missing tensors: {sorted(missing)}")
+    for name, st in conv_biases.items():
+        st.running_mean -= expected[name]
 
     for bn_name, flag in flags.items():
         if bn_name not in model.bn_states:

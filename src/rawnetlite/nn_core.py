@@ -3,7 +3,8 @@
 Every layer comes as a forward/backward pair. Forward returns (out, cache);
 backward takes the upstream gradient plus the cache and returns input and
 parameter gradients. Training runs in float32; gradient checking builds the
-same graph in float64, where central finite differences are trustworthy.
+same graph in float64, where central finite differences are trustworthy. Convs
+take no bias: each feeds a batch norm, whose beta plays that role.
 
 Cache conventions, which bound what a training forward keeps alive: ReLU caches
 its output (out > 0 exactly where x > 0), and conv1d caches its unpadded input,
@@ -15,8 +16,9 @@ Eval convention: an eval forward keeps nothing for a backward pass, so it does
 not run batch norm at all. `fold_batchnorm` folds each batch norm into the conv
 before it, from the current parameters and running statistics on every call
 (nothing is cached; the optimizer updates weights in place between calls), and
-`conv1d_relu` adds the residual skip and applies the ReLU in place in the
-conv's output. `batchnorm1d_forward`'s eval branch is the unfolded reference.
+`conv1d_relu` adds the folded bias and the residual skip and applies the ReLU
+in place in the conv's output. `batchnorm1d_forward`'s eval branch is the
+unfolded reference; it returns no cache, so there is no eval backward.
 
 GRU convention: the reset gate multiplies the hidden-to-candidate product,
     r_t = sigm(W_ir x_t + b_ir + W_hr h_{t-1} + b_hr)
@@ -140,22 +142,18 @@ def linear_backward(dout, cache):
 # --- 1-D convolution (kernel 3, stride 1, padding 1) --------------------------
 
 
-def conv1d_forward(x, w, b):
+def conv1d_forward(x, w):
     if x.ndim != 3:
         raise ShapeError(f"conv1d: expected x (B, C_in, T), got {x.shape}")
     if w.ndim != 3 or w.shape[2] != 3:
         raise ShapeError(f"conv1d: expected w (C_out, C_in, 3), got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: x has {x.shape[1]} channels but w expects {w.shape[1]}")
-    shape = (x.shape[0], w.shape[0], x.shape[2])
-    out = np.empty(shape, dtype=b.dtype)
-    out[...] = b[None, :, None]
-    tap = np.empty(shape, dtype=np.result_type(w, x))
-    # tap k reads x[t + k - 1] (zero outside); each output sums bias, tap 0, 1, 2 in that order
+    out = np.matmul(w[:, :, 1], x)
+    tap = np.empty_like(out)
+    # tap k reads x[t + k - 1] (zero outside); each output sums tap 1, 0, 2 in that order
     np.matmul(w[:, :, 0], x, out=tap)
     out[:, :, 1:] += tap[:, :, :-1]
-    np.matmul(w[:, :, 1], x, out=tap)
-    out += tap
     np.matmul(w[:, :, 2], x, out=tap)
     out[:, :, :-1] += tap[:, :, 1:]
     return out, (x, w)
@@ -163,7 +161,6 @@ def conv1d_forward(x, w, b):
 
 def conv1d_backward(dout, cache):
     x, w = cache
-    db = dout.sum(axis=(0, 2))
     xt = x.transpose(0, 2, 1)
     dw = np.empty_like(w)
     dw[:, :, 0] = np.matmul(dout[:, :, 1:], xt[:, :-1]).sum(axis=0)
@@ -178,7 +175,7 @@ def conv1d_backward(dout, cache):
     dx += tap
     np.matmul(w[:, :, 2].T, dout, out=tap)
     dx[:, :, 1:] += tap[:, :, :-1]
-    return dx, dw, db
+    return dx, dw
 
 
 # --- batch normalization over (batch, time) per channel -----------------------
@@ -205,7 +202,7 @@ def batchnorm1d_forward(x, gamma, beta, state: BatchNormState, mode: str):
         state.running_mean[...] = (1 - m) * state.running_mean + m * mean
         state.running_var[...] = (1 - m) * state.running_var + m * var * (n / (n - 1))
         state.initialized = True
-    elif mode == "eval":
+    elif mode == "eval":  # the unfolded reference for `fold_batchnorm`; no backward
         invstd = _running_invstd(state)
         xhat = x - state.running_mean[None, :, None]
     else:
@@ -213,16 +210,13 @@ def batchnorm1d_forward(x, gamma, beta, state: BatchNormState, mode: str):
     xhat *= invstd[None, :, None]
     out = gamma[None, :, None] * xhat
     out += beta[None, :, None]
-    return out, (mode, xhat, gamma, invstd)
+    return out, ((xhat, gamma, invstd) if mode == "train" else None)
 
 
 def batchnorm1d_backward(dout, cache):
-    kind, xhat, gamma, invstd = cache
+    xhat, gamma, invstd = cache
     dgamma = (dout * xhat).sum(axis=(0, 2))
     dbeta = dout.sum(axis=(0, 2))
-    if kind == "eval":
-        dx = dout * (gamma * invstd)[None, :, None]
-        return dx, dgamma, dbeta
     n = dout.shape[0] * dout.shape[2]
     # fused train-mode backward through mean and variance:
     # dx = gamma * invstd / n * (n * dout - dbeta - xhat * dgamma)
@@ -236,20 +230,21 @@ def batchnorm1d_backward(dout, cache):
 # --- inference: batch norm folded into the conv before it ----------------------
 
 
-def fold_batchnorm(w, b, gamma, beta, state: BatchNormState):
+def fold_batchnorm(w, gamma, beta, state: BatchNormState):
     """Conv weight and bias with the eval-mode batch norm after the conv folded in.
 
     Per output channel, with s = gamma / sqrt(running_var + eps):
-    w' = w * s and b' = (b - running_mean) * s + beta, so conv1d(x, w', b')
-    equals batchnorm1d(conv1d(x, w, b), mode="eval") up to rounding.
+    w' = w * s and b' = beta - running_mean * s, so conv1d(x, w') + b'
+    equals batchnorm1d(conv1d(x, w), mode="eval") up to rounding.
     """
     scale = gamma * _running_invstd(state)
-    return w * scale[:, None, None], (b - state.running_mean) * scale + beta
+    return w * scale[:, None, None], beta - state.running_mean * scale
 
 
 def conv1d_relu(x, w, b, skip=None):
-    """Inference only: relu(conv1d(x, w, b) + skip), computed in the conv's output; no cache."""
-    out, _ = conv1d_forward(x, w, b)
+    """Inference only: relu(conv1d(x, w) + b + skip), computed in the conv's output; no cache."""
+    out, _ = conv1d_forward(x, w)
+    out += b[None, :, None]
     if skip is not None:
         out += skip
     return np.maximum(out, 0, out=out)
@@ -331,9 +326,7 @@ def gru_backward(dh_final, cache):
     """Backprop-through-time; gradient arrives only at the final hidden state."""
     steps, p, x_shape = cache
     dx = np.zeros(x_shape, dtype=dh_final.dtype)
-    g = {k: np.zeros_like(getattr(p, k)) for k in (
-        "w_ir", "w_iz", "w_in", "w_hr", "w_hz", "w_hn",
-        "b_ir", "b_iz", "b_in", "b_hr", "b_hz", "b_hn")}
+    g = {k: np.zeros_like(v) for k, v in vars(p).items()}
     dh = dh_final
     for i in range(len(steps) - 1, -1, -1):
         xt, h_prev, r, z, n, hn = steps[i]
@@ -385,12 +378,10 @@ def bigru_backward(dout, cache):
 @dataclass
 class ResBlockParams:
     conv1_w: np.ndarray
-    conv1_b: np.ndarray
     bn1_gamma: np.ndarray
     bn1_beta: np.ndarray
     bn1_state: BatchNormState
     conv2_w: np.ndarray
-    conv2_b: np.ndarray
     bn2_gamma: np.ndarray
     bn2_beta: np.ndarray
     bn2_state: BatchNormState
@@ -398,10 +389,10 @@ class ResBlockParams:
 
 def residual_block_forward(x, p: ResBlockParams, mode: str):
     """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved."""
-    c1, cache_c1 = conv1d_forward(x, p.conv1_w, p.conv1_b)
+    c1, cache_c1 = conv1d_forward(x, p.conv1_w)
     n1, cache_n1 = batchnorm1d_forward(c1, p.bn1_gamma, p.bn1_beta, p.bn1_state, mode)
     a1, cache_a1 = relu_forward(n1)
-    c2, cache_c2 = conv1d_forward(a1, p.conv2_w, p.conv2_b)
+    c2, cache_c2 = conv1d_forward(a1, p.conv2_w)
     n2, cache_n2 = batchnorm1d_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode)
     n2 += x
     out, cache_out = relu_forward(n2)
@@ -412,14 +403,12 @@ def residual_block_backward(dout, cache):
     cache_c1, cache_n1, cache_a1, cache_c2, cache_n2, cache_out = cache
     dsum = relu_backward(dout, cache_out)
     dn2, dg2, dbeta2 = batchnorm1d_backward(dsum, cache_n2)
-    da1, dw2, db2 = conv1d_backward(dn2, cache_c2)
+    da1, dw2 = conv1d_backward(dn2, cache_c2)
     dn1 = relu_backward(da1, cache_a1)
     dc1, dg1, dbeta1 = batchnorm1d_backward(dn1, cache_n1)
-    dx, dw1, db1 = conv1d_backward(dc1, cache_c1)
-    grads = {
-        "conv1_w": dw1, "conv1_b": db1, "bn1_gamma": dg1, "bn1_beta": dbeta1,
-        "conv2_w": dw2, "conv2_b": db2, "bn2_gamma": dg2, "bn2_beta": dbeta2,
-    }
+    dx, dw1 = conv1d_backward(dc1, cache_c1)
+    grads = {"conv1_w": dw1, "bn1_gamma": dg1, "bn1_beta": dbeta1,
+             "conv2_w": dw2, "bn2_gamma": dg2, "bn2_beta": dbeta2}
     dx += dsum
     return dx, grads
 

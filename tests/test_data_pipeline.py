@@ -289,10 +289,10 @@ def test_clip_cache_hits(wav_corpus, tmp_path, monkeypatch):
 
 
 
-def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path):
+def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path, capsys):
     import hashlib
 
-    from rawnetlite import audio_io
+    from rawnetlite import audio_io, cli
 
     cache = tmp_path / "cache"
     raw = open(wav_corpus[0].path, "rb").read()
@@ -308,3 +308,15 @@ def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path):
     stats = BatchStats()
     total = sum(y.size for _, y, _ in make_batches(wav_corpus, cache_dir=cache, stats=stats))
     assert total == 33 and stats.skipped == []
+    assert (stats.cache_hits, stats.cache_misses) == (0, 33)  # the rebuilt entry is a miss
+
+    # `rawnetlite preprocess` counts a rebuilt entry as a miss too
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,domain\n" + "".join(f"{e.path},fake,d\n" for e in wav_corpus[:8]))
+    cache = tmp_path / "cache8"
+    assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
+    entry_file = cache / f"{hashlib.sha256(raw).hexdigest()}.f32"
+    entry_file.write_bytes(entry_file.read_bytes()[:100])
+    capsys.readouterr()
+    assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
+    assert "processed 8/8 files (7 cache hits" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ def small_batch(cfg=SMALL, n=3, seed=0):
 
 
 def test_default_parameter_count():
-    assert build(RawNetLiteConfig()).parameter_count == 240769
+    assert build(RawNetLiteConfig()).parameter_count == 240321
+
+
+def test_no_parameter_is_dead():
+    """Every parameter moves the loss; a conv bias right before a batch norm would not."""
+    m = build(SMALL, dtype=np.float64)
+    probs, caches = m.forward_train(small_batch(n=4).astype(np.float64))
+    _, dp = lm.bce_loss(probs, np.array([0.0, 1.0, 1.0, 0.0]))
+    m.backward(dp, caches)
+    assert [name for name, p in m.params.items() if np.abs(p.grad).max() < 1e-8] == []
 
 
 def test_equal_seeds_bit_identical():
@@ -168,6 +178,52 @@ def test_checkpoint_bad_magic(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("version", [0, 3, "2", 1.0, True, None])
+def test_checkpoint_other_versions_rejected(tmp_path, version):
+    from rawnetlite import cli
+
+    path = tmp_path / "m.ckpt"
+    save(trained_small(), path)
+    _edit_header(path, lambda h: h.update(format_version=version))
+    with pytest.raises(CheckpointFormatError, match="version"):
+        load(path)
+    assert cli.main(["infer", str(path), str(tmp_path / "x.wav")]) == cli.EXIT_DATA
+
+
+# A format-1 checkpoint of SMALL with random conv biases, batch-norm affine parameters
+# and running statistics, written by the format-1 code (the snippet is quoted in
+# CHANGES.md), and the probabilities that code computed on FORMAT1_X: eval, then
+# train (which updates the running statistics), then eval again.
+FORMAT1 = Path(__file__).parent / "data" / "format1_small.ckpt"
+FORMAT1_X = np.random.default_rng(7).normal(size=(3, 1, SMALL.input_len)).astype(np.float32)
+FORMAT1_PROBS = {
+    "eval": [0.5581146478652954, 0.5598616600036621, 0.5583440065383911],
+    "train": [0.5172548294067383, 0.49778640270233154, 0.5386106371879578],
+    "eval after train": [0.5514955520629883, 0.5542383790016174, 0.5516847968101501],
+}
+
+
+def test_format1_checkpoint_keeps_its_function(tmp_path):
+    m = load(FORMAT1)
+    assert m.config == SMALL
+    assert not [name for name in m.params if ".conv" in name and name.endswith(".b")]
+    for step, mode in zip(FORMAT1_PROBS, ["eval", "train", "eval"]):
+        np.testing.assert_allclose(m.forward(FORMAT1_X, mode=mode), FORMAT1_PROBS[step],
+                                   rtol=0, atol=1e-6, err_msg=step)
+    save(m, tmp_path / "m.ckpt")  # written again as format 2, bit-exact
+    m2 = load(tmp_path / "m.ckpt")
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(m._state_arrays(), m2._state_arrays()))
+
+
+def test_format1_checkpoint_without_a_conv_bias_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(FORMAT1.read_bytes())
+    _edit_header(path, lambda h: h.update(
+        tensors=[t for t in h["tensors"] if t["name"] != "res1.conv2.b"]))
+    with pytest.raises(CheckpointFormatError, match="res1.conv2.b"):
+        load(path)
+
+
 @pytest.mark.parametrize("blob", [b"RNLCKPT1", b"RNLCKPT1\x05\x00\x00\x00"])
 def test_checkpoint_no_header_length(tmp_path, blob):
     path = tmp_path / "m.ckpt"
@@ -268,9 +324,6 @@ def randomized_bn_model(dtype):
         m.params[f"{bn}.beta"].values[...] = rng.normal(size=c)
         st.running_mean[...] = rng.normal(size=c)
         st.running_var[...] = rng.uniform(0.25, 4.0, c)
-    for name, p in m.params.items():
-        if ".conv" in name and name.endswith(".b"):
-            p.values[...] = rng.normal(size=p.shape)
     return m
 
 
