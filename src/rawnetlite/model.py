@@ -3,12 +3,14 @@
 Layer stack: Conv1D(1->C, k3, s1, p1) + BN + ReLU -> n residual blocks ->
 AdaptiveAvgPool1D(pool_len) -> BiGRU -> Linear + ReLU -> Linear + Sigmoid.
 `Model.layers` is the single source of that order; one loop runs it forward
-and one backward. A layer's parameters are the registry entries under its
-prefix, in registration order, which is the order its backward kernel returns
-their gradients. Kernels are resolved on `nn_core` by name at each call, never
-stored, so a function rebound there (a test's mutation, the benchmark's
-tracer) is the one that runs. In eval mode the walk keeps nothing: the stem's
-conv -> BN -> ReLU and each residual block's two conv -> BN pairs run as convs
+and one backward. The stem's BN and ReLU are one entry: in training they run
+as one fused kernel (`nn_core.batchnorm_relu_forward`), as every batch norm
+inside a residual block does. A layer's parameters are the registry entries
+under its prefix, in registration order, which is the order its backward
+kernel returns their gradients. Kernels are resolved on `nn_core` by name at
+each call, never stored, so a function rebound there (a test's mutation, the
+benchmark's tracer) is the one that runs. In eval mode the walk keeps nothing: the stem's
+conv -> BN + ReLU and each residual block's two conv -> BN pairs run as convs
 with the batch norm folded in (`nn_core.fold_batchnorm`, recomputed on every
 call, never cached), the skip add and ReLU in place in the conv's output, and
 each layer's input is freed once its output exists. The registry owns every
@@ -76,7 +78,7 @@ _HEADER_KEYS = ("payload_bytes", "payload_sha256", "config", "tensors", "bn_init
 
 def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str]]:
     """(registry prefix, nn_core kernel stem) for every layer, in forward order."""
-    return ([("stem.conv", "conv1d"), ("stem.bn", "batchnorm1d"), ("stem.relu", "relu")]
+    return ([("stem.conv", "conv1d"), ("stem.bn", "batchnorm_relu")]
             + [(f"res{i}", "residual_block") for i in range(config.n_res_blocks)]
             + [("pool", "adaptive_avg_pool1d"), ("gru", "bigru"),
                ("head.fc1", "linear"), ("head.relu", "relu"), ("head.fc2", "linear"),
@@ -123,8 +125,8 @@ class Model:
     def _kernel_args(self, prefix: str, stem: str, mode: str) -> tuple:
         """Arguments after the input for `nn_core.<stem>_forward`."""
         v = [p.values for p in self._layer_params(prefix)]
-        if stem == "batchnorm1d":
-            return (*v, self.bn_states[prefix], mode)
+        if stem == "batchnorm_relu":
+            return (*v, self.bn_states[prefix])
         if stem == "residual_block":
             bn1, bn2 = self.bn_states[f"{prefix}.bn1"], self.bn_states[f"{prefix}.bn2"]
             return ResBlockParams(*v[:3], bn1, *v[3:], bn2), mode
@@ -146,12 +148,13 @@ class Model:
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
             raise ShapeError(f"expected batch of shape (B, 1, {cfg.input_len}), got {x.shape}")
+        if mode not in ("train", "eval"):
+            raise ValueError(f"unknown mode {mode!r}")
         h = x.astype(self.dtype, copy=False)
         layers = iter(self.layers)
         for prefix, stem in layers:
             if mode == "eval" and stem == "conv1d":
                 bn, _ = next(layers)
-                next(layers)  # the ReLU, applied in place by the folded conv
                 h = self._folded_conv_relu(h, prefix, bn)
                 continue
             if mode == "eval" and stem == "residual_block":

@@ -6,11 +6,15 @@ parameter gradients. Training runs in float32; gradient checking builds the
 same graph in float64, where central finite differences are trustworthy. Convs
 take no bias: each feeds a batch norm, whose beta plays that role.
 
-Cache conventions, which bound what a training forward keeps alive: ReLU caches
-its output (out > 0 exactly where x > 0), and conv1d caches its unpadded input,
-so a conv after a ReLU holds the very same array. Batch norm caches xhat, not
-its input. No kernel keeps a padded or otherwise copied (B, C, T) array, and
-kernels write into fresh outputs only, never into an array a cache holds.
+Cache conventions, which bound what a training forward keeps alive: each batch
+norm runs fused with the ReLU after it (and a residual block's skip add between
+them) in `batchnorm_relu_forward`, which caches its input, its per-channel
+float64 mean and invstd, gamma and its output, not xhat. ReLU caches its output
+(out > 0 exactly where x > 0), and conv1d caches its unpadded input, so a conv
+after a ReLU holds the very same array. `batchnorm1d_*` and `relu_*` are the
+unfused reference the fused pair is tested against; the head runs `relu_*`. No
+kernel keeps a padded or otherwise copied (B, C, T) array, and kernels write
+into fresh outputs only, never into an array a cache holds.
 
 Eval convention: an eval forward keeps nothing for a backward pass, so it does
 not run batch norm at all. `fold_batchnorm` folds each batch norm into the conv
@@ -149,9 +153,14 @@ def conv1d_forward(x, w):
         raise ShapeError(f"conv1d: expected w (C_out, C_in, 3), got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: x has {x.shape[1]} channels but w expects {w.shape[1]}")
+    # tap k reads x[t + k - 1] (zero outside); each output sums tap 1, 0, 2 in that order
+    if x.shape[1] == 1:  # the stem: each tap is a broadcast product, cheaper than a K=1 GEMM
+        out = w[:, 0, 1, None] * x
+        out[:, :, 1:] += w[:, 0, 0, None] * x[:, :, :-1]
+        out[:, :, :-1] += w[:, 0, 2, None] * x[:, :, 1:]
+        return out, (x, w)
     out = np.matmul(w[:, :, 1], x)
     tap = np.empty_like(out)
-    # tap k reads x[t + k - 1] (zero outside); each output sums tap 1, 0, 2 in that order
     np.matmul(w[:, :, 0], x, out=tap)
     out[:, :, 1:] += tap[:, :, :-1]
     np.matmul(w[:, :, 2], x, out=tap)
@@ -166,13 +175,10 @@ def conv1d_backward(dout, cache):
     dw[:, :, 0] = np.matmul(dout[:, :, 1:], xt[:, :-1]).sum(axis=0)
     dw[:, :, 1] = np.matmul(dout, xt).sum(axis=0)
     dw[:, :, 2] = np.matmul(dout[:, :, :-1], xt[:, 1:]).sum(axis=0)
-    dx = np.empty(x.shape, dtype=np.result_type(w, dout))
+    dx = np.matmul(w[:, :, 1].T, dout)
     tap = np.empty_like(dx)
     np.matmul(w[:, :, 0].T, dout, out=tap)
-    dx[:, :, :-1] = tap[:, :, 1:]
-    dx[:, :, -1] = 0
-    np.matmul(w[:, :, 1].T, dout, out=tap)
-    dx += tap
+    dx[:, :, :-1] += tap[:, :, 1:]
     np.matmul(w[:, :, 2].T, dout, out=tap)
     dx[:, :, 1:] += tap[:, :, :-1]
     return dx, dw
@@ -225,6 +231,65 @@ def batchnorm1d_backward(dout, cache):
     dx -= xhat * dgamma[None, :, None]
     dx *= (gamma * invstd)[None, :, None] / n
     return dx, dgamma, dbeta
+
+
+# --- training: batch norm, skip add and ReLU fused --------------------------------
+
+
+def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
+    """Training only: relu(batchnorm1d(x) + skip), normalized by the batch statistics.
+
+    The batch statistics update the running ones. The per-channel sum and sum of squares each take one float64 pass over x;
+    in float64 the one-pass variance E[x^2] - mean^2 loses nothing that matters
+    for float32 data. The output is one fresh array, x * scale + shift, to which
+    the skip is added and the ReLU applied in place.
+    """
+    if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
+        raise ShapeError(f"batchnorm_relu: expected x (B, {gamma.shape[0]}, T), got {x.shape}")
+    n = x.shape[0] * x.shape[2]
+    if n < 2:
+        raise ShapeError("batchnorm_relu needs >= 2 elements per channel")
+    mean = x.sum(axis=(0, 2), dtype=np.float64) / n
+    var = np.einsum("bct,bct->c", x, x, dtype=np.float64) / n - mean * mean
+    var = np.maximum(var, 0.0)  # a constant channel may round below 0
+    invstd = 1.0 / np.sqrt(var + state.eps)
+    m = state.momentum
+    state.running_mean[...] = (1 - m) * state.running_mean + m * mean
+    state.running_var[...] = (1 - m) * state.running_var + m * var * (n / (n - 1))
+    state.initialized = True
+    scale = gamma * invstd
+    out = np.multiply(x, scale.astype(x.dtype)[:, None])
+    out += (beta - mean * scale).astype(x.dtype)[:, None]
+    if skip is not None:
+        out += skip
+    np.maximum(out, 0, out=out)
+    return out, (x, mean, invstd, gamma, out, skip is not None)
+
+
+def batchnorm_relu_backward(dout, cache):
+    """(dx, dgamma, dbeta), and dskip when the forward took a skip.
+
+    With g the upstream gradient under the ReLU mask and xhat = (x - mean) * invstd,
+    dx = gamma * invstd / n * (n * g - sum(g) - xhat * sum(g * xhat)), which is
+    a * g + b * x + c with per-channel a, b, c. dskip is g itself.
+    """
+    x, mean, invstd, gamma, out, has_skip = cache
+    n = x.shape[0] * x.shape[2]
+    g = dout * (out > 0)  # subgradient at exactly 0 is 0
+    dbeta = g.sum(axis=(0, 2), dtype=np.float64)
+    dgamma = invstd * (np.einsum("bct,bct->c", g, x, dtype=np.float64) - mean * dbeta)
+    a = gamma * invstd
+    b = -a * invstd * dgamma / n
+    c = -a * dbeta / n - b * mean
+    a, b, c = (v.astype(g.dtype)[:, None] for v in (a, b, c))
+    dx = np.empty_like(g)
+    tmp = np.empty_like(g[0])
+    for gi, xi, dxi in zip(g, x, dx):  # one sample at a time, so the b * x temporary stays small
+        np.multiply(gi, a, out=dxi)
+        dxi += np.multiply(xi, b, out=tmp)
+        dxi += c
+    grads = (dx, dgamma.astype(g.dtype), dbeta.astype(g.dtype))
+    return grads + (g,) if has_skip else grads
 
 
 # --- inference: batch norm folded into the conv before it ----------------------
@@ -388,28 +453,36 @@ class ResBlockParams:
 
 
 def residual_block_forward(x, p: ResBlockParams, mode: str):
-    """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved."""
+    """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved.
+
+    Train mode runs each BN with its ReLU fused, the second adding the skip.
+    Eval mode is the unfolded reference for `Model`'s folded eval walk and
+    returns no cache.
+    """
     c1, cache_c1 = conv1d_forward(x, p.conv1_w)
-    n1, cache_n1 = batchnorm1d_forward(c1, p.bn1_gamma, p.bn1_beta, p.bn1_state, mode)
-    a1, cache_a1 = relu_forward(n1)
-    c2, cache_c2 = conv1d_forward(a1, p.conv2_w)
-    n2, cache_n2 = batchnorm1d_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode)
+    if mode == "train":
+        a1, cache_n1 = batchnorm_relu_forward(c1, p.bn1_gamma, p.bn1_beta, p.bn1_state)
+        c2, cache_c2 = conv1d_forward(a1, p.conv2_w)
+        out, cache_n2 = batchnorm_relu_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, skip=x)
+        return out, (cache_c1, cache_n1, cache_c2, cache_n2)
+    n1, _ = batchnorm1d_forward(c1, p.bn1_gamma, p.bn1_beta, p.bn1_state, mode)
+    a1, _ = relu_forward(n1)
+    c2, _ = conv1d_forward(a1, p.conv2_w)
+    n2, _ = batchnorm1d_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode)
     n2 += x
-    out, cache_out = relu_forward(n2)
-    return out, (cache_c1, cache_n1, cache_a1, cache_c2, cache_n2, cache_out)
+    out, _ = relu_forward(n2)
+    return out, None
 
 
 def residual_block_backward(dout, cache):
-    cache_c1, cache_n1, cache_a1, cache_c2, cache_n2, cache_out = cache
-    dsum = relu_backward(dout, cache_out)
-    dn2, dg2, dbeta2 = batchnorm1d_backward(dsum, cache_n2)
-    da1, dw2 = conv1d_backward(dn2, cache_c2)
-    dn1 = relu_backward(da1, cache_a1)
-    dc1, dg1, dbeta1 = batchnorm1d_backward(dn1, cache_n1)
+    cache_c1, cache_n1, cache_c2, cache_n2 = cache
+    dc2, dg2, dbeta2, dskip = batchnorm_relu_backward(dout, cache_n2)
+    da1, dw2 = conv1d_backward(dc2, cache_c2)
+    dc1, dg1, dbeta1 = batchnorm_relu_backward(da1, cache_n1)
     dx, dw1 = conv1d_backward(dc1, cache_c1)
     grads = {"conv1_w": dw1, "bn1_gamma": dg1, "bn1_beta": dbeta1,
              "conv2_w": dw2, "bn2_gamma": dg2, "bn2_beta": dbeta2}
-    dx += dsum
+    dx += dskip
     return dx, grads
 
 
@@ -431,13 +504,15 @@ class Adam:
         self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
 
     def step(self) -> None:
+        """Apply one step to every parameter, or raise before changing any state."""
+        for name, p in self.params.items():
+            if not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
             m *= self.beta1

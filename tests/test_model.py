@@ -279,7 +279,8 @@ def test_checkpoint_malformed_tensor_entries_and_flags(tmp_path, mutate):
 
 N = SMALL.n_res_blocks
 FORWARD_CALLS = {  # per Model.forward, counting calls made inside composite kernels
-    "conv1d_forward": 1 + 2 * N, "batchnorm1d_forward": 1 + 2 * N, "relu_forward": 2 + 2 * N,
+    "conv1d_forward": 1 + 2 * N, "batchnorm_relu_forward": 1 + 2 * N,
+    "batchnorm1d_forward": 0, "relu_forward": 1,
     "residual_block_forward": N, "adaptive_avg_pool1d_forward": 1, "bigru_forward": 1,
     "gru_forward": 2, "linear_forward": 2, "sigmoid_forward": 1,
 }
@@ -306,6 +307,10 @@ def unfolded_eval(m, x):
     """The eval forward without folding: conv -> BN(eval) -> ReLU, residual_block_forward."""
     h = x
     for prefix, stem in m.layers:
+        if stem == "batchnorm_relu":
+            h, _ = nn_core.batchnorm1d_forward(h, *m._kernel_args(prefix, stem, "eval"), "eval")
+            h, _ = nn_core.relu_forward(h)
+            continue
         if stem == "bigru":
             h = np.ascontiguousarray(h.transpose(0, 2, 1))
         elif stem == "sigmoid":
@@ -371,10 +376,11 @@ def test_eval_forward_before_training_raises():
 # --- memory ---------------------------------------------------------------------------
 # NumPy allocations are visible to tracemalloc, so these byte counts are exact and
 # repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
-# output of every ReLU (each also the next conv's input) and every batch norm's
-# xhat: 7 + 7 activations for three blocks. An eval forward keeps no caches and
-# folds each batch norm into its conv; its peak is inside a residual block: the
-# block's input (the skip), conv1's output, conv2's output and conv2's tap buffer.
+# output of every fused batch norm + ReLU (each also the next conv's input) and
+# every batch norm's input (its conv's output): 7 + 7 activations for three
+# blocks. An eval forward keeps no caches and folds each batch norm into its conv;
+# its peak is inside a residual block: the block's input (the skip), conv1's
+# output, conv2's output and conv2's tap buffer.
 
 MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
                            fc_hidden=8, input_len=8000, seed=1)
@@ -410,10 +416,10 @@ def test_memory_bound_forward_backward():
 def test_conv_after_relu_caches_the_relu_output():
     m = build(SMALL)
     _, caches = m.forward_train(small_batch())
-    stem_relu, res0 = caches[2], caches[3]
-    cache_c1, _, cache_a1, cache_c2, _, _ = res0
-    assert cache_c1[0] is stem_relu  # res0.conv1 reads the stem ReLU's output
-    assert cache_c2[0] is cache_a1  # conv2 reads the block's first ReLU's output
+    stem_bn_relu, res0 = caches[1], caches[2]
+    cache_c1, cache_n1, cache_c2, _ = res0
+    assert cache_c1[0] is stem_bn_relu[4]  # res0.conv1 reads the stem's fused BN + ReLU output
+    assert cache_c2[0] is cache_n1[4]  # conv2 reads the block's first fused BN + ReLU output
 
 
 # --- gradient integrity -----------------------------------------------------------

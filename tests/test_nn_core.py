@@ -296,6 +296,68 @@ def test_batchnorm_matches_reference_train_and_eval(dtype):
     assert cache is None  # eval mode has no backward
 
 
+# --- fused batch norm + ReLU against the reference composition ---------------------
+# The fused kernel takes its statistics in one float64 pass and applies x * scale +
+# shift, so it matches batchnorm1d -> + skip -> relu within a dtype tolerance, not
+# bit for bit. loc=100 guards the one-pass variance against cancellation.
+
+FUSED_TOL = {np.float32: 1e-5, np.float64: 1e-10}  # |got - ref| <= tol * max|ref|
+
+
+def batchnorm_relu_reference(x, gamma, beta, state, skip, dout):
+    """out, dx, dgamma, dbeta (and dskip) of relu(batchnorm1d(x) + skip)."""
+    n, cache_n = nn.batchnorm1d_forward(x, gamma, beta, state, "train")
+    if skip is not None:
+        n += skip
+    out, cache_r = nn.relu_forward(n)
+    dn = nn.relu_backward(dout, cache_r)
+    return (out, *nn.batchnorm1d_backward(dn, cache_n)) + ((dn,) if skip is not None else ())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("loc, scale", [(0.7, 2.0), (100.0, 2.0)])
+@pytest.mark.parametrize("with_skip", [False, True])
+def test_batchnorm_relu_matches_reference_composition(dtype, loc, scale, with_skip):
+    rng = np.random.default_rng(27)
+    x = rng.normal(loc=loc, scale=scale, size=(3, 32, 2000)).astype(dtype)
+    gamma = (rng.normal(size=32) + 1.0).astype(dtype)
+    beta = rng.normal(size=32).astype(dtype)
+    skip = rng.normal(size=x.shape).astype(dtype) if with_skip else None
+    dout = rng.normal(size=x.shape).astype(dtype)
+    st_fused, st_ref = BatchNormState.create(32, dtype=dtype), BatchNormState.create(32, dtype=dtype)
+    out, cache = nn.batchnorm_relu_forward(x, gamma, beta, st_fused, skip)
+    got = (out, *nn.batchnorm_relu_backward(dout, cache), st_fused.running_mean, st_fused.running_var)
+    ref = (*batchnorm_relu_reference(x, gamma, beta, st_ref, skip, dout),
+           st_ref.running_mean, st_ref.running_var)
+    assert len(got) == len(ref) == (7 if with_skip else 6)
+    for g, r in zip(got, ref):
+        assert g.dtype == dtype and g.shape == r.shape
+        assert np.abs(g - r).max() <= FUSED_TOL[dtype] * np.abs(r).max()
+    assert st_fused.initialized
+
+
+def test_batchnorm_relu_caches_input_and_output():
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(2, 3, 10)).astype(np.float32)
+    st_ = BatchNormState.create(3)
+    out, cache = nn.batchnorm_relu_forward(x, np.ones(3, np.float32), np.zeros(3, np.float32), st_)
+    cached_x, mean, invstd, _, cached_out, _ = cache
+    assert cached_x is x and cached_out is out
+    assert mean.dtype == invstd.dtype == np.float64 and out.dtype == np.float32
+
+
+@pytest.mark.parametrize("with_skip", [False, True])
+def test_batchnorm_relu_gradients_match_fd(with_skip):
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(3, 2, 5))
+    gamma = rng.normal(size=2) + 1.0
+    beta = rng.normal(size=2)
+    skip = rng.normal(size=x.shape) if with_skip else None
+    st_ = BatchNormState.create(2, dtype=np.float64)
+    fd_layer_check(lambda: nn.batchnorm_relu_forward(x, gamma, beta, st_, skip),
+                   nn.batchnorm_relu_backward, [x, gamma, beta] + ([skip] if with_skip else []), rng)
+
+
 def test_relu_caches_its_output():
     x = np.random.default_rng(23).normal(size=(2, 3, 10))
     out, cache = nn.relu_forward(x)
@@ -465,6 +527,20 @@ def test_adam_nonfinite_gradient_names_parameter():
     p.grad[...] = np.nan
     with pytest.raises(TrainingError, match="bad.tensor"):
         Adam({"bad.tensor": p}, lr=0.1).step()
+
+
+def test_adam_nonfinite_gradient_changes_nothing():
+    a = ParamTensor("a", np.array([1.0]))
+    b = ParamTensor("b", np.array([2.0]))
+    a.grad[...] = 1.0
+    b.grad[...] = np.nan
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    with pytest.raises(TrainingError, match="'b'"):
+        opt.step()
+    assert opt.t == 0
+    assert a.values[0] == 1.0 and a.grad[0] == 1.0
+    assert b.values[0] == 2.0 and np.isnan(b.grad[0])
+    assert all(not np.any(s[k]) for s in (opt._m, opt._v) for k in ("a", "b"))
 
 
 def test_adam_deterministic_trajectory():
