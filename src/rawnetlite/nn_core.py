@@ -16,6 +16,16 @@ unfused reference the fused pair is tested against; the head runs `relu_*`. No
 kernel keeps a padded or otherwise copied (B, C, T) array, and kernels write
 into fresh outputs only, never into an array a cache holds.
 
+Tile convention: every conv (forward, backward and the eval `conv1d_relu`) runs
+one loop, `_conv_tiles`, over each batch row in time tiles of about `_TILE`
+samples, so a tile's input, output and scratch stay in a core's L2 cache. No
+conv allocates a full-size tap buffer: taps 0 and 2 go through one tile-sized
+scratch buffer. Each output element sums the same products in the same order
+as an untiled conv, so the forward and dx are bit-identical to it (except,
+across tiles, the dx of a C_in = 1 conv, whose taps are matrix-vector products
+that the BLAS rounds by position); dw sums its tiles in another order. The eval epilogue
+(folded bias, skip, ReLU) runs on each finished tile while it is in cache.
+
 Eval convention: an eval forward keeps nothing for a backward pass, so it does
 not run batch norm at all. `fold_batchnorm` folds each batch norm into the conv
 before it, from the current parameters and running statistics on every call
@@ -145,42 +155,93 @@ def linear_backward(dout, cache):
 
 # --- 1-D convolution (kernel 3, stride 1, padding 1) --------------------------
 
+_TILE = 8192  # time samples per tile; at C=64, 4 MiB L2: 4096-16384 ran alike, 2048 slower
 
-def conv1d_forward(x, w):
+
+def _tile_bounds(t: int) -> list[tuple[int, int]]:
+    """ceil(t / _TILE) near-equal (start, stop) tiles of a length-t axis.
+
+    Near-equal, so no tile is one column, which the BLAS would run as a
+    matrix-vector product; starts are multiples of 64, so each column keeps its
+    place in the GEMM kernel's column blocks. Both keep every tiled product bit
+    for bit what the untiled GEMM computes.
+    """
+    n = max(1, -(-t // _TILE))
+    starts = [k * t // n // 64 * 64 for k in range(n)]
+    return list(zip(starts, starts[1:] + [t]))
+
+
+def _conv_tiles(src, taps, out, product=np.matmul):
+    """Fill out[i, :, t] with the sum of product(W, src[i, :, t + d]) over taps, one tile at a time.
+
+    taps is (W, 0), then the shifts -1 and +1 in either order; each output
+    element sums its terms in that order, and a term that would read past
+    either end of src is left out. Every product reads one whole tile of
+    src[i]: the first writes straight into out, the other two go through one
+    tile-sized scratch buffer that also keeps the previous tile's last two
+    columns. A shifted term reaches one column into the next tile, so tile
+    [s, e) finishes the output columns [s - 1, e - 1), and the last tile of a
+    row finishes the row. Yields (i, s, e, done) after each tile: src[i, :, s:e]
+    was read, and out[i, :, done] is final.
+    """
+    b, _, t = src.shape
+    bounds = _tile_bounds(t)
+    width = max(e - s for s, e in bounds)
+    (w_first, _), *shifted = taps
+    scratch = np.empty((out.shape[1], width + 2), dtype=out.dtype)
+    history = np.empty((len(shifted), out.shape[1], 2), dtype=out.dtype)
+    for i in range(b):
+        lo = 0
+        for s, e in bounds:
+            product(w_first, src[i, :, s:e], out=out[i, :, s:e])
+            hi = t if e == t else e - 1
+            for k, (w, d) in enumerate(shifted):
+                # scratch column j + 2 holds the product at source column s + j
+                scratch[:, :2] = history[k]
+                product(w, src[i, :, s:e], out=scratch[:, 2 : 2 + e - s])
+                history[k] = scratch[:, e - s : e - s + 2]
+                l, h = max(lo, -d), min(hi, t - d)
+                out[i, :, l:h] += scratch[:, l + d - s + 2 : h + d - s + 2]
+            yield i, s, e, slice(lo, hi)
+            lo = hi
+
+
+def _conv_start(x, w):
+    """The output buffer, the taps in summation order and the product that applies them.
+
+    Tap k reads x[t + k - 1]; each output sums tap 1, 0, 2 in that order. The
+    stem (C_in = 1) multiplies by broadcasting, which is cheaper than a K=1 GEMM.
+    """
     if x.ndim != 3:
         raise ShapeError(f"conv1d: expected x (B, C_in, T), got {x.shape}")
     if w.ndim != 3 or w.shape[2] != 3:
         raise ShapeError(f"conv1d: expected w (C_out, C_in, 3), got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: x has {x.shape[1]} channels but w expects {w.shape[1]}")
-    # tap k reads x[t + k - 1] (zero outside); each output sums tap 1, 0, 2 in that order
-    if x.shape[1] == 1:  # the stem: each tap is a broadcast product, cheaper than a K=1 GEMM
-        out = w[:, 0, 1, None] * x
-        out[:, :, 1:] += w[:, 0, 0, None] * x[:, :, :-1]
-        out[:, :, :-1] += w[:, 0, 2, None] * x[:, :, 1:]
-        return out, (x, w)
-    out = np.matmul(w[:, :, 1], x)
-    tap = np.empty_like(out)
-    np.matmul(w[:, :, 0], x, out=tap)
-    out[:, :, 1:] += tap[:, :, :-1]
-    np.matmul(w[:, :, 2], x, out=tap)
-    out[:, :, :-1] += tap[:, :, 1:]
+    out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x, w))
+    taps = [(w[:, :, 1], 0), (w[:, :, 0], -1), (w[:, :, 2], 1)]
+    return out, taps, (np.multiply if x.shape[1] == 1 else np.matmul)
+
+
+def conv1d_forward(x, w):
+    out, taps, product = _conv_start(x, w)
+    for _ in _conv_tiles(x, taps, out, product):
+        pass
     return out, (x, w)
 
 
 def conv1d_backward(dout, cache):
+    """(dx, dw). dx is the conv of dout with the transposed taps, summed 1, 0, 2 like the
+    forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache."""
     x, w = cache
-    xt = x.transpose(0, 2, 1)
-    dw = np.empty_like(w)
-    dw[:, :, 0] = np.matmul(dout[:, :, 1:], xt[:, :-1]).sum(axis=0)
-    dw[:, :, 1] = np.matmul(dout, xt).sum(axis=0)
-    dw[:, :, 2] = np.matmul(dout[:, :, :-1], xt[:, 1:]).sum(axis=0)
-    dx = np.matmul(w[:, :, 1].T, dout)
-    tap = np.empty_like(dx)
-    np.matmul(w[:, :, 0].T, dout, out=tap)
-    dx[:, :, :-1] += tap[:, :, 1:]
-    np.matmul(w[:, :, 2].T, dout, out=tap)
-    dx[:, :, 1:] += tap[:, :, :-1]
+    t = x.shape[2]
+    dx = np.empty(x.shape, dtype=np.result_type(dout, w))
+    dw = np.zeros(w.shape, dtype=dx.dtype)
+    taps = [(w[:, :, 1].T, 0), (w[:, :, 0].T, 1), (w[:, :, 2].T, -1)]
+    for i, s, e, _ in _conv_tiles(dout, taps, dx):
+        for k in range(3):  # tap k: dw[:, :, k] = sum over t of dout[t] x[t + k - 1]^T
+            l, h = max(s, 1 - k), min(e, t + 1 - k)
+            dw[:, :, k] += np.matmul(dout[i, :, l:h], x[i, :, l + k - 1 : h + k - 1].T)
     return dx, dw
 
 
@@ -307,12 +368,19 @@ def fold_batchnorm(w, gamma, beta, state: BatchNormState):
 
 
 def conv1d_relu(x, w, b, skip=None):
-    """Inference only: relu(conv1d(x, w) + b + skip), computed in the conv's output; no cache."""
-    out, _ = conv1d_forward(x, w)
-    out += b[None, :, None]
-    if skip is not None:
-        out += skip
-    return np.maximum(out, 0, out=out)
+    """Inference only: relu(conv1d(x, w) + b + skip); no cache.
+
+    The bias, the skip and the ReLU are applied to each tile of the output as
+    soon as the tile loop finishes it, while it is still in cache.
+    """
+    out, taps, product = _conv_start(x, w)
+    for i, _, _, done in _conv_tiles(x, taps, out, product):
+        o = out[i, :, done]
+        o += b[:, None]
+        if skip is not None:
+            o += skip[i, :, done]
+        np.maximum(o, 0, out=o)
+    return out
 
 
 # --- adaptive average pooling --------------------------------------------------
@@ -369,32 +437,46 @@ class GRUDirParams:
 
 
 def gru_forward(x, p: GRUDirParams):
-    """Run one direction over (B, T, I); returns the final hidden state (B, H)."""
+    """Run one direction over (B, T, I); returns the final hidden state (B, H).
+
+    The input projections W_i* x_t + b_i* of all steps are one GEMM before the
+    time loop, which is left with the hidden-to-hidden products.
+    """
     if x.ndim != 3 or x.shape[2] != p.w_ir.shape[1]:
         raise ShapeError(f"gru: expected x (B, T, {p.w_ir.shape[1]}), got {x.shape}")
     b, t, _ = x.shape
-    h = np.zeros((b, p.hidden), dtype=x.dtype)
+    hid = p.hidden
+    xs = x.reshape(b * t, -1)  # a copy when x is the reversed view of the backward direction
+    w_i = np.concatenate([p.w_ir, p.w_iz, p.w_in])
+    a = (xs @ w_i.T + np.concatenate([p.b_ir, p.b_iz, p.b_in])).reshape(b, t, 3 * hid)
+    h = np.zeros((b, hid), dtype=x.dtype)
     steps = []
     for i in range(t):
-        xt = x[:, i, :]
-        r = sigmoid(xt @ p.w_ir.T + p.b_ir + h @ p.w_hr.T + p.b_hr)
-        z = sigmoid(xt @ p.w_iz.T + p.b_iz + h @ p.w_hz.T + p.b_hz)
+        a_r, a_z, a_n = a[:, i, :hid], a[:, i, hid : 2 * hid], a[:, i, 2 * hid :]
+        r = sigmoid(a_r + h @ p.w_hr.T + p.b_hr)
+        z = sigmoid(a_z + h @ p.w_hz.T + p.b_hz)
         hn = h @ p.w_hn.T + p.b_hn
-        n = np.tanh(xt @ p.w_in.T + p.b_in + r * hn)
+        n = np.tanh(a_n + r * hn)
         h_new = (1.0 - z) * n + z * h
-        steps.append((xt, h, r, z, n, hn))
+        steps.append((h, r, z, n, hn))
         h = h_new
-    return h, (steps, p, x.shape)
+    return h, (steps, p, xs, w_i, x.shape)
 
 
 def gru_backward(dh_final, cache):
-    """Backprop-through-time; gradient arrives only at the final hidden state."""
-    steps, p, x_shape = cache
-    dx = np.zeros(x_shape, dtype=dh_final.dtype)
-    g = {k: np.zeros_like(v) for k, v in vars(p).items()}
+    """Backprop-through-time; gradient arrives only at the final hidden state.
+
+    The loop collects the gradients of the input pre-activations; dx, dW_i*
+    and db_i* are one GEMM or sum each after it.
+    """
+    steps, p, xs, w_i, x_shape = cache
+    b, t, _ = x_shape
+    hid = p.hidden
+    da = np.empty((b, t, 3 * hid), dtype=dh_final.dtype)  # d(r, z, n pre-activations) per step
+    g = {k: np.zeros_like(getattr(p, k)) for k in ("w_hr", "w_hz", "w_hn", "b_hn")}
     dh = dh_final
-    for i in range(len(steps) - 1, -1, -1):
-        xt, h_prev, r, z, n, hn = steps[i]
+    for i in range(t - 1, -1, -1):
+        h_prev, r, z, n, hn = steps[i]
         dn = dh * (1.0 - z)
         dz = dh * (h_prev - n)
         dh_prev = dh * z
@@ -403,24 +485,23 @@ def gru_backward(dh_final, cache):
         dr = da_n * hn
         da_r = dr * r * (1.0 - r)
         da_z = dz * z * (1.0 - z)
+        da[:, i, :hid], da[:, i, hid : 2 * hid], da[:, i, 2 * hid :] = da_r, da_z, da_n
 
-        dx[:, i, :] = da_r @ p.w_ir + da_z @ p.w_iz + da_n @ p.w_in
         dh_prev = dh_prev + da_r @ p.w_hr + da_z @ p.w_hz + dgh_n @ p.w_hn
 
-        g["w_ir"] += da_r.T @ xt
-        g["w_iz"] += da_z.T @ xt
-        g["w_in"] += da_n.T @ xt
         g["w_hr"] += da_r.T @ h_prev
         g["w_hz"] += da_z.T @ h_prev
         g["w_hn"] += dgh_n.T @ h_prev
-        g["b_ir"] += da_r.sum(axis=0)
-        g["b_iz"] += da_z.sum(axis=0)
-        g["b_in"] += da_n.sum(axis=0)
-        g["b_hr"] += da_r.sum(axis=0)
-        g["b_hz"] += da_z.sum(axis=0)
         g["b_hn"] += dgh_n.sum(axis=0)
         dh = dh_prev
-    return dx, g
+    da = da.reshape(b * t, 3 * hid)
+    dx = (da @ w_i).reshape(x_shape)
+    dw_i = da.T @ xs
+    db_i = da.sum(axis=0)
+    g.update(w_ir=dw_i[:hid], w_iz=dw_i[hid : 2 * hid], w_in=dw_i[2 * hid :],
+             b_ir=db_i[:hid], b_iz=db_i[hid : 2 * hid], b_in=db_i[2 * hid :],
+             b_hr=db_i[:hid], b_hz=db_i[hid : 2 * hid])
+    return dx, {k: g[k] for k in vars(p)}  # in GRUDirParams field order
 
 
 def bigru_forward(x, fwd: GRUDirParams, bwd: GRUDirParams):

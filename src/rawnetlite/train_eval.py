@@ -167,6 +167,7 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")
             model.backward(dp.astype(model.dtype), caches)
+            del caches  # else this step's activations stay alive through the next forward
             opt.step()
             losses.append(loss)
             correct += int(np.sum((probs >= 0.5) == (y >= 0.5)))

@@ -283,3 +283,40 @@ def test_clip_dump_roundtrip(tmp_path):
     aio.write_clip(clip, path)
     back = aio.read_clip(path)
     assert np.array_equal(back.samples, clip.samples)
+
+
+# --- fuzz: any byte string yields a clip or a typed error --------------------------
+# The seed file is short (64 stereo frames), so a mutated sample rate as low as
+# 1 Hz still resamples to about a million samples.
+
+FUZZ_WAV = make_wav(0.5 * np.sin(np.arange(128).reshape(2, 64) / 5.0), 8000, "pcm16")
+
+
+def _preprocess_or_typed_error(data: bytes) -> None:
+    try:
+        w = decode_wav(data)
+    except (DecodeError, UnsupportedFormatError):
+        return
+    assert w.channels >= 1 and w.sample_rate_hz >= 1
+    assert np.isfinite(w.samples).all() and np.abs(w.samples).max(initial=0.0) <= 1.0
+    clip = preprocess(data)
+    assert clip.samples.shape == (CLIP_SAMPLES,) and clip.samples.dtype == np.float32
+    assert np.isfinite(clip.samples).all() and np.abs(clip.samples).max() <= 1.0
+
+
+@given(st.binary(max_size=128), st.sampled_from([b"", b"RIFF\x00\x00\x00\x00WAVE", FUZZ_WAV[:36]]))
+@settings(max_examples=200, deadline=None)
+def test_preprocess_any_bytes_gives_clip_or_typed_error(tail, head):
+    _preprocess_or_typed_error(head + tail)
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 47), st.integers(0, len(FUZZ_WAV) - 1)),
+                          st.integers(0, 255)), max_size=6),
+       st.one_of(st.just(len(FUZZ_WAV)), st.integers(0, len(FUZZ_WAV))))
+@settings(max_examples=300, deadline=None)
+def test_preprocess_mutated_wav_gives_clip_or_typed_error(edits, keep):
+    data = bytearray(FUZZ_WAV[:keep])
+    for pos, byte in edits:
+        if pos < len(data):
+            data[pos] = byte
+    _preprocess_or_typed_error(bytes(data))

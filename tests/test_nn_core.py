@@ -276,6 +276,64 @@ def test_conv1d_matches_padded_reference(dtype, c_in, t):
     assert dw.dtype == out.dtype == dx.dtype == dtype
 
 
+# The conv kernels run over time tiles of about nn._TILE samples. These lengths put
+# the tile boundaries just before, at and just after T, and make three tiles. The
+# forward and dx still match the reference bit for bit, except dx with C_in = 1:
+# each of its taps is then a matrix-vector product, which the BLAS rounds by the
+# column's place in the call, so it agrees within DX_GEMV_TOL_EPS instead.
+
+DX_GEMV_TOL_EPS = 16  # |dx - ref| <= DX_GEMV_TOL_EPS * eps(dtype) * max|ref|; measured <= 2
+TILE_CROSSING_T = [nn._TILE - 1, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, c_in", [(1, 1), (2, 1), (1, 24), (3, 24)])
+@pytest.mark.parametrize("t", TILE_CROSSING_T)
+def test_conv1d_tiles_match_padded_reference(dtype, b, c_in, t):
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(b, c_in, t)).astype(dtype)
+    w = rng.normal(size=(32, c_in, 3)).astype(dtype)
+    dout = rng.normal(size=(b, 32, t)).astype(dtype)
+    out, cache = nn.conv1d_forward(x, w)
+    dx, dw = nn.conv1d_backward(dout, cache)
+    ref_dx, ref_dw = conv1d_backward_reference(dout, x, w)
+    assert np.array_equal(out, conv1d_reference(x, w))
+    if c_in > 1:
+        assert np.array_equal(dx, ref_dx)
+    else:
+        assert np.abs(dx - ref_dx).max() <= DX_GEMV_TOL_EPS * np.finfo(dtype).eps * np.abs(ref_dx).max()
+    assert np.abs(dw - ref_dw).max() <= DW_TOL_EPS * np.finfo(dtype).eps * np.abs(ref_dw).max()
+
+
+@pytest.mark.parametrize("with_skip", [False, True])
+@pytest.mark.parametrize("c_in", [1, 16])
+@pytest.mark.parametrize("t", [5, 2 * nn._TILE + 1])
+def test_conv1d_relu_matches_forward_bias_skip_relu(with_skip, c_in, t):
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(2, c_in, t)).astype(np.float32)
+    w = rng.normal(size=(16, c_in, 3)).astype(np.float32)
+    b = rng.normal(size=16).astype(np.float32)
+    skip = rng.normal(size=(2, 16, t)).astype(np.float32) if with_skip else None
+    ref, _ = nn.conv1d_forward(x, w)
+    ref += b[None, :, None]
+    if with_skip:
+        ref += skip
+    ref, _ = nn.relu_forward(ref)
+    assert np.array_equal(nn.conv1d_relu(x, w, b, skip), ref)
+
+
+@pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
+def test_conv_tiles_cover_the_axis_without_small_tiles(t):
+    bounds = nn._tile_bounds(t)
+    assert bounds[0][0] == 0 and bounds[-1][1] == t
+    assert all(e == s2 for (_, e), (s2, _) in zip(bounds, bounds[1:]))
+    assert all(s % 64 == 0 for s, _ in bounds)
+    assert len(bounds) == max(1, -(-t // nn._TILE))
+    assert all(e - s <= nn._TILE + 64 for s, e in bounds)
+    if len(bounds) > 1:
+        assert min(e - s for s, e in bounds) >= nn._TILE // 2 - 64
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batchnorm_matches_reference_train_and_eval(dtype):
     rng = np.random.default_rng(22)
