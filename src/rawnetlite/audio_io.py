@@ -2,11 +2,15 @@
 
 Every audio file is reduced to the model's single input shape: a mono,
 16 kHz, peak-normalized clip of exactly 48000 samples (3 seconds).
-All functions are pure; nothing here touches global state.
+`preprocess` mixes and resamples only the input frames that feed those
+48000 samples, and `fit_clip` is the one trim/pad-and-normalize step, which
+augmentation ends in too. All functions are pure; nothing here touches
+global state.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -60,7 +64,9 @@ class FixedClip:
     """Model input: exactly CLIP_SAMPLES float32 samples, peak magnitude <= 1.
 
     `peak` is the maximum absolute value, before normalization, of the
-    samples that made it into the clip; 0.0 marks a silent clip.
+    samples that made it into the clip; 0.0 marks a silent clip. A clip read
+    back from a cache file has peak 1.0 (0.0 when silent): the cache holds
+    only the normalized samples.
     """
 
     samples: np.ndarray
@@ -81,6 +87,9 @@ class FixedClip:
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# The highest rate in common use. Above it the resampling filter's lead zeros,
+# up to the declared rate, would cost gigabytes.
+_MAX_RATE_HZ = 768000
 
 
 def decode_wav(data: bytes) -> Waveform:
@@ -128,6 +137,8 @@ def _parse_fmt(data: bytes, start: int, size: int) -> tuple[int, int, int, int]:
         raise DecodeError("zero channel count", start + 2)
     if rate == 0:
         raise DecodeError("zero sample rate", start + 4)
+    if rate > _MAX_RATE_HZ:
+        raise UnsupportedFormatError(f"sample rate {rate} Hz exceeds {_MAX_RATE_HZ} Hz")
     if tag == _WAVE_FORMAT_PCM:
         if bits not in (16, 24, 32):
             raise UnsupportedFormatError(f"unsupported PCM bit depth {bits}")
@@ -194,19 +205,26 @@ def to_mono(w: Waveform) -> Waveform:
     return Waveform(w.sample_rate_hz, mono)
 
 
-def _design_lowpass(up: int, down: int) -> np.ndarray:
-    """Windowed-sinc anti-aliasing filter for an up/down rational resampler.
+def _filter_geometry(up: int, down: int) -> tuple[int, int, int]:
+    """(center, lead, skip) of the anti-aliasing filter for ratio up/down.
 
-    TAPS_PER_PHASE taps per polyphase branch (+1 so the group delay is an
-    integer number of high-rate samples); Kaiser window; gain `up` at DC to
-    undo zero-stuffing.
+    The filter has TAPS_PER_PHASE taps per polyphase branch, +1 so its group
+    delay `center` is an integer number of high-rate samples. `lead` zeros in
+    front of it make the delay a whole number `skip` of output samples.
     """
-    n_taps = TAPS_PER_PHASE * up + 1
-    center = (n_taps - 1) // 2
+    center = TAPS_PER_PHASE * up // 2
+    lead = (-center) % down
+    return center, lead, (center + lead) // down
+
+
+def _design_lowpass(up: int, down: int, center: int) -> np.ndarray:
+    """Windowed-sinc filter of 2 * center + 1 taps; Kaiser window; gain `up`
+    at DC to undo zero-stuffing.
+    """
     # cutoff in cycles per high-rate sample
     fc = 0.5 / max(up, down)
-    t = np.arange(n_taps) - center
-    h = 2.0 * fc * np.sinc(2.0 * fc * t) * np.kaiser(n_taps, KAISER_BETA)
+    t = np.arange(-center, center + 1)
+    h = 2.0 * fc * np.sinc(2.0 * fc * t) * np.kaiser(t.size, KAISER_BETA)
     return h * (up / h.sum())
 
 
@@ -218,12 +236,8 @@ def _resample_by_ratio(x: np.ndarray, up: int, down: int) -> np.ndarray:
     if x.size == 0 or n_out == 0:
         return np.zeros(n_out, dtype=np.float64)
 
-    h = _design_lowpass(up, down)
-    center = (h.size - 1) // 2
-    # pad the front of the filter so its delay is an integer number of output samples
-    lead = (-center) % down
-    h = np.concatenate([np.zeros(lead), h])
-    skip = (center + lead) // down
+    center, lead, skip = _filter_geometry(up, down)
+    h = np.concatenate([np.zeros(lead), _design_lowpass(up, down, center)])
 
     # pad the tail so upfirdn emits every needed output sample:
     # its output length is ceil(((m - 1) * up + len(h)) / down)
@@ -235,6 +249,11 @@ def _resample_by_ratio(x: np.ndarray, up: int, down: int) -> np.ndarray:
 
     y = upfirdn(h, x, up=up, down=down)
     return y[skip : skip + n_out]
+
+
+def _ratio(source_hz: int, target_hz: int) -> tuple[int, int]:
+    g = math.gcd(target_hz, source_hz)
+    return target_hz // g, source_hz // g
 
 
 def resample(w: Waveform, target_hz: int) -> Waveform:
@@ -249,51 +268,46 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         raise ValueError("resample expects a mono waveform")
     if target_hz == w.sample_rate_hz:
         return Waveform(target_hz, w.samples.copy())
-    g = np.gcd(target_hz, w.sample_rate_hz)
-    y = _resample_by_ratio(w.samples[0], target_hz // g, w.sample_rate_hz // g)
+    y = _resample_by_ratio(w.samples[0], *_ratio(w.sample_rate_hz, target_hz))
     return Waveform(target_hz, y)
 
 
-def peak_normalize(w: Waveform) -> Waveform:
-    """Divide by max |x|; silent input is returned unchanged (not an error)."""
-    if w.channels != 1:
-        raise ValueError("peak_normalize expects a mono waveform")
-    x = w.samples[0]
-    peak = float(np.max(np.abs(x))) if x.size else 0.0
-    if peak == 0.0:
-        return Waveform(w.sample_rate_hz, x.copy())
-    return Waveform(w.sample_rate_hz, x / peak)
+def _clip_prefix(rate_hz: int) -> int:
+    """Input frames that feed the first CLIP_SAMPLES samples of a resample to 16 kHz.
+
+    upfirdn's output k reads input i only where i * up <= k * down, and clip
+    sample j is output j + skip.
+    """
+    if rate_hz == TARGET_RATE_HZ:
+        return CLIP_SAMPLES
+    up, down = _ratio(rate_hz, TARGET_RATE_HZ)
+    skip = _filter_geometry(up, down)[2]
+    return (CLIP_SAMPLES - 1 + skip) * down // up + 1
 
 
-def fix_length(w: Waveform, n: int = CLIP_SAMPLES) -> FixedClip:
-    """Trim to the first `n` samples or zero-pad up to `n`."""
-    if n <= 0:
-        raise ValueError(f"clip length must be positive, got {n}")
-    if w.channels != 1:
-        raise ValueError("fix_length expects a mono waveform")
-    head = w.samples[0, :n]
-    peak = float(np.max(np.abs(head))) if head.size else 0.0
-    if head.size < n:
-        head = np.concatenate([head, np.zeros(n - head.size)])
-    return FixedClip(samples=head, peak=peak)
+def fit_clip(x: np.ndarray) -> FixedClip:
+    """Trim a 1-D signal to its first CLIP_SAMPLES samples or zero-pad it, then
+    divide by their peak once, in float64. A silent clip stays all zeros.
+    """
+    head = np.zeros(CLIP_SAMPLES)
+    kept = np.asarray(x, dtype=np.float64)[:CLIP_SAMPLES]
+    head[: kept.size] = kept
+    peak = float(np.max(np.abs(head)))
+    if peak > 0.0:
+        head /= peak
+    return FixedClip(samples=head.astype(np.float32), peak=peak)
 
 
 def preprocess(data: bytes) -> FixedClip:
-    """decode -> mono -> 16 kHz -> peak normalize -> 48000 samples.
+    """decode -> keep the frames the clip reads -> mono -> 16 kHz -> fit_clip.
 
-    If trimming drops the global peak, the clip is renormalized so every
-    non-silent output peaks at exactly 1.0. `peak` records the clip
-    content's pre-normalization magnitude.
+    Only the input prefix that feeds the first CLIP_SAMPLES resampled samples
+    is mixed and resampled, so the work per file is bounded whatever its
+    length or declared rate. Those samples equal a full-file resample's.
     """
-    w = resample(to_mono(decode_wav(data)), TARGET_RATE_HZ)
-    head = w.samples[0, :CLIP_SAMPLES]
-    head_peak = float(np.max(np.abs(head))) if head.size else 0.0
-    clip = fix_length(peak_normalize(w), CLIP_SAMPLES)
-    residual = float(np.max(np.abs(clip.samples)))
-    if 0.0 < residual < 1.0:
-        clip.samples = (clip.samples.astype(np.float64) / residual).astype(np.float32)
-    clip.peak = head_peak
-    return clip
+    w = decode_wav(data)
+    head = Waveform(w.sample_rate_hz, w.samples[:, : _clip_prefix(w.sample_rate_hz)])
+    return fit_clip(resample(to_mono(head), TARGET_RATE_HZ).samples[0])
 
 
 # --- debug dump (48000 little-endian float32 per clip) ----------------------

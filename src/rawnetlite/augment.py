@@ -1,10 +1,10 @@
 """On-the-fly waveform augmentation: pitch shift, time stretch, additive noise.
 
 Each transform is applied independently with probability `p_apply`, in the
-fixed order pitch -> stretch -> noise, and the result is re-fixed to 48000
-samples and peak-normalized. All randomness is derived from
-(config seed, epoch, sample index), so any worker pool reproduces the same
-augmented bytes regardless of scheduling.
+fixed order pitch -> stretch -> noise, and the result goes through
+`audio_io.fit_clip`, the trim/pad-and-normalize step that ends `preprocess`.
+All randomness is derived from (config seed, epoch, sample index), so any
+worker pool reproduces the same augmented bytes regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -14,11 +14,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .audio_io import CLIP_SAMPLES, TARGET_RATE_HZ, FixedClip, Waveform, _resample_by_ratio
+from .audio_io import FixedClip, _resample_by_ratio, fit_clip
 
 STFT_WIN = 1024
 STFT_HOP = 256
 _SEED_MASK = (1 << 64) - 1
+# Where user config enters: an octave of pitch either way, and stretches that
+# keep the clip between half and twice its length.
+_RANGE_BOUNDS = {
+    "pitch_semitone_range": (-12.0, 12.0),
+    "stretch_rate_range": (0.5, 2.0),
+    "noise_amplitude_range": (0.0, float("inf")),
+}
 
 
 @dataclass(frozen=True)
@@ -32,12 +39,10 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_apply <= 1.0:
             raise ValueError(f"p_apply must be in [0, 1], got {self.p_apply}")
-        for name in ("pitch_semitone_range", "stretch_rate_range", "noise_amplitude_range"):
+        for name, (least, most) in _RANGE_BOUNDS.items():
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} low {lo} exceeds high {hi}")
-        if self.noise_amplitude_range[0] < 0.0:
-            raise ValueError("noise amplitudes must be >= 0")
+            if not least <= lo <= hi <= most:
+                raise ValueError(f"{name} must be an ordered pair within [{least}, {most}], got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -151,52 +156,24 @@ def pitch_shift_samples(x: np.ndarray, semitones: float) -> np.ndarray:
     return y[:n]
 
 
-# --- public clip-level transforms -------------------------------------------
-
-
-def pitch_shift(clip: FixedClip, semitones: float) -> FixedClip:
-    if abs(semitones) > 12.0:
-        raise ValueError(f"|semitones| must be <= 12, got {semitones}")
-    y = pitch_shift_samples(clip.samples.astype(np.float64), semitones)
-    return FixedClip(samples=y.astype(np.float32), peak=float(np.max(np.abs(y))))
-
-
-def time_stretch(clip: FixedClip, rate: float) -> np.ndarray:
-    """Stretched samples of length round(48000 / rate); rate > 1 is faster/shorter."""
-    if not 0.5 <= rate <= 2.0:
-        raise ValueError(f"rate must be in [0.5, 2.0], got {rate}")
-    return time_stretch_samples(clip.samples.astype(np.float64), rate)
-
-
-def add_gaussian_noise(clip: FixedClip, amplitude: float, rng: np.random.Generator) -> FixedClip:
-    if amplitude < 0.0:
-        raise ValueError(f"noise amplitude must be >= 0, got {amplitude}")
-    y = _add_noise(clip.samples.astype(np.float64), amplitude, rng)
-    return FixedClip(samples=y.astype(np.float32), peak=float(np.max(np.abs(y))))
-
-
-def _add_noise(x: np.ndarray, amplitude: float, rng: np.random.Generator) -> np.ndarray:
+def add_noise_samples(x: np.ndarray, amplitude: float, rng: np.random.Generator) -> np.ndarray:
+    """Add N(0, amplitude^2) noise per sample and clamp to [-1, 1]."""
     return np.clip(x + rng.normal(0.0, amplitude, size=x.size), -1.0, 1.0)
 
 
+# --- clip-level pipeline ------------------------------------------------------
+
+
 def apply_plan(clip: FixedClip, plan: AugmentPlan) -> FixedClip:
-    """Apply a resolved plan, then re-fix to 48000 samples and peak-normalize."""
+    """Apply a resolved plan, then trim or pad to 48000 samples and peak-normalize."""
     x = clip.samples.astype(np.float64)
     if plan.apply_pitch:
         x = pitch_shift_samples(x, plan.semitones)
     if plan.apply_stretch:
         x = time_stretch_samples(x, plan.rate)
     if plan.apply_noise:
-        x = _add_noise(x, plan.amplitude, np.random.default_rng(plan.noise_seed))
-
-    if x.size >= CLIP_SAMPLES:
-        x = x[:CLIP_SAMPLES]
-    else:
-        x = np.concatenate([x, np.zeros(CLIP_SAMPLES - x.size)])
-    peak = float(np.max(np.abs(x)))
-    if peak > 0.0:
-        x = x / peak
-    return FixedClip(samples=x.astype(np.float32), peak=peak)
+        x = add_noise_samples(x, plan.amplitude, np.random.default_rng(plan.noise_seed))
+    return fit_clip(x)
 
 
 def augment_pipeline(clip: FixedClip, cfg: AugmentConfig, stream_key: tuple[int, int]) -> FixedClip:

@@ -21,11 +21,17 @@ import csv
 import numpy as np
 
 from . import audio_io
-from .audio_io import CLIP_SAMPLES, FixedClip
+from .audio_io import CLIP_SAMPLES, KAISER_BETA, TAPS_PER_PHASE, TARGET_RATE_HZ, FixedClip
 from .augment import AugmentConfig, augment_pipeline
 from .losses_metrics import LABEL_CODES
 
 log = logging.getLogger(__name__)
+
+# Hashed ahead of the file bytes in every clip cache key. Bump the version
+# whenever `audio_io.preprocess` changes its output for the same bytes.
+_CACHE_VERSION = 2
+_CACHE_TAG = (f"rawnetlite clip v{_CACHE_VERSION} rate={TARGET_RATE_HZ} n={CLIP_SAMPLES} "
+              f"beta={KAISER_BETA} taps={TAPS_PER_PHASE}\n").encode()
 
 
 ROLES = ("train", "val", "test")
@@ -261,7 +267,8 @@ class BatchStats:
 
 
 def load_clip(path: str, cache_dir=None, stats: Optional[BatchStats] = None) -> FixedClip:
-    """Preprocess one file, optionally through a content-hash keyed cache.
+    """Preprocess one file, optionally through a cache keyed by its content
+    and the preprocessing version.
 
     A cache entry that does not hold a whole clip is a miss: the file is
     preprocessed again and the entry rewritten. `stats` counts hits and misses.
@@ -270,8 +277,9 @@ def load_clip(path: str, cache_dir=None, stats: Optional[BatchStats] = None) -> 
     if cache_dir is None:
         return audio_io.preprocess(raw)
     stats = stats or BatchStats()
-    digest = hashlib.sha256(raw).hexdigest()
-    cached = Path(cache_dir) / f"{digest}.f32"
+    digest = hashlib.sha256(_CACHE_TAG)
+    digest.update(raw)
+    cached = Path(cache_dir) / f"{digest.hexdigest()}.f32"
     if cached.exists():
         try:
             clip = audio_io.read_clip(cached)

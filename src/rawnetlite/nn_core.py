@@ -115,11 +115,8 @@ def sigmoid(x):
     would round to 0.0 or 1.0 in the working precision.
     """
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(x))  # never overflows; for x < 0 it is exp(x) itself
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     tiny = np.nextafter(x.dtype.type(0), x.dtype.type(1))
     top = np.nextafter(x.dtype.type(1), x.dtype.type(0))
     return np.clip(out, tiny, top)

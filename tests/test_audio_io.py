@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from rawnetlite import audio_io as aio
 from rawnetlite.audio_io import (
     CLIP_SAMPLES, DecodeError, UnsupportedFormatError, Waveform,
-    decode_wav, fix_length, peak_normalize, preprocess, resample, to_mono,
+    decode_wav, fit_clip, preprocess, resample, to_mono,
 )
 
 from conftest import make_wav
@@ -110,6 +111,24 @@ def test_float_non_finite_sample_rejected(bad):
         preprocess(make_wav(x, 16000, "float32"))
 
 
+def _pcm16_header_with_rate(rate: int, frames: int) -> bytes:
+    data = bytearray(make_wav(np.zeros((1, frames)), 16000, "pcm16"))
+    data[24:28] = rate.to_bytes(4, "little")
+    return bytes(data)
+
+
+def test_absurd_sample_rate_rejected():
+    # 31250 frames is enough for a 999999999 Hz resample to need 8 GB of filter padding;
+    # only decode_wav runs here, so a decoder without the cap fails without resampling
+    with pytest.raises(UnsupportedFormatError, match="sample rate 999999999"):
+        decode_wav(_pcm16_header_with_rate(999999999, 31250))
+
+
+def test_highest_supported_sample_rate_decodes():
+    w = decode_wav(_pcm16_header_with_rate(768000, 100))
+    assert w.sample_rate_hz == 768000 and w.n_samples == 100
+
+
 def test_skips_unknown_chunks():
     base = make_wav(np.full((1, 3), 0.25), 16000, "pcm16")
     fmt_chunk = base[12:36]
@@ -202,23 +221,24 @@ def test_importing_the_package_leaves_scipy_signal_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# --- peak_normalize / fix_length ----------------------------------------------
+# --- fit_clip: fix the length, normalize by the kept peak ------------------------
 
 
 def test_peak_normalize_hand_cases():
-    out = peak_normalize(Waveform(16000, np.array([[0.5, -0.25]])))
-    assert np.array_equal(out.samples[0], [1.0, -0.5])
-    out = peak_normalize(Waveform(16000, np.array([[-0.8, 0.4]])))
-    assert np.array_equal(out.samples[0], [-1.0, 0.5])
+    clip = fit_clip(np.array([0.5, -0.25]))
+    assert np.array_equal(clip.samples[:2], [1.0, -0.5]) and clip.peak == 0.5
+    clip = fit_clip(np.array([-0.8, 0.4]))
+    assert np.array_equal(clip.samples[:2], [-1.0, 0.5]) and clip.peak == 0.8
 
 
 def test_peak_normalize_silence_passthrough():
-    out = peak_normalize(Waveform(16000, np.zeros((1, 5))))
-    assert np.all(out.samples == 0.0)
+    clip = fit_clip(np.zeros(5))
+    assert clip.is_silent
+    assert np.all(clip.samples == 0.0)
 
 
 def test_fix_length_pads_tail():
-    clip = fix_length(Waveform(16000, np.ones((1, 40000))), CLIP_SAMPLES)
+    clip = fit_clip(np.ones(40000))
     assert clip.samples.shape == (CLIP_SAMPLES,)
     assert np.all(clip.samples[40000:] == 0.0)
     assert np.all(clip.samples[:40000] == 1.0)
@@ -226,16 +246,19 @@ def test_fix_length_pads_tail():
 
 def test_fix_length_trims_head():
     x = np.arange(50000, dtype=np.float64) / 50000.0
-    clip = fix_length(Waveform(16000, x[None, :]), CLIP_SAMPLES)
-    assert np.allclose(clip.samples, x[:CLIP_SAMPLES].astype(np.float32))
+    x[-1] = 2.0  # past the trim point: it must not set the peak
+    clip = fit_clip(x)
+    head = x[:CLIP_SAMPLES]
+    assert clip.peak == head.max()
+    assert np.array_equal(clip.samples, (head / head.max()).astype(np.float32))
 
 
 @given(st.integers(min_value=1, max_value=3 * CLIP_SAMPLES))
 @settings(max_examples=30, deadline=None)
 def test_fix_length_idempotent(n):
     x = np.linspace(-1, 1, n)
-    once = fix_length(Waveform(16000, x[None, :]), CLIP_SAMPLES)
-    twice = fix_length(Waveform(16000, once.samples[None, :]), CLIP_SAMPLES)
+    once = fit_clip(x)
+    twice = fit_clip(once.samples)
     assert np.array_equal(once.samples, twice.samples)
 
 
@@ -268,11 +291,60 @@ def test_preprocess_silent_file():
 
 
 def test_preprocess_peak_exact_after_trim():
-    # global peak beyond 3 s would be trimmed away; output must renormalize
+    # the global peak lies beyond 3 s; the clip is normalized by its own peak
     x = np.full(5 * 16000, 0.25)
     x[-1] = 1.0
     clip = preprocess(make_wav(x[None, :], 16000, "float32"))
     assert np.max(np.abs(clip.samples)) == 1.0
+
+
+# --- the clip prefix: only the frames the clip reads are resampled ----------------
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 44100, 48000, 96000, 7999, 16001])
+def test_resampled_prefix_matches_full_resample(rate):
+    x = np.random.default_rng(rate).uniform(-1, 1, size=(1, int(4.5 * rate)))
+    n = aio._clip_prefix(rate)
+    assert n < x.shape[1]
+    full = resample(Waveform(rate, x), 16000).samples[0, :CLIP_SAMPLES]
+    prefix = resample(Waveform(rate, x[:, :n]), 16000).samples[0]
+    assert prefix.size >= CLIP_SAMPLES
+    assert np.array_equal(prefix[:CLIP_SAMPLES], full)
+
+
+def test_preprocess_of_long_file_equals_its_prefix():
+    rate = 44100
+    x = np.random.default_rng(8).uniform(-0.9, 0.9, size=(2, 60 * rate))
+    prefix = x[:, : aio._clip_prefix(rate)]
+    long, short = preprocess(make_wav(x, rate, "pcm16")), preprocess(make_wav(prefix, rate, "pcm16"))
+    assert np.array_equal(long.samples, short.samples)
+    assert long.peak == short.peak
+
+
+def test_preprocess_normalizes_once_by_the_head_peak():
+    rate = 22050
+    x = np.random.default_rng(9).uniform(-0.5, 0.5, size=(1, 5 * rate))
+    x[0, -100] = 0.99  # the global peak lies after 3 s
+    data = make_wav(x, rate, "float32")
+    head = resample(decode_wav(data), 16000).samples[0, :CLIP_SAMPLES]
+    clip = preprocess(data)
+    assert clip.peak == np.max(np.abs(head)) < 0.9
+    assert np.array_equal(clip.samples, (head / clip.peak).astype(np.float32))
+
+
+def test_one_hz_header_is_bounded():
+    # an 8 KB file declaring 1 Hz would upsample x16000 to 64M samples in full
+    data = make_wav(np.random.default_rng(10).uniform(-0.5, 0.5, size=(1, 4000)), 1, "pcm16")
+    assert len(data) < 8200
+    preprocess(make_wav(np.zeros((1, 8)), 8000))  # import scipy.signal outside the traced region
+    tracemalloc.start()
+    try:
+        clip = preprocess(data)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 100 * 2**20
+    assert clip.samples.shape == (CLIP_SAMPLES,) and not clip.is_silent
 
 
 def test_clip_dump_roundtrip(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from rawnetlite.audio_io import CLIP_SAMPLES, TARGET_RATE_HZ, FixedClip
 from rawnetlite.augment import (
-    AugmentConfig, add_gaussian_noise, apply_plan, augment_pipeline, draw_plan,
-    pitch_shift, time_stretch,
+    AugmentConfig, add_noise_samples, apply_plan, augment_pipeline, draw_plan,
+    pitch_shift_samples, time_stretch_samples,
 )
 
 BIN_HZ = TARGET_RATE_HZ / CLIP_SAMPLES
@@ -14,6 +14,10 @@ def sine_clip(freq=440.0):
     t = np.arange(CLIP_SAMPLES) / TARGET_RATE_HZ
     x = np.sin(2 * np.pi * freq * t)
     return FixedClip(samples=(x / np.max(np.abs(x))).astype(np.float32), peak=1.0)
+
+
+def sine(freq=440.0):
+    return sine_clip(freq).samples.astype(np.float64)
 
 
 def dominant_hz(samples):
@@ -43,86 +47,89 @@ def test_config_rejects_negative_noise():
 
 
 def test_pitch_shift_zero_is_identity():
-    clip = sine_clip()
-    out = pitch_shift(clip, 0.0)
-    assert np.max(np.abs(out.samples - clip.samples)) < 1e-4
+    x = sine()
+    out = pitch_shift_samples(x, 0.0)
+    assert np.max(np.abs(out - x)) < 1e-4
 
 
 @pytest.mark.parametrize("semitones", [2.0, -2.0, 12.0, -12.0])
 def test_pitch_shift_peak_bin(semitones):
-    out = pitch_shift(sine_clip(440.0), semitones)
-    assert out.samples.shape == (CLIP_SAMPLES,)
+    out = pitch_shift_samples(sine(440.0), semitones)
+    assert out.shape == (CLIP_SAMPLES,)
     expected = 440.0 * 2.0 ** (semitones / 12.0)
-    assert abs(dominant_hz(out.samples) - expected) <= BIN_HZ
+    assert abs(dominant_hz(out) - expected) <= BIN_HZ
 
 
 @pytest.mark.parametrize("semitones", [2.0, -2.0])
 def test_pitch_shift_energy_preserved(semitones):
-    clip = sine_clip(440.0)
-    out = pitch_shift(clip, semitones)
-    e_in = np.mean(clip.samples.astype(np.float64) ** 2)
-    e_out = np.mean(out.samples.astype(np.float64) ** 2)
-    assert 0.8 <= e_out / e_in <= 1.2
+    x = sine(440.0)
+    out = pitch_shift_samples(x, semitones)
+    assert 0.8 <= np.mean(out ** 2) / np.mean(x ** 2) <= 1.2
 
 
 def test_pitch_shift_rejects_large_shift():
-    with pytest.raises(ValueError):
-        pitch_shift(sine_clip(), 13.0)
+    AugmentConfig(pitch_semitone_range=(-12.0, 12.0))
+    with pytest.raises(ValueError, match="pitch_semitone_range"):
+        AugmentConfig(pitch_semitone_range=(-2.0, 13.0))
+    with pytest.raises(ValueError, match="pitch_semitone_range"):
+        AugmentConfig(pitch_semitone_range=(-13.0, 2.0))
 
 
 # --- time stretch ----------------------------------------------------------------
 
 
 def test_time_stretch_identity():
-    clip = sine_clip()
-    out = time_stretch(clip, 1.0)
+    x = sine()
+    out = time_stretch_samples(x, 1.0)
     assert out.shape == (CLIP_SAMPLES,)
-    assert np.max(np.abs(out - clip.samples)) < 1e-4
+    assert np.max(np.abs(out - x)) < 1e-4
 
 
 def test_time_stretch_length_faster():
-    assert time_stretch(sine_clip(), 1.1).size == 43636
+    assert time_stretch_samples(sine(), 1.1).size == 43636
 
 
 def test_time_stretch_slower_keeps_pitch():
-    out = time_stretch(sine_clip(440.0), 0.9)
+    out = time_stretch_samples(sine(440.0), 0.9)
     assert out.size == 53333
     bin_hz = TARGET_RATE_HZ / out.size
     assert abs(dominant_hz(out) - 440.0) <= 2 * bin_hz
 
 
 def test_time_stretch_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        time_stretch(sine_clip(), 0.3)
+    AugmentConfig(stretch_rate_range=(0.5, 2.0))
+    with pytest.raises(ValueError, match="stretch_rate_range"):
+        AugmentConfig(stretch_rate_range=(0.3, 1.0))
+    with pytest.raises(ValueError, match="stretch_rate_range"):
+        AugmentConfig(stretch_rate_range=(0.001, 0.002))  # would ask for 48M samples
+    with pytest.raises(ValueError, match="stretch_rate_range"):
+        AugmentConfig(stretch_rate_range=(1.0, 2.5))
 
 
 # --- gaussian noise ----------------------------------------------------------------
 
 
 def test_noise_zero_amplitude_identity():
-    clip = sine_clip()
-    out = add_gaussian_noise(clip, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out.samples, clip.samples)
+    x = sine()
+    out = add_noise_samples(x, 0.0, np.random.default_rng(0))
+    assert np.array_equal(out, x)
 
 
 def test_noise_sample_sd():
-    zero = FixedClip(samples=np.zeros(CLIP_SAMPLES, dtype=np.float32), peak=0.0)
-    out = add_gaussian_noise(zero, 0.01, np.random.default_rng(123))
-    sd = float(np.std(out.samples.astype(np.float64)))
-    assert 0.0097 <= sd <= 0.0103
+    out = add_noise_samples(np.zeros(CLIP_SAMPLES), 0.01, np.random.default_rng(123))
+    assert 0.0097 <= float(np.std(out)) <= 0.0103
 
 
 def test_noise_deterministic():
-    clip = sine_clip()
-    a = add_gaussian_noise(clip, 0.005, np.random.default_rng(9))
-    b = add_gaussian_noise(clip, 0.005, np.random.default_rng(9))
-    assert np.array_equal(a.samples, b.samples)
+    x = sine()
+    a = add_noise_samples(x, 0.005, np.random.default_rng(9))
+    b = add_noise_samples(x, 0.005, np.random.default_rng(9))
+    assert np.array_equal(a, b)
 
 
 def test_noise_clamped_to_unit_interval():
-    full = FixedClip(samples=np.ones(CLIP_SAMPLES, dtype=np.float32), peak=1.0)
-    out = add_gaussian_noise(full, 0.5, np.random.default_rng(4))
-    assert np.max(np.abs(out.samples)) <= 1.0
+    out = add_noise_samples(np.ones(CLIP_SAMPLES), 0.5, np.random.default_rng(4))
+    assert np.max(np.abs(out)) <= 1.0
 
 
 # --- pipeline ------------------------------------------------------------------------

@@ -289,15 +289,31 @@ def test_clip_cache_hits(wav_corpus, tmp_path, monkeypatch):
 
 
 
-def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path, capsys):
+def test_cache_entry_under_the_unversioned_key_is_a_miss(wav_corpus, tmp_path):
+    # a cache written before keys carried the preprocessing version used sha256(raw)
     import hashlib
 
+    from rawnetlite import audio_io
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    raw = open(wav_corpus[0].path, "rb").read()
+    old = cache / f"{hashlib.sha256(raw).hexdigest()}.f32"
+    audio_io.write_clip(audio_io.FixedClip(np.full(48000, 0.5, dtype=np.float32), peak=0.5), old)
+    stats = BatchStats()
+    clip = load_clip(wav_corpus[0].path, cache_dir=cache, stats=stats)
+    assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+    assert np.array_equal(clip.samples, audio_io.preprocess(raw).samples)
+    assert len(list(cache.glob("*.f32"))) == 2
+
+
+def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path, capsys):
     from rawnetlite import audio_io, cli
 
     cache = tmp_path / "cache"
     raw = open(wav_corpus[0].path, "rb").read()
-    entry_file = cache / f"{hashlib.sha256(raw).hexdigest()}.f32"
     load_clip(wav_corpus[0].path, cache_dir=cache)
+    [entry_file] = cache.glob("*.f32")
     entry_file.write_bytes(entry_file.read_bytes()[:100])
     fresh = audio_io.preprocess(raw).samples
     assert np.array_equal(load_clip(wav_corpus[0].path, cache_dir=cache).samples, fresh)
@@ -315,7 +331,7 @@ def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path, capsys):
     manifest.write_text("path,label,domain\n" + "".join(f"{e.path},fake,d\n" for e in wav_corpus[:8]))
     cache = tmp_path / "cache8"
     assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
-    entry_file = cache / f"{hashlib.sha256(raw).hexdigest()}.f32"
+    entry_file = cache / entry_file.name
     entry_file.write_bytes(entry_file.read_bytes()[:100])
     capsys.readouterr()
     assert cli.main(["preprocess", str(manifest), str(cache)]) == 0

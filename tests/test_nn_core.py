@@ -79,6 +79,12 @@ def test_sigmoid_strictly_inside_unit_interval(x):
     assert np.all(s > 0.0) and np.all(s < 1.0)
 
 
+def test_sigmoid_negative_tail_keeps_relative_accuracy():
+    # 0.5 * (1 + tanh(x / 2)) keeps only ~3 digits here: 1 + tanh(-15) cancels
+    e = np.exp(-30.0)
+    assert nn.sigmoid(np.array([-30.0]))[0] == pytest.approx(e / (1.0 + e), rel=1e-15)
+
+
 def test_sigmoid_float32_stays_open():
     s = nn.sigmoid(np.array([1e4, -1e4], dtype=np.float32))
     assert 0.0 < s[1] and s[0] < 1.0
