@@ -325,5 +325,7 @@ def read_clip(path) -> FixedClip:
     samples = np.frombuffer(raw, dtype="<f4")
     if samples.shape != (CLIP_SAMPLES,):
         raise ValueError(f"clip dump has {samples.size} samples, expected {CLIP_SAMPLES}")
-    peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+    peak = float(np.max(np.abs(samples)))
+    if not peak <= 1.0:  # a NaN fails this too
+        raise ValueError(f"clip dump has peak {peak}, expected a finite peak <= 1")
     return FixedClip(samples=samples.copy(), peak=peak)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -53,6 +54,19 @@ class RunConfig:
     cache_dir: Optional[str] = None
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config value fits a field's annotation; a bool is no int, an int is a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X] is Union[X, None]
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:  # tuple[X, Y] or tuple[X, ...]
+        items = args[:1] * len(value) if isinstance(value, tuple) and args[-1] is Ellipsis else args
+        return isinstance(value, tuple) and len(value) == len(items) and all(map(_fits, value, items))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 def _build_section(cls, doc, where: str):
     if doc is None:
         doc = {}
@@ -63,9 +77,13 @@ def _build_section(cls, doc, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown fields {unknown}")
     kwargs = dict(doc)
+    hints = typing.get_type_hints(cls)
     for key, value in kwargs.items():
         if isinstance(value, list):
-            kwargs[key] = tuple(value)
+            kwargs[key] = value = tuple(value)
+        if not _fits(value, hint := hints[key]):
+            name = hint.__name__ if type(hint) is type else str(hint).replace("typing.", "")
+            raise ConfigError(f"{where}: {key} must be {name}, got {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
@@ -94,17 +112,15 @@ def config_from_dict(doc: dict) -> RunConfig:
             isinstance(k, str) and isinstance(v, str) for k, v in manifests.items()):
         raise ConfigError("manifests: expected a mapping of domain name to CSV path")
 
-    return RunConfig(
-        version=doc["version"],
-        output_dir=doc.get("output_dir", "runs/out"),
-        manifests=dict(manifests),
-        model=_build_section(RawNetLiteConfig, doc.get("model"), "model"),
-        train=_build_section(TrainConfig, doc.get("train"), "train"),
-        augment=(None if doc.get("augment") is None
-                 else _build_section(AugmentConfig, doc["augment"], "augment")),
-        mix=mix,
-        cache_dir=doc.get("cache_dir"),
-    )
+    return _build_section(RunConfig, {
+        **doc,
+        "manifests": dict(manifests),
+        "model": _build_section(RawNetLiteConfig, doc.get("model"), "model"),
+        "train": _build_section(TrainConfig, doc.get("train"), "train"),
+        "augment": (None if doc.get("augment") is None
+                    else _build_section(AugmentConfig, doc["augment"], "augment")),
+        "mix": mix,
+    }, "config root")
 
 
 def _apply_overrides(doc: dict, overrides: list[str]) -> dict:

@@ -88,12 +88,6 @@ class MixSpec:
     scale: float = 1.0  # every cap count is multiplied by this, then rounded
     split_seed: int = 0
 
-    def __post_init__(self):
-        if type(self.seed) is not int or type(self.split_seed) is not int:
-            raise ValueError(f"seeds must be integers, got {self.seed!r} and {self.split_seed!r}")
-        if not isinstance(self.scale, (int, float)):
-            raise ValueError(f"scale must be a number, got {self.scale!r}")
-
 
 def parse_manifest(path) -> list[ManifestEntry]:
     """Parse and validate a manifest CSV; duplicate paths are rejected."""
@@ -270,8 +264,9 @@ def load_clip(path: str, cache_dir=None, stats: Optional[BatchStats] = None) -> 
     """Preprocess one file, optionally through a cache keyed by its content
     and the preprocessing version.
 
-    A cache entry that does not hold a whole clip is a miss: the file is
-    preprocessed again and the entry rewritten. `stats` counts hits and misses.
+    A cache entry that does not hold a whole clip, or holds a sample that is
+    NaN or above 1 in magnitude, is a miss: the file is preprocessed again and
+    the entry rewritten. `stats` counts hits and misses.
     """
     raw = Path(path).read_bytes()
     if cache_dir is None:

@@ -2,22 +2,22 @@
 
 Layer stack: Conv1D(1->C, k3, s1, p1) + BN + ReLU -> n residual blocks ->
 AdaptiveAvgPool1D(pool_len) -> BiGRU -> Linear + ReLU -> Linear + Sigmoid.
-`Model.layers` is the single source of that order; one loop runs it forward
-and one backward. The stem's BN and ReLU are one entry: in training they run
-as one fused kernel (`nn_core.batchnorm_relu_forward`), as every batch norm
-inside a residual block does. A layer's parameters are the registry entries
-under its prefix, in registration order, which is the order its backward
-kernel returns their gradients. Kernels are resolved on `nn_core` by name at
-each call, never stored, so a function rebound there (a test's mutation, the
-benchmark's tracer) is the one that runs. In eval mode the walk keeps nothing: the stem's
-conv -> BN + ReLU and each residual block's two conv -> BN pairs run as convs
-with the batch norm folded in (`nn_core.fold_batchnorm`, recomputed on every
-call, never cached), the skip add and ReLU in place in the conv's output, and
-each layer's input is freed once its output exists. The registry owns every
-trainable tensor; batch-norm running statistics are serialized alongside but
-are not parameters. Checkpoints are format 2. `load` also reads format 1,
-which held a bias per conv: it subtracts each from its batch norm's running
-mean, which keeps the eval function and the training trajectory.
+`Model.layers` is the single source of that order: one (registry prefix,
+nn_core kernel stem) entry per layer. One loop runs it forward and one
+backward, with no special case for any layer or mode; the only shape handling
+is the (B, 1) output read as (B,) probabilities. The stem is one conv -> batch
+norm -> ReLU unit (`nn_core.conv_bn_relu_forward`), and a residual block is
+two. A layer's parameters are the registry entries under its prefix, in
+registration order, which is the order its backward kernel returns their
+gradients. Kernels are resolved on `nn_core` by name at each call, never
+stored, so a function rebound there (a test's mutation, the benchmark's
+tracer) is the one that runs. In eval mode the walk keeps nothing: the units
+fold each batch norm into its conv inside `nn_core`, and each layer's input
+is freed once its output exists. The registry owns every trainable tensor;
+batch-norm running statistics are serialized alongside but are not
+parameters. Checkpoints are format 2. `load` also reads format 1, which held a
+bias per conv: it subtracts each from its batch norm's running mean, which
+keeps the eval function and the training trajectory.
 """
 
 from __future__ import annotations
@@ -78,16 +78,11 @@ _HEADER_KEYS = ("payload_bytes", "payload_sha256", "config", "tensors", "bn_init
 
 def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str]]:
     """(registry prefix, nn_core kernel stem) for every layer, in forward order."""
-    return ([("stem.conv", "conv1d"), ("stem.bn", "batchnorm_relu")]
+    return ([("stem", "conv_bn_relu")]
             + [(f"res{i}", "residual_block") for i in range(config.n_res_blocks)]
             + [("pool", "adaptive_avg_pool1d"), ("gru", "bigru"),
                ("head.fc1", "linear"), ("head.relu", "relu"), ("head.fc2", "linear"),
                ("out", "sigmoid")])
-
-
-def _time_major(a: np.ndarray) -> np.ndarray:
-    """(B, C, T) <-> (B, T, C): the GRU reads time-major sequences."""
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
 class Model:
@@ -125,8 +120,8 @@ class Model:
     def _kernel_args(self, prefix: str, stem: str, mode: str) -> tuple:
         """Arguments after the input for `nn_core.<stem>_forward`."""
         v = [p.values for p in self._layer_params(prefix)]
-        if stem == "batchnorm_relu":
-            return (*v, self.bn_states[prefix])
+        if stem == "conv_bn_relu":
+            return (*v, self.bn_states[f"{prefix}.bn"], mode)
         if stem == "residual_block":
             bn1, bn2 = self.bn_states[f"{prefix}.bn1"], self.bn_states[f"{prefix}.bn2"]
             return ResBlockParams(*v[:3], bn1, *v[3:], bn2), mode
@@ -148,51 +143,23 @@ class Model:
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
             raise ShapeError(f"expected batch of shape (B, 1, {cfg.input_len}), got {x.shape}")
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown mode {mode!r}")
         h = x.astype(self.dtype, copy=False)
-        layers = iter(self.layers)
-        for prefix, stem in layers:
-            if mode == "eval" and stem == "conv1d":
-                bn, _ = next(layers)
-                h = self._folded_conv_relu(h, prefix, bn)
-                continue
-            if mode == "eval" and stem == "residual_block":
-                h = self._folded_block(h, prefix)
-                continue
-            if stem == "bigru":
-                h = _time_major(h)
-            elif stem == "sigmoid":
-                h = h[:, 0]
+        for prefix, stem in self.layers:
             h, cache = getattr(nn_core, f"{stem}_forward")(h, *self._kernel_args(prefix, stem, mode))
             if caches is not None:
                 caches.append(cache)
             del cache  # without `caches`, freed before the next layer allocates
-        return h
-
-    def _folded_conv_relu(self, h, conv: str, bn: str, skip=None) -> np.ndarray:
-        p = self.params
-        w, b = nn_core.fold_batchnorm(p[f"{conv}.w"].values, p[f"{bn}.gamma"].values,
-                                      p[f"{bn}.beta"].values, self.bn_states[bn])
-        return nn_core.conv1d_relu(h, w, b, skip)
-
-    def _folded_block(self, x, prefix: str) -> np.ndarray:
-        a = self._folded_conv_relu(x, f"{prefix}.conv1", f"{prefix}.bn1")
-        return self._folded_conv_relu(a, f"{prefix}.conv2", f"{prefix}.bn2", skip=x)
+        return h[:, 0]
 
     def backward(self, dprobs: np.ndarray, caches: list) -> None:
         """Accumulate gradients of a scalar loss into the registry, given dL/dprob."""
-        d = dprobs
+        d = dprobs[:, None]
         for (prefix, stem), cache in zip(reversed(self.layers), reversed(caches), strict=True):
             out = getattr(nn_core, f"{stem}_backward")(d, cache)
             d, grads = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
             flat = [g for item in grads for g in (item.values() if isinstance(item, dict) else (item,))]
             for p, g in zip(self._layer_params(prefix), flat, strict=True):
                 p.grad += g
-            if stem == "bigru":
-                d = _time_major(d)
-            elif stem == "sigmoid":
-                d = d[:, None]
 
     # -- serialization ----------------------------------------------------
 

@@ -6,15 +6,16 @@ parameter gradients. Training runs in float32; gradient checking builds the
 same graph in float64, where central finite differences are trustworthy. Convs
 take no bias: each feeds a batch norm, whose beta plays that role.
 
-Cache conventions, which bound what a training forward keeps alive: each batch
-norm runs fused with the ReLU after it (and a residual block's skip add between
-them) in `batchnorm_relu_forward`, which caches its input, its per-channel
-float64 mean and invstd, gamma and its output, not xhat. ReLU caches its output
-(out > 0 exactly where x > 0), and conv1d caches its unpadded input, so a conv
-after a ReLU holds the very same array. `batchnorm1d_*` and `relu_*` are the
-unfused reference the fused pair is tested against; the head runs `relu_*`. No
-kernel keeps a padded or otherwise copied (B, C, T) array, and kernels write
-into fresh outputs only, never into an array a cache holds.
+Cache conventions, which bound what a training forward keeps alive: the stem
+and each residual block half is one `conv_bn_relu` unit, whose batch norm runs
+fused with the ReLU after it (and a block's skip add between them) in
+`batchnorm_relu_forward`, which caches its input, its per-channel float64 mean
+and invstd, gamma and its output, not xhat. ReLU caches its output (out > 0
+exactly where x > 0), and conv1d caches its unpadded input, so a conv after a
+ReLU holds the very same array. `batchnorm1d_*` and `relu_*` are the unfused
+reference the fused pair is tested against; the head runs `relu_*`. No kernel
+keeps a padded or otherwise copied (B, C, T) array, and kernels write into
+fresh outputs only, never into an array a cache holds.
 
 Tile convention: every conv (forward, backward and the eval `conv1d_relu`) runs
 one loop, `_conv_tiles`, over each batch row in time tiles of about `_TILE`
@@ -27,14 +28,15 @@ that the BLAS rounds by position); dw sums its tiles in another order. The eval 
 (folded bias, skip, ReLU) runs on each finished tile while it is in cache.
 
 Eval convention: an eval forward keeps nothing for a backward pass, so it does
-not run batch norm at all. `fold_batchnorm` folds each batch norm into the conv
-before it, from the current parameters and running statistics on every call
-(nothing is cached; the optimizer updates weights in place between calls), and
-`conv1d_relu` adds the folded bias and the residual skip and applies the ReLU
-in place in the conv's output. `batchnorm1d_forward`'s eval branch is the
-unfolded reference; it returns no cache, so there is no eval backward.
+not run batch norm at all. An eval `conv_bn_relu_forward`, two per residual
+block, folds the batch norm into its conv (`fold_batchnorm`, from the current
+parameters and running statistics on every call), and `conv1d_relu` adds the
+folded bias and the skip and applies the ReLU in place in the conv's output.
+`batchnorm1d_forward`'s eval branch is the unfolded reference; it returns no
+cache, so there is no eval backward.
 
-GRU convention: the reset gate multiplies the hidden-to-candidate product,
+GRU convention: `bigru_*` read and give back (B, C, T) and run `gru_*` over
+(B, T, C). The reset gate multiplies the hidden-to-candidate product,
     r_t = sigm(W_ir x_t + b_ir + W_hr h_{t-1} + b_hr)
     z_t = sigm(W_iz x_t + b_iz + W_hz h_{t-1} + b_hz)
     n_t = tanh(W_in x_t + b_in + r_t * (W_hn h_{t-1} + b_hn))
@@ -380,6 +382,30 @@ def conv1d_relu(x, w, b, skip=None):
     return out
 
 
+# --- conv -> batch norm -> ReLU: the stem and each residual block half ---------
+
+
+def conv_bn_relu_forward(x, w, gamma, beta, state: BatchNormState, mode: str, skip=None):
+    """relu(BN(conv1d(x, w)) + skip). Train mode runs `conv1d_forward` and then
+    `batchnorm_relu_forward`; eval mode runs `conv1d_relu` with the batch norm
+    folded into the conv, and returns no cache."""
+    if mode == "eval":
+        return conv1d_relu(x, *fold_batchnorm(w, gamma, beta, state), skip), None
+    if mode != "train":
+        raise ValueError(f"unknown mode {mode!r}")
+    c, cache_conv = conv1d_forward(x, w)
+    out, cache_bn = batchnorm_relu_forward(c, gamma, beta, state, skip)
+    return out, (cache_conv, cache_bn)
+
+
+def conv_bn_relu_backward(dout, cache):
+    """(dx, dw, dgamma, dbeta), and dskip when the forward took a skip."""
+    cache_conv, cache_bn = cache
+    dc, *grads = batchnorm_relu_backward(dout, cache_bn)
+    dx, dw = conv1d_backward(dc, cache_conv)
+    return (dx, dw, *grads)
+
+
 # --- adaptive average pooling --------------------------------------------------
 
 
@@ -502,9 +528,10 @@ def gru_backward(dh_final, cache):
 
 
 def bigru_forward(x, fwd: GRUDirParams, bwd: GRUDirParams):
-    """Bidirectional GRU; output is the two final hidden states concatenated (B, 2H)."""
-    h_f, cache_f = gru_forward(x, fwd)
-    h_b, cache_b = gru_forward(x[:, ::-1, :], bwd)
+    """Bidirectional GRU over (B, C, T); output is the two final hidden states concatenated (B, 2H)."""
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1))  # gru_forward reads (B, T, C)
+    h_f, cache_f = gru_forward(xt, fwd)
+    h_b, cache_b = gru_forward(xt[:, ::-1, :], bwd)
     return np.concatenate([h_f, h_b], axis=1), (cache_f, cache_b, fwd.hidden)
 
 
@@ -512,7 +539,7 @@ def bigru_backward(dout, cache):
     cache_f, cache_b, hidden = cache
     dx_f, g_f = gru_backward(dout[:, :hidden], cache_f)
     dx_b, g_b = gru_backward(dout[:, hidden:], cache_b)
-    return dx_f + dx_b[:, ::-1, :], g_f, g_b
+    return np.ascontiguousarray((dx_f + dx_b[:, ::-1, :]).transpose(0, 2, 1)), g_f, g_b
 
 
 # --- residual block ------------------------------------------------------------
@@ -533,31 +560,19 @@ class ResBlockParams:
 def residual_block_forward(x, p: ResBlockParams, mode: str):
     """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved.
 
-    Train mode runs each BN with its ReLU fused, the second adding the skip.
-    Eval mode is the unfolded reference for `Model`'s folded eval walk and
-    returns no cache.
+    Two conv -> BN -> ReLU units, the second adding the skip. Eval mode runs
+    both folded and returns no cache.
     """
-    c1, cache_c1 = conv1d_forward(x, p.conv1_w)
-    if mode == "train":
-        a1, cache_n1 = batchnorm_relu_forward(c1, p.bn1_gamma, p.bn1_beta, p.bn1_state)
-        c2, cache_c2 = conv1d_forward(a1, p.conv2_w)
-        out, cache_n2 = batchnorm_relu_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, skip=x)
-        return out, (cache_c1, cache_n1, cache_c2, cache_n2)
-    n1, _ = batchnorm1d_forward(c1, p.bn1_gamma, p.bn1_beta, p.bn1_state, mode)
-    a1, _ = relu_forward(n1)
-    c2, _ = conv1d_forward(a1, p.conv2_w)
-    n2, _ = batchnorm1d_forward(c2, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode)
-    n2 += x
-    out, _ = relu_forward(n2)
-    return out, None
+    a1, cache1 = conv_bn_relu_forward(x, p.conv1_w, p.bn1_gamma, p.bn1_beta, p.bn1_state, mode)
+    out, cache2 = conv_bn_relu_forward(a1, p.conv2_w, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode,
+                                       skip=x)
+    return out, (None if mode == "eval" else (cache1, cache2))
 
 
 def residual_block_backward(dout, cache):
-    cache_c1, cache_n1, cache_c2, cache_n2 = cache
-    dc2, dg2, dbeta2, dskip = batchnorm_relu_backward(dout, cache_n2)
-    da1, dw2 = conv1d_backward(dc2, cache_c2)
-    dc1, dg1, dbeta1 = batchnorm_relu_backward(da1, cache_n1)
-    dx, dw1 = conv1d_backward(dc1, cache_c1)
+    cache1, cache2 = cache
+    da1, dw2, dg2, dbeta2, dskip = conv_bn_relu_backward(dout, cache2)
+    dx, dw1, dg1, dbeta1 = conv_bn_relu_backward(da1, cache1)
     grads = {"conv1_w": dw1, "bn1_gamma": dg1, "bn1_beta": dbeta1,
              "conv2_w": dw2, "bn2_gamma": dg2, "bn2_beta": dbeta2}
     dx += dskip

@@ -50,12 +50,15 @@ class TrainConfig:
             raise ConfigError(f"loss must be 'bce' or 'focal', got {self.loss!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("max_epochs", "patience", "batch_size", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1 or null, got {self.max_steps}")
+        if self.focal_gamma < 0:
+            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+        if not 0.0 <= self.focal_alpha <= 1.0:
+            raise ConfigError(f"focal_alpha must be in [0, 1], got {self.focal_alpha}")
 
     def loss_fn(self):
         if self.loss == "bce":

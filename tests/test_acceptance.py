@@ -79,7 +79,8 @@ def _corrupt_everything(out):
 
 
 @criterion(1, "gradient integrity / mutation")
-@pytest.mark.parametrize("layer", ["conv1d_backward", "batchnorm_relu_backward", "relu_backward",
+@pytest.mark.parametrize("layer", ["conv_bn_relu_backward", "conv1d_backward",
+                                   "batchnorm_relu_backward", "relu_backward",
                                    "adaptive_avg_pool1d_backward", "gru_backward",
                                    "linear_backward", "sigmoid_backward"])
 def test_criterion_1_mutation_detected(layer, monkeypatch):

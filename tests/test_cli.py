@@ -146,6 +146,38 @@ def test_train_non_numeric_mix_value_is_config_error(tmp_path, corpus, capsys, m
     assert "config error: mix:" in capsys.readouterr().err
 
 
+BAD_VALUES = {
+    "int_field_float": {"model": {**TINY_MODEL, "channels": 2.5}},
+    "int_field_bool": {"model": {**TINY_MODEL, "n_res_blocks": True}},
+    "epochs_float": {"train": {"max_epochs": 2.5}},
+    "float_field_string": {"train": {"lr": "fast"}},
+    "bool_field_int": {"train": {"strict_data": 1}},
+    "optional_int_string": {"train": {"max_steps": "2"}},
+    "eval_batch_size_zero": {"train": {"eval_batch_size": 0}},
+    "max_steps_zero": {"train": {"max_steps": 0}},
+    "focal_gamma_negative": {"train": {"focal_gamma": -1.0}},
+    "focal_alpha_above_one": {"train": {"focal_alpha": 1.5}},
+    "range_not_a_pair": {"augment": {"pitch_semitone_range": [1.0]}},
+    "range_with_a_string": {"augment": {"stretch_rate_range": [0.9, "1.1"]}},
+    "cache_dir_a_list": {"cache_dir": ["a"]},
+    "output_dir_a_number": {"output_dir": 3},
+}
+
+
+@pytest.mark.parametrize("extra", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_train_mistyped_or_out_of_range_value_is_config_error(tmp_path, corpus, capsys, extra):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", **extra)
+    assert main(["train", str(cfg), "--dry-run"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_train_accepts_ints_for_floats_and_nulls_for_optionals(tmp_path, corpus, capsys):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", cache_dir=None,
+                       train={"lr": 1, "max_steps": None, "focal_alpha": 0, "focal_gamma": 0},
+                       augment={"pitch_semitone_range": [-1, 1], "p_apply": 1})
+    assert main(["train", str(cfg), "--dry-run"]) == 0
+
+
 def test_train_split_tags_give_val_pool(tmp_path, capsys):
     # per class: 6 train, 3 val, 1 test; an 80/10/10 split would give 1 val per class
     manifest = write_manifest(tmp_path / "tagged.csv", "for", 10, 10,

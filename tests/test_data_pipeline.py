@@ -307,32 +307,48 @@ def test_cache_entry_under_the_unversioned_key_is_a_miss(wav_corpus, tmp_path):
     assert len(list(cache.glob("*.f32"))) == 2
 
 
+def _with_sample(data: bytes, value: float) -> bytes:
+    samples = np.frombuffer(data, dtype="<f4").copy()
+    samples[1234] = value
+    return samples.tobytes()
+
+
+CORRUPT_ENTRIES = {  # each right size or not, none a clip that preprocess could have written
+    "torn": lambda data: data[:100],
+    "nan": lambda data: _with_sample(data, np.nan),
+    "above_peak": lambda data: _with_sample(data, 1.5),
+}
+
+
 def test_torn_cache_entry_is_rebuilt(wav_corpus, tmp_path, capsys):
     from rawnetlite import audio_io, cli
 
-    cache = tmp_path / "cache"
     raw = open(wav_corpus[0].path, "rb").read()
-    load_clip(wav_corpus[0].path, cache_dir=cache)
-    [entry_file] = cache.glob("*.f32")
-    entry_file.write_bytes(entry_file.read_bytes()[:100])
     fresh = audio_io.preprocess(raw).samples
-    assert np.array_equal(load_clip(wav_corpus[0].path, cache_dir=cache).samples, fresh)
-    assert np.array_equal(audio_io.read_clip(entry_file).samples, fresh)  # entry rewritten
-    assert [p.name for p in cache.iterdir()] == [entry_file.name]  # no temp file left behind
+    for name, corrupt in CORRUPT_ENTRIES.items():
+        cache = tmp_path / name / "cache"
+        load_clip(wav_corpus[0].path, cache_dir=cache)
+        [entry_file] = cache.glob("*.f32")
+        entry_file.write_bytes(corrupt(entry_file.read_bytes()))
+        with pytest.raises(ValueError, match="clip dump has"):
+            audio_io.read_clip(entry_file)
+        assert np.array_equal(load_clip(wav_corpus[0].path, cache_dir=cache).samples, fresh), name
+        assert np.array_equal(audio_io.read_clip(entry_file).samples, fresh), name  # entry rewritten
+        assert [p.name for p in cache.iterdir()] == [entry_file.name]  # no temp file left behind
 
-    entry_file.write_bytes(entry_file.read_bytes()[:100])
-    stats = BatchStats()
-    total = sum(y.size for _, y, _ in make_batches(wav_corpus, cache_dir=cache, stats=stats))
-    assert total == 33 and stats.skipped == []
-    assert (stats.cache_hits, stats.cache_misses) == (0, 33)  # the rebuilt entry is a miss
+        entry_file.write_bytes(corrupt(entry_file.read_bytes()))
+        stats = BatchStats()
+        total = sum(y.size for _, y, _ in make_batches(wav_corpus, cache_dir=cache, stats=stats))
+        assert total == 33 and stats.skipped == []
+        assert (stats.cache_hits, stats.cache_misses) == (0, 33), name  # the rebuilt entry is a miss
 
-    # `rawnetlite preprocess` counts a rebuilt entry as a miss too
-    manifest = tmp_path / "m.csv"
-    manifest.write_text("path,label,domain\n" + "".join(f"{e.path},fake,d\n" for e in wav_corpus[:8]))
-    cache = tmp_path / "cache8"
-    assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
-    entry_file = cache / entry_file.name
-    entry_file.write_bytes(entry_file.read_bytes()[:100])
-    capsys.readouterr()
-    assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
-    assert "processed 8/8 files (7 cache hits" in capsys.readouterr().out
+        # `rawnetlite preprocess` counts a rebuilt entry as a miss too
+        manifest = tmp_path / name / "m.csv"
+        manifest.write_text("path,label,domain\n" + "".join(f"{e.path},fake,d\n" for e in wav_corpus[:8]))
+        cache = tmp_path / name / "cache8"
+        assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
+        entry_file = cache / entry_file.name
+        entry_file.write_bytes(corrupt(entry_file.read_bytes()))
+        capsys.readouterr()
+        assert cli.main(["preprocess", str(manifest), str(cache)]) == 0
+        assert "processed 8/8 files (7 cache hits" in capsys.readouterr().out, name

@@ -327,15 +327,20 @@ def test_checkpoint_malformed_tensor_entries_and_flags(tmp_path, mutate):
 
 N = SMALL.n_res_blocks
 FORWARD_CALLS = {  # per Model.forward, counting calls made inside composite kernels
-    "conv1d_forward": 1 + 2 * N, "batchnorm_relu_forward": 1 + 2 * N,
-    "batchnorm1d_forward": 0, "relu_forward": 1,
+    "conv_bn_relu_forward": 1 + 2 * N, "conv1d_forward": 1 + 2 * N,
+    "batchnorm_relu_forward": 1 + 2 * N, "batchnorm1d_forward": 0, "relu_forward": 1,
     "residual_block_forward": N, "adaptive_avg_pool1d_forward": 1, "bigru_forward": 1,
     "gru_forward": 2, "linear_forward": 2, "sigmoid_forward": 1,
 }
 
 
-@pytest.mark.parametrize("kernel", sorted(n for n in vars(nn_core) if n.endswith("_forward")))
-def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
+FORWARD_KERNELS = sorted(n for n in vars(nn_core) if n.endswith("_forward"))
+# in eval, each unit folds its batch norm into its conv instead of running both
+EVAL_CALLS = {**FORWARD_CALLS, "conv1d_forward": 0, "batchnorm_relu_forward": 0,
+              "conv1d_relu": 1 + 2 * N, "fold_batchnorm": 1 + 2 * N}
+
+
+def count_calls(monkeypatch, kernel):
     orig = getattr(nn_core, kernel)
     calls = []
 
@@ -344,27 +349,54 @@ def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(nn_core, kernel, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", FORWARD_KERNELS)
+def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
+    calls = count_calls(monkeypatch, kernel)
     build(SMALL).forward(small_batch(), mode="train")
     assert len(calls) == FORWARD_CALLS[kernel]
+
+
+@pytest.mark.parametrize("kernel", FORWARD_KERNELS + ["conv1d_relu", "fold_batchnorm"])
+def test_eval_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
+    m = build(SMALL)
+    m.forward(small_batch(), mode="train")  # sets the running statistics eval reads
+    calls = count_calls(monkeypatch, kernel)
+    m.forward(small_batch(), mode="eval")
+    assert len(calls) == EVAL_CALLS[kernel]
 
 
 # --- eval: batch norm folded into its conv ------------------------------------------
 
 
+def unfolded_unit(x, w, gamma, beta, state, skip=None):
+    """An eval conv -> BN -> ReLU unit without folding, from the reference kernels."""
+    c, _ = nn_core.conv1d_forward(x, w)
+    n, _ = nn_core.batchnorm1d_forward(c, gamma, beta, state, "eval")
+    if skip is not None:
+        n += skip
+    return nn_core.relu_forward(n)[0]
+
+
+def unfolded_block(x, p):
+    a = unfolded_unit(x, p.conv1_w, p.bn1_gamma, p.bn1_beta, p.bn1_state)
+    return unfolded_unit(a, p.conv2_w, p.bn2_gamma, p.bn2_beta, p.bn2_state, skip=x)
+
+
 def unfolded_eval(m, x):
-    """The eval forward without folding: conv -> BN(eval) -> ReLU, residual_block_forward."""
+    """The eval forward without folding: every unit runs conv1d, batchnorm1d(eval) and relu."""
     h = x
     for prefix, stem in m.layers:
-        if stem == "batchnorm_relu":
-            h, _ = nn_core.batchnorm1d_forward(h, *m._kernel_args(prefix, stem, "eval"), "eval")
-            h, _ = nn_core.relu_forward(h)
-            continue
-        if stem == "bigru":
-            h = np.ascontiguousarray(h.transpose(0, 2, 1))
-        elif stem == "sigmoid":
-            h = h[:, 0]
-        h, _ = getattr(nn_core, f"{stem}_forward")(h, *m._kernel_args(prefix, stem, "eval"))
-    return h
+        args = m._kernel_args(prefix, stem, "eval")
+        if stem == "conv_bn_relu":
+            h = unfolded_unit(h, *args[:-1])  # all but the mode
+        elif stem == "residual_block":
+            h = unfolded_block(h, args[0])
+        else:
+            h, _ = getattr(nn_core, f"{stem}_forward")(h, *args)
+    return h[:, 0]
 
 
 def randomized_bn_model(dtype):
@@ -380,12 +412,26 @@ def randomized_bn_model(dtype):
     return m
 
 
-def assert_matches_unfolded(m, x):
-    probs, ref = m.forward(x, mode="eval"), unfolded_eval(m, x)
-    if m.dtype == np.float64:
-        np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0)
+def assert_close_to_unfolded(got, ref):
+    if got.dtype == np.float64:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     else:
-        np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
+
+
+def assert_matches_unfolded(m, x):
+    assert_close_to_unfolded(m.forward(x, mode="eval"), unfolded_eval(m, x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_residual_block_folds_both_units(dtype):
+    m = randomized_bn_model(dtype)
+    p, mode = m._kernel_args("res0", "residual_block", "eval")
+    x = np.random.default_rng(7).normal(size=(3, SMALL.channels, SMALL.input_len)).astype(dtype)
+    out, cache = nn_core.residual_block_forward(x, p, mode)
+    assert cache is None
+    assert out.dtype == dtype
+    assert_close_to_unfolded(out, unfolded_block(x, p))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -426,8 +472,10 @@ def test_eval_forward_before_training_raises():
 # repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
 # output of every fused batch norm + ReLU (each also the next conv's input) and
 # every batch norm's input (its conv's output): 7 + 7 activations for three
-# blocks. An eval forward keeps no caches and folds each batch norm into its conv;
-# its peak is inside a residual block: the block's input (the skip), conv1's
+# blocks. The backward peaks at about 19.3: each unit's backward frees the
+# gradient of its conv's output when it returns, before the next unit's backward
+# allocates. An eval forward keeps no caches and folds each batch norm into its
+# conv; its peak is inside a residual block: the block's input (the skip), conv1's
 # output and conv2's output. The conv kernels allocate no full-size tap buffer,
 # only a scratch tile of C x ~_TILE samples (a quarter activation here).
 
@@ -458,12 +506,12 @@ def test_memory_bound_forward_backward():
     finally:
         tracemalloc.stop()
     assert _activations(held, 4) < 14.5
-    assert _activations(peak_train, 4) < 22.5
+    assert _activations(peak_train, 4) < 20.0
     assert _activations(peak_eval, 4) < 3.5
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
-    """Over several steps, train() peaks like one step: about 20 activations, not 28."""
+    """Over several steps, train() peaks like one step: about 19.5 activations, not 28."""
     def synthetic_batches(entries, batch_size=16, **_):
         rng = np.random.default_rng(0)
         for k in range(0, len(entries), batch_size):
@@ -480,14 +528,13 @@ def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _activations(peak, 4) < 23.5
+    assert _activations(peak, 4) < 20.0
 
 
 def test_conv_after_relu_caches_the_relu_output():
     m = build(SMALL)
     _, caches = m.forward_train(small_batch())
-    stem_bn_relu, res0 = caches[1], caches[2]
-    cache_c1, cache_n1, cache_c2, _ = res0
+    (_, stem_bn_relu), ((cache_c1, cache_n1), (cache_c2, _)) = caches[0], caches[1]
     assert cache_c1[0] is stem_bn_relu[4]  # res0.conv1 reads the stem's fused BN + ReLU output
     assert cache_c2[0] is cache_n1[4]  # conv2 reads the block's first fused BN + ReLU output
 

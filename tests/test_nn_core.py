@@ -487,7 +487,7 @@ def test_gru_zero_parameters_fixed_point():
 
 def test_bigru_single_frame_symmetry():
     rng = np.random.default_rng(19)
-    x = rng.normal(size=(2, 1, 3))
+    x = rng.normal(size=(2, 3, 1))  # (B, C, T): one frame
     p = make_gru_params(4, 3, np.random.default_rng(20))
     out, _ = nn.bigru_forward(x, p, p)  # shared weights both directions
     assert np.array_equal(out[:, :4], out[:, 4:])
@@ -508,7 +508,7 @@ def test_gru_gradients_match_fd():
 
 def test_bigru_gradients_match_fd():
     rng = np.random.default_rng(22)
-    x = rng.normal(size=(2, 3, 4))
+    x = rng.normal(size=(2, 4, 3))  # (B, C, T)
     pf = make_gru_params(5, 4, rng)
     pb = make_gru_params(5, 4, rng)
 
@@ -525,6 +525,21 @@ def test_gru_shape_error():
     p = make_gru_params(4, 3, np.random.default_rng(23))
     with pytest.raises(ShapeError):
         nn.gru_forward(np.zeros((2, 5, 7)), p)
+
+
+# --- conv -> batch norm -> ReLU unit ---------------------------------------------------
+
+
+@pytest.mark.parametrize("with_skip", [False, True])
+def test_conv_bn_relu_gradients_match_fd(with_skip):
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(2, 3, 7))
+    w = rng.normal(size=(4, 3, 3)) * 0.3
+    gamma, beta = 1.0 + rng.normal(size=4) * 0.1, rng.normal(size=4) * 0.1
+    skip = rng.normal(size=(2, 4, 7)) if with_skip else None
+    st_ = BatchNormState.create(4, dtype=np.float64)
+    fd_layer_check(lambda: nn.conv_bn_relu_forward(x, w, gamma, beta, st_, "train", skip),
+                   nn.conv_bn_relu_backward, [x, w, gamma, beta] + ([skip] if with_skip else []), rng)
 
 
 # --- residual block ----------------------------------------------------------------
