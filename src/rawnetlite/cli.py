@@ -27,7 +27,7 @@ from .data_pipeline import (
     compose_pools, load_clip, parse_manifest,
 )
 from .fileio import atomic_write
-from .losses_metrics import UndefinedMetricError
+from .losses_metrics import ScoreFileError, UndefinedMetricError
 from .model import CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig
 from .nn_core import ShapeError, TrainingError
 from .train_eval import TrainConfig, evaluate, format_report, run_protocol, train, write_history_csv
@@ -55,7 +55,7 @@ class RunConfig:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a config value fits a field's annotation; a bool is no int, an int is a float."""
+    """Whether a config value fits a field's annotation; a bool is no int, an int is a float, nan and inf are not."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:  # Optional[X] is Union[X, None]
         return any(_fits(value, a) for a in args)
@@ -63,7 +63,7 @@ def _fits(value, hint) -> bool:
         items = args[:1] * len(value) if isinstance(value, tuple) and args[-1] is Ellipsis else args
         return isinstance(value, tuple) and len(value) == len(items) and all(map(_fits, value, items))
     if hint is float:
-        hint = (int, float)
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # False for nan
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
@@ -145,26 +145,18 @@ def load_run_config(path, overrides: Optional[list[str]] = None) -> RunConfig:
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (FileNotFoundError, IsADirectoryError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}") from e
     doc = _apply_overrides(doc or {}, overrides or [])
     return config_from_dict(doc)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["mix"]["caps"] = [dataclasses.asdict(c) for c in cfg.mix.caps]
-    if cfg.augment is not None:
-        doc["augment"] = dataclasses.asdict(cfg.augment)
-    return doc
-
-
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "effective_config.yaml") as f:
-        yaml.safe_dump(config_to_dict(cfg), f, sort_keys=True)
+        yaml.safe_dump(dataclasses.asdict(cfg), f, sort_keys=True)
 
 
 def _cache_dir(cfg: RunConfig) -> Optional[str]:
@@ -300,12 +292,13 @@ def cmd_protocol(args) -> int:
         raise ConfigError(f"protocol draws its caps from FULL_COUNTS with primary domain 'for'; "
                           f"remove {', '.join(ignored)}")
     manifests = _load_manifests(cfg)
-    scale = args.scale if args.scale is not None else cfg.mix.scale
+    # replace() runs MixSpec's checks, so a bad --scale fails before anything is written
+    mix = cfg.mix if args.scale is None else dataclasses.replace(cfg.mix, scale=args.scale)
     out_dir = Path(args.output_dir or cfg.output_dir) / args.name
     _echo_config(cfg, out_dir)
     summary = run_protocol(
         args.name, manifests, cfg.model, cfg.train, cfg.augment, out_dir,
-        scale=scale, split_seed=cfg.mix.split_seed, mix_seed=cfg.mix.seed,
+        scale=mix.scale, split_seed=mix.split_seed, mix_seed=mix.seed,
         cache_dir=_cache_dir(cfg))
     for ts_name, doc in summary["test_sets"].items():
         rep = doc["report"]
@@ -379,9 +372,9 @@ def main(argv=None) -> int:
     except (TrainingError, ShapeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ManifestError, DataError, UndefinedMetricError, audio_io.DecodeError,
+    except (ManifestError, DataError, UndefinedMetricError, ScoreFileError, audio_io.DecodeError,
             audio_io.UnsupportedFormatError, CheckpointFormatError,
-            CheckpointIntegrityError, FileNotFoundError) as e:
+            CheckpointIntegrityError, FileNotFoundError, IsADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as e:

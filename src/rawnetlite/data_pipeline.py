@@ -16,13 +16,12 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional
 
-import csv
-
 import numpy as np
 
 from . import audio_io
 from .audio_io import CLIP_SAMPLES, KAISER_BETA, TAPS_PER_PHASE, TARGET_RATE_HZ, FixedClip
 from .augment import AugmentConfig, augment_pipeline
+from .fileio import read_csv_rows
 from .losses_metrics import LABEL_CODES
 
 log = logging.getLogger(__name__)
@@ -88,37 +87,40 @@ class MixSpec:
     scale: float = 1.0  # every cap count is multiplied by this, then rounded
     split_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.scale < float("inf"):  # also False for nan
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+
 
 def parse_manifest(path) -> list[ManifestEntry]:
     """Parse and validate a manifest CSV; duplicate paths are rejected."""
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header not in (["path", "label", "domain"], ["path", "label", "domain", "split"]):
-            raise ManifestError(f"{path}: bad header {header!r}, expected path,label,domain[,split]")
-        has_split = header is not None and len(header) == 4
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ManifestError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
-            file_path, label, domain = row[0], row[1], row[2]
-            split = row[3] if has_split else None
-            if split == "":
-                split = None
-            if label not in LABEL_CODES:
-                raise ManifestError(f"{path}: line {lineno}: unknown label {label!r}")
-            if split is not None and split not in ROLES:
-                raise ManifestError(f"{path}: line {lineno}: unknown split {split!r}")
-            if not file_path:
-                raise ManifestError(f"{path}: line {lineno}: empty path")
-            if file_path in seen:
-                raise ManifestError(
-                    f"{path}: duplicate path {file_path!r} on lines {seen[file_path]} and {lineno}")
-            seen[file_path] = lineno
-            entries.append(ManifestEntry(file_path, LABEL_CODES[label], domain, split))
+    rows = iter(read_csv_rows(path, ManifestError))
+    header = next(rows, None)
+    if header not in (["path", "label", "domain"], ["path", "label", "domain", "split"]):
+        raise ManifestError(f"{path}: bad header {header!r}, expected path,label,domain[,split]")
+    has_split = header is not None and len(header) == 4
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ManifestError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
+        file_path, label, domain = row[0], row[1], row[2]
+        split = row[3] if has_split else None
+        if split == "":
+            split = None
+        if label not in LABEL_CODES:
+            raise ManifestError(f"{path}: line {lineno}: unknown label {label!r}")
+        if split is not None and split not in ROLES:
+            raise ManifestError(f"{path}: line {lineno}: unknown split {split!r}")
+        if not file_path:
+            raise ManifestError(f"{path}: line {lineno}: empty path")
+        if file_path in seen:
+            raise ManifestError(
+                f"{path}: duplicate path {file_path!r} on lines {seen[file_path]} and {lineno}")
+        seen[file_path] = lineno
+        entries.append(ManifestEntry(file_path, LABEL_CODES[label], domain, split))
     return entries
 
 

@@ -1,9 +1,19 @@
-"""Crash-safe file writes shared by every on-disk artefact."""
+"""File helpers shared by every on-disk artefact: crash-safe writes and typed CSV reads."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
+
+
+def read_csv_rows(path, error: type[Exception]) -> list[list[str]]:
+    """Every row of a CSV file; text the codec or the csv module (a field over its limit) rejects raises `error`."""
+    try:
+        with open(path, newline="") as f:
+            return list(csv.reader(f))
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise error(f"{path}: unreadable CSV: {e}") from e
 
 
 @contextlib.contextmanager

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_csv_rows
 
 PROB_CLAMP = 1e-7
 
@@ -23,6 +23,10 @@ LABEL_CODES = {"real": 0, "fake": 1}
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric needs both classes but only one is present."""
+
+
+class ScoreFileError(ValueError):
+    """A score file that cannot be read or does not hold path,label,score rows."""
 
 
 @dataclass(frozen=True)
@@ -198,18 +202,20 @@ def write_score_file(records: list[ScoreRecord], path) -> None:
 
 def read_score_file(path) -> list[ScoreRecord]:
     records = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != SCORE_HEADER:
-            raise ValueError(f"bad score-file header {header!r}, expected {SCORE_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            path_field, label, score = row
-            if label not in LABEL_CODES:
-                raise ValueError(f"line {lineno}: unknown label {label!r}")
+    rows = iter(read_csv_rows(path, ScoreFileError))
+    header = next(rows, None)
+    if header != SCORE_HEADER:
+        raise ScoreFileError(f"bad score-file header {header!r}, expected {SCORE_HEADER}")
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ScoreFileError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        path_field, label, score = row
+        if label not in LABEL_CODES:
+            raise ScoreFileError(f"line {lineno}: unknown label {label!r}")
+        try:
             records.append(ScoreRecord(path_field, LABEL_CODES[label], float(score)))
+        except ValueError as e:
+            raise ScoreFileError(f"line {lineno}: {e}") from e
     return records

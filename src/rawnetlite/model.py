@@ -3,21 +3,22 @@
 Layer stack: Conv1D(1->C, k3, s1, p1) + BN + ReLU -> n residual blocks ->
 AdaptiveAvgPool1D(pool_len) -> BiGRU -> Linear + ReLU -> Linear + Sigmoid.
 `Model.layers` is the single source of that order: one (registry prefix,
-nn_core kernel stem) entry per layer. One loop runs it forward and one
-backward, with no special case for any layer or mode; the only shape handling
-is the (B, 1) output read as (B,) probabilities. The stem is one conv -> batch
-norm -> ReLU unit (`nn_core.conv_bn_relu_forward`), and a residual block is
-two. A layer's parameters are the registry entries under its prefix, in
-registration order, which is the order its backward kernel returns their
-gradients. Kernels are resolved on `nn_core` by name at each call, never
-stored, so a function rebound there (a test's mutation, the benchmark's
-tracer) is the one that runs. In eval mode the walk keeps nothing: the units
-fold each batch norm into its conv inside `nn_core`, and each layer's input
-is freed once its output exists. The registry owns every trainable tensor;
-batch-norm running statistics are serialized alongside but are not
-parameters. Checkpoints are format 2. `load` also reads format 1, which held a
-bias per conv: it subtracts each from its batch norm's running mean, which
-keeps the eval function and the training trajectory.
+nn_core kernel stem, constants) entry per layer. One loop runs it forward and
+one backward, with no special case for any layer or mode; the only shape
+handling is the (B, 1) output read as (B,) probabilities. The stem is one conv
+-> batch norm -> ReLU unit, and a residual block is two. Each kernel takes, in
+`nn_core`'s one calling convention, the registry values under its prefix in
+registration order, the entry's constants, and its batch-norm states (if any)
+with the mode; its backward returns the gradients in registration order.
+Kernels are resolved on `nn_core` by name at each call, never stored, so a
+function rebound there (a test's mutation, the benchmark's tracer) is the one
+that runs. In eval mode the walk keeps nothing: the units fold each batch norm
+into its conv inside `nn_core`, and each layer's input is freed once its
+output exists. The registry owns every trainable tensor; batch-norm running
+statistics are serialized alongside but are not parameters. Checkpoints are
+format 2. `load` also reads format 1, which held a bias per conv: it subtracts
+each from its batch norm's running mean, which keeps the eval function and the
+training trajectory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import nn_core
 from .fileio import atomic_write
-from .nn_core import BatchNormState, GRUDirParams, ParamTensor, ResBlockParams, ShapeError
+from .nn_core import BatchNormState, GRUDirParams, ParamTensor, ShapeError
 
 _MAGIC = b"RNLCKPT1"
 _FORMAT_VERSION = 2
@@ -76,13 +77,13 @@ _GRU_FIELDS = tuple(f.name for f in fields(GRUDirParams))
 _HEADER_KEYS = ("payload_bytes", "payload_sha256", "config", "tensors", "bn_initialized")
 
 
-def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str]]:
-    """(registry prefix, nn_core kernel stem) for every layer, in forward order."""
-    return ([("stem", "conv_bn_relu")]
-            + [(f"res{i}", "residual_block") for i in range(config.n_res_blocks)]
-            + [("pool", "adaptive_avg_pool1d"), ("gru", "bigru"),
-               ("head.fc1", "linear"), ("head.relu", "relu"), ("head.fc2", "linear"),
-               ("out", "sigmoid")])
+def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str, tuple]]:
+    """(registry prefix, nn_core kernel stem, constants) for every layer, in forward order."""
+    return ([("stem", "conv_bn_relu", ())]
+            + [(f"res{i}", "residual_block", ()) for i in range(config.n_res_blocks)]
+            + [("pool", "adaptive_avg_pool1d", (config.pool_len,)), ("gru", "bigru", ()),
+               ("head.fc1", "linear", ()), ("head.relu", "relu", ()), ("head.fc2", "linear", ()),
+               ("out", "sigmoid", ())])
 
 
 class Model:
@@ -117,20 +118,11 @@ class Model:
     def _layer_params(self, prefix: str) -> list[ParamTensor]:
         return [p for name, p in self.params.items() if name.startswith(prefix + ".")]
 
-    def _kernel_args(self, prefix: str, stem: str, mode: str) -> tuple:
-        """Arguments after the input for `nn_core.<stem>_forward`."""
-        v = [p.values for p in self._layer_params(prefix)]
-        if stem == "conv_bn_relu":
-            return (*v, self.bn_states[f"{prefix}.bn"], mode)
-        if stem == "residual_block":
-            bn1, bn2 = self.bn_states[f"{prefix}.bn1"], self.bn_states[f"{prefix}.bn2"]
-            return ResBlockParams(*v[:3], bn1, *v[3:], bn2), mode
-        if stem == "bigru":
-            n = len(v) // 2
-            return GRUDirParams(*v[:n]), GRUDirParams(*v[n:])
-        if stem == "adaptive_avg_pool1d":
-            return (self.config.pool_len,)
-        return tuple(v)
+    def _kernel_args(self, prefix: str, constants: tuple, mode: str) -> tuple:
+        """Arguments after the input for the forward kernel of the layer under `prefix`."""
+        arrays = [p.values for p in self._layer_params(prefix)]
+        states = [st for name, st in self.bn_states.items() if name.startswith(prefix + ".")]
+        return (*arrays, *constants, *states, mode) if states else (*arrays, *constants)
 
     def forward(self, x: np.ndarray, mode: str = "eval") -> np.ndarray:
         return self._run(x, mode, caches=None)
@@ -144,8 +136,8 @@ class Model:
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
             raise ShapeError(f"expected batch of shape (B, 1, {cfg.input_len}), got {x.shape}")
         h = x.astype(self.dtype, copy=False)
-        for prefix, stem in self.layers:
-            h, cache = getattr(nn_core, f"{stem}_forward")(h, *self._kernel_args(prefix, stem, mode))
+        for prefix, stem, constants in self.layers:
+            h, cache = getattr(nn_core, f"{stem}_forward")(h, *self._kernel_args(prefix, constants, mode))
             if caches is not None:
                 caches.append(cache)
             del cache  # without `caches`, freed before the next layer allocates
@@ -154,11 +146,10 @@ class Model:
     def backward(self, dprobs: np.ndarray, caches: list) -> None:
         """Accumulate gradients of a scalar loss into the registry, given dL/dprob."""
         d = dprobs[:, None]
-        for (prefix, stem), cache in zip(reversed(self.layers), reversed(caches), strict=True):
+        for (prefix, stem, _), cache in zip(reversed(self.layers), reversed(caches), strict=True):
             out = getattr(nn_core, f"{stem}_backward")(d, cache)
-            d, grads = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
-            flat = [g for item in grads for g in (item.values() if isinstance(item, dict) else (item,))]
-            for p, g in zip(self._layer_params(prefix), flat, strict=True):
+            d, *grads = out if isinstance(out, tuple) else (out,)
+            for p, g in zip(self._layer_params(prefix), grads, strict=True):
                 p.grad += g
 
     # -- serialization ----------------------------------------------------
@@ -175,7 +166,7 @@ class Model:
 def build(config: RawNetLiteConfig, dtype=np.float32) -> Model:
     """Construct a model with seeded initialization.
 
-    Conv and linear weights ~ U(+-sqrt(6 / fan_in)), linear biases zero; all
+    Conv and dense weights ~ U(+-sqrt(6 / fan_in)), dense biases zero; all
     GRU tensors ~ U(+-1/sqrt(H)); BN gamma 1 and beta 0. No conv biases: each
     conv feeds a batch norm whose beta plays that role. Equal seeds give
     bit-identical parameters.

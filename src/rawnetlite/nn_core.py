@@ -1,10 +1,13 @@
 """Numeric layer kernels: forward passes, hand-derived gradients, Adam.
 
-Every layer comes as a forward/backward pair. Forward returns (out, cache);
-backward takes the upstream gradient plus the cache and returns input and
-parameter gradients. Training runs in float32; gradient checking builds the
-same graph in float64, where central finite differences are trustworthy. Convs
-take no bias: each feeds a batch norm, whose beta plays that role.
+Every layer is a forward/backward pair with one calling convention:
+`<stem>_forward(x, *arrays, *constants, *bn_states, mode)` returns (out, cache),
+where only a layer with batch-norm state takes the states and the mode, and
+`<stem>_backward(dout, cache)` returns (dx, *grads) with the grads in the
+order of the arrays, or a bare dx for a layer without parameters. Training
+runs in float32; gradient checking builds the same graph in float64, where
+central finite differences are trustworthy. Convs take no bias: each feeds a
+batch norm, whose beta plays that role.
 
 Cache conventions, which bound what a training forward keeps alive: the stem
 and each residual block half is one `conv_bn_relu` unit, whose batch norm runs
@@ -489,8 +492,9 @@ def gru_forward(x, p: GRUDirParams):
 def gru_backward(dh_final, cache):
     """Backprop-through-time; gradient arrives only at the final hidden state.
 
-    The loop collects the gradients of the input pre-activations; dx, dW_i*
-    and db_i* are one GEMM or sum each after it.
+    Returns (dx, *grads), the grads in GRUDirParams field order. The loop
+    collects the gradients of the input pre-activations; dx, dW_i* and db_i*
+    are one GEMM or sum each after it.
     """
     steps, p, xs, w_i, x_shape = cache
     b, t, _ = x_shape
@@ -524,11 +528,15 @@ def gru_backward(dh_final, cache):
     g.update(w_ir=dw_i[:hid], w_iz=dw_i[hid : 2 * hid], w_in=dw_i[2 * hid :],
              b_ir=db_i[:hid], b_iz=db_i[hid : 2 * hid], b_in=db_i[2 * hid :],
              b_hr=db_i[:hid], b_hz=db_i[hid : 2 * hid])
-    return dx, {k: g[k] for k in vars(p)}  # in GRUDirParams field order
+    return (dx, *(g[k] for k in vars(p)))  # in GRUDirParams field order
 
 
-def bigru_forward(x, fwd: GRUDirParams, bwd: GRUDirParams):
-    """Bidirectional GRU over (B, C, T); output is the two final hidden states concatenated (B, 2H)."""
+def bigru_forward(x, *weights):
+    """Bidirectional GRU over (B, C, T); output is the two final hidden states concatenated (B, 2H).
+
+    weights: the forward direction's GRUDirParams fields, then the backward's."""
+    n = len(weights) // 2
+    fwd, bwd = GRUDirParams(*weights[:n]), GRUDirParams(*weights[n:])
     xt = np.ascontiguousarray(x.transpose(0, 2, 1))  # gru_forward reads (B, T, C)
     h_f, cache_f = gru_forward(xt, fwd)
     h_b, cache_b = gru_forward(xt[:, ::-1, :], bwd)
@@ -536,47 +544,34 @@ def bigru_forward(x, fwd: GRUDirParams, bwd: GRUDirParams):
 
 
 def bigru_backward(dout, cache):
+    """(dx, *forward-direction grads, *backward-direction grads), in `bigru_forward`'s weight order."""
     cache_f, cache_b, hidden = cache
-    dx_f, g_f = gru_backward(dout[:, :hidden], cache_f)
-    dx_b, g_b = gru_backward(dout[:, hidden:], cache_b)
-    return np.ascontiguousarray((dx_f + dx_b[:, ::-1, :]).transpose(0, 2, 1)), g_f, g_b
+    dx_f, *g_f = gru_backward(dout[:, :hidden], cache_f)
+    dx_b, *g_b = gru_backward(dout[:, hidden:], cache_b)
+    return np.ascontiguousarray((dx_f + dx_b[:, ::-1, :]).transpose(0, 2, 1)), *g_f, *g_b
 
 
 # --- residual block ------------------------------------------------------------
 
 
-@dataclass
-class ResBlockParams:
-    conv1_w: np.ndarray
-    bn1_gamma: np.ndarray
-    bn1_beta: np.ndarray
-    bn1_state: BatchNormState
-    conv2_w: np.ndarray
-    bn2_gamma: np.ndarray
-    bn2_beta: np.ndarray
-    bn2_state: BatchNormState
-
-
-def residual_block_forward(x, p: ResBlockParams, mode: str):
+def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, state2, mode: str):
     """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved.
 
     Two conv -> BN -> ReLU units, the second adding the skip. Eval mode runs
     both folded and returns no cache.
     """
-    a1, cache1 = conv_bn_relu_forward(x, p.conv1_w, p.bn1_gamma, p.bn1_beta, p.bn1_state, mode)
-    out, cache2 = conv_bn_relu_forward(a1, p.conv2_w, p.bn2_gamma, p.bn2_beta, p.bn2_state, mode,
-                                       skip=x)
+    a1, cache1 = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode)
+    out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x)
     return out, (None if mode == "eval" else (cache1, cache2))
 
 
 def residual_block_backward(dout, cache):
+    """(dx, dw1, dgamma1, dbeta1, dw2, dgamma2, dbeta2)."""
     cache1, cache2 = cache
-    da1, dw2, dg2, dbeta2, dskip = conv_bn_relu_backward(dout, cache2)
-    dx, dw1, dg1, dbeta1 = conv_bn_relu_backward(da1, cache1)
-    grads = {"conv1_w": dw1, "bn1_gamma": dg1, "bn1_beta": dbeta1,
-             "conv2_w": dw2, "bn2_gamma": dg2, "bn2_beta": dbeta2}
+    da1, *grads2, dskip = conv_bn_relu_backward(dout, cache2)
+    dx, *grads1 = conv_bn_relu_backward(da1, cache1)
     dx += dskip
-    return dx, grads
+    return (dx, *grads1, *grads2)
 
 
 # --- optimizer -----------------------------------------------------------------

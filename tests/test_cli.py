@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
 import yaml
 
 from rawnetlite import cli
+from rawnetlite.augment import AugmentConfig
 from rawnetlite.cli import main
+from rawnetlite.data_pipeline import MixSpec
 from rawnetlite.losses_metrics import read_score_file
 from rawnetlite.model import RawNetLiteConfig, build, save
+from rawnetlite.train_eval import TrainConfig
 
 from conftest import make_wav, records_from_scores
 from rawnetlite.losses_metrics import write_score_file
@@ -171,6 +176,38 @@ def test_train_mistyped_or_out_of_range_value_is_config_error(tmp_path, corpus, 
     assert "config error:" in capsys.readouterr().err
 
 
+def float_fields():
+    """(section, field, default) for every float or tuple-of-float config field."""
+    sections = {"model": RawNetLiteConfig, "train": TrainConfig, "augment": AugmentConfig, "mix": MixSpec}
+    for section, cls in sections.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if float in (hints[f.name], *typing.get_args(hints[f.name])):
+                yield section, f.name, f.default
+
+
+NON_FINITE = [(section, name, default, bad) for section, name, default in float_fields()
+              for bad in (".nan", ".inf")]
+
+
+@pytest.mark.parametrize("section, name, default, bad", NON_FINITE,
+                         ids=[f"{s}.{n}={b}" for s, n, _, b in NON_FINITE])
+def test_train_non_finite_float_is_config_error(tmp_path, corpus, capsys, section, name, default, bad):
+    # a tuple field gets the bad value as its last element
+    value = f"[{', '.join(map(str, default[:-1]))}, {bad}]" if isinstance(default, tuple) else bad
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out")
+    assert main(["train", str(cfg), "--dry-run", "--set", f"{section}.{name}={value}"]) == cli.EXIT_CONFIG
+    assert f"config error: {section}: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_protocol_non_finite_or_negative_scale_is_config_error(tmp_path, corpus, capsys, scale):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", manifests={"for": str(corpus)})
+    assert main(["protocol", "in_domain", str(cfg), "--scale", scale]) == cli.EXIT_CONFIG
+    assert "scale must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_accepts_ints_for_floats_and_nulls_for_optionals(tmp_path, corpus, capsys):
     cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", cache_dir=None,
                        train={"lr": 1, "max_steps": None, "focal_alpha": 0, "focal_gamma": 0},
@@ -249,6 +286,16 @@ def test_preprocess_corrupt_file_policy(tmp_path, corpus, capsys):
     assert main(["preprocess", str(manifest), str(cache), "--strict"]) == cli.EXIT_DATA
 
 
+def test_preprocess_unreadable_manifest_is_data_error(tmp_path, capsys):
+    too_long = tmp_path / "long.csv"
+    too_long.write_text("path,label,domain\n" + "x" * 200_000 + ",real,for\n")
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes("path,label,domain\ncaf\u00e9.wav,real,for\n".encode("latin-1"))
+    for manifest in (too_long, not_utf8, tmp_path):
+        assert main(["preprocess", str(manifest), str(tmp_path / "cache")]) == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
 # --- train / eval / infer -----------------------------------------------------------
 
 
@@ -284,6 +331,14 @@ def test_infer_bad_checkpoint_is_data_error(tmp_path, capsys):
     ckpt.write_bytes(b"RNLCKPT1")
     assert main(["infer", str(ckpt), str(tmp_path / "x.wav")]) == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_directory_for_an_input_file_is_an_error_exit(tmp_path, corpus, tiny_ckpt, capsys):
+    assert main(["eval", str(tmp_path), str(corpus), str(tmp_path / "out")]) == cli.EXIT_DATA
+    assert main(["infer", str(tiny_ckpt), str(tmp_path)]) == cli.EXIT_DATA
+    assert main(["metrics", str(tmp_path)]) == cli.EXIT_DATA
+    assert main(["train", str(tmp_path), "--dry-run"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("error") == 4
 
 
 def test_eval_single_class_manifest(tmp_path, corpus, tiny_ckpt, capsys):
@@ -333,6 +388,19 @@ def test_metrics_table_consistent_counts(tmp_path, capsys):
     rep = json.loads(out.read_text())["report"]
     assert rep["f1_real"] == pytest.approx(0.9926, abs=5e-5)
     assert rep["accuracy"] == pytest.approx(0.9927, abs=5e-4)
+
+
+@pytest.mark.parametrize("content", [
+    b"path,label,score\n" + b"x" * 200_000 + b",real,0.5\n",
+    "path,label,score\ncaf\u00e9.wav,real,0.5\n".encode("latin-1"),
+    b"path,score,label\na.wav,0.5,real\n",
+    b"path,label,score\na.wav,real,high\n",
+], ids=["field_too_long", "not_utf8", "bad_header", "bad_score"])
+def test_metrics_malformed_score_file_is_data_error(tmp_path, capsys, content):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(content)
+    assert main(["metrics", str(path)]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
 
 
 # --- figure-data ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rawnetlite.augment import AugmentConfig
 from rawnetlite.data_pipeline import (
@@ -68,6 +70,33 @@ def test_parse_bad_split_tag(tmp_path):
     p.write_text("path,label,domain,split\na.wav,real,for,dev\n")
     with pytest.raises(ManifestError, match="dev"):
         parse_manifest(p)
+
+
+@pytest.mark.parametrize("content", [
+    b"path,label,domain\n" + b"x" * 200_000 + b",real,for\n",  # over the csv module's field limit
+    "path,label,domain\ncaf\u00e9.wav,real,for\n".encode("latin-1"),
+], ids=["field_too_long", "not_utf8"])
+def test_parse_unreadable_text_is_manifest_error(tmp_path, content):
+    p = tmp_path / "m.csv"
+    p.write_bytes(content)
+    with pytest.raises(ManifestError, match="unreadable"):
+        parse_manifest(p)
+
+
+MANIFEST_HEADS = st.sampled_from([b"", b"path,label,domain\n", b"path,label,domain,split\n"])
+
+
+@given(head=MANIFEST_HEADS, body=st.binary(max_size=300))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_any_bytes_gives_entries_or_manifest_error(tmp_path, head, body):
+    p = tmp_path / "m.csv"
+    p.write_bytes(head + body)
+    try:
+        entries = parse_manifest(p)
+    except ManifestError:
+        return
+    assert all(isinstance(e, ManifestEntry) and e.label in (0, 1) and e.path for e in entries)
+    assert len({e.path for e in entries}) == len(entries)
 
 
 # --- stratified_split ------------------------------------------------------------

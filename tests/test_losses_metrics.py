@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rawnetlite import losses_metrics as lm
 from rawnetlite.losses_metrics import (
-    ScoreRecord, UndefinedMetricError, bce_loss, classification_metrics, eer,
+    ScoreFileError, ScoreRecord, UndefinedMetricError, bce_loss, classification_metrics, eer,
     focal_loss, read_score_file, write_score_file,
 )
 
@@ -223,6 +223,17 @@ def test_score_file_bad_label(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("path,label,score\na,spoof,0.5\n")
     with pytest.raises(ValueError, match="line 2"):
+        read_score_file(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"path,label,score\n" + b"x" * 200_000 + b",real,0.5\n",  # over the csv module's field limit
+    "path,label,score\ncaf\u00e9.wav,real,0.5\n".encode("latin-1"),
+], ids=["field_too_long", "not_utf8"])
+def test_score_file_unreadable_text(tmp_path, content):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(content)
+    with pytest.raises(ScoreFileError, match="unreadable"):
         read_score_file(path)
 
 

@@ -380,20 +380,20 @@ def unfolded_unit(x, w, gamma, beta, state, skip=None):
     return nn_core.relu_forward(n)[0]
 
 
-def unfolded_block(x, p):
-    a = unfolded_unit(x, p.conv1_w, p.bn1_gamma, p.bn1_beta, p.bn1_state)
-    return unfolded_unit(a, p.conv2_w, p.bn2_gamma, p.bn2_beta, p.bn2_state, skip=x)
+def unfolded_block(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, state2):
+    a = unfolded_unit(x, w1, gamma1, beta1, state1)
+    return unfolded_unit(a, w2, gamma2, beta2, state2, skip=x)
 
 
 def unfolded_eval(m, x):
     """The eval forward without folding: every unit runs conv1d, batchnorm1d(eval) and relu."""
     h = x
-    for prefix, stem in m.layers:
-        args = m._kernel_args(prefix, stem, "eval")
+    for prefix, stem, constants in m.layers:
+        args = m._kernel_args(prefix, constants, "eval")
         if stem == "conv_bn_relu":
             h = unfolded_unit(h, *args[:-1])  # all but the mode
         elif stem == "residual_block":
-            h = unfolded_block(h, args[0])
+            h = unfolded_block(h, *args[:-1])
         else:
             h, _ = getattr(nn_core, f"{stem}_forward")(h, *args)
     return h[:, 0]
@@ -426,12 +426,12 @@ def assert_matches_unfolded(m, x):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_eval_residual_block_folds_both_units(dtype):
     m = randomized_bn_model(dtype)
-    p, mode = m._kernel_args("res0", "residual_block", "eval")
+    args = m._kernel_args("res0", (), "eval")
     x = np.random.default_rng(7).normal(size=(3, SMALL.channels, SMALL.input_len)).astype(dtype)
-    out, cache = nn_core.residual_block_forward(x, p, mode)
+    out, cache = nn_core.residual_block_forward(x, *args)
     assert cache is None
     assert out.dtype == dtype
-    assert_close_to_unfolded(out, unfolded_block(x, p))
+    assert_close_to_unfolded(out, unfolded_block(x, *args[:-1]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

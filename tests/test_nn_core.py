@@ -6,20 +6,23 @@ from hypothesis.extra.numpy import arrays
 
 from rawnetlite import nn_core as nn
 from rawnetlite.nn_core import (
-    Adam, BatchNormState, GRUDirParams, ParamTensor, ResBlockParams, ShapeError,
+    Adam, BatchNormState, GRUDirParams, ParamTensor, ShapeError,
     TrainingError, finite_difference_check,
 )
 
 GRU_FIELDS = ["w_ir", "w_iz", "w_in", "w_hr", "w_hz", "w_hn",
               "b_ir", "b_iz", "b_in", "b_hr", "b_hz", "b_hn"]
-RES_FIELDS = ["conv1_w", "bn1_gamma", "bn1_beta", "conv2_w", "bn2_gamma", "bn2_beta"]
 
 
 def fd_layer_check(forward, backward, arrays_to_check, rng, n_coords=20, tol=1e-4):
-    """Project the layer output to a scalar and compare grads to central FDs."""
+    """Project the layer output to a scalar and compare grads to central FDs.
+
+    `backward` is a kernel's own: it returns (dx, *grads), or a bare dx.
+    """
     out, cache = forward()
     w = rng.normal(size=out.shape)
     grads = backward(w, cache)
+    grads = grads if isinstance(grads, tuple) else (grads,)
     worst = 0.0
     for arr, g in zip(arrays_to_check, grads):
         flat, gf = arr.reshape(-1), np.asarray(g).reshape(-1)
@@ -36,10 +39,10 @@ def fd_layer_check(forward, backward, arrays_to_check, rng, n_coords=20, tol=1e-
     assert worst < tol, f"max relative error {worst}"
 
 
-def make_gru_params(h, i, rng):
-    return GRUDirParams(**{
-        f: rng.normal(size=(h, i) if f.startswith("w_i") else (h, h) if f.startswith("w_h") else (h,))
-        for f in GRU_FIELDS})
+def make_gru_weights(h, i, rng):
+    """One direction's GRU weights, in GRUDirParams field order."""
+    return [rng.normal(size=(h, i) if f.startswith("w_i") else (h, h) if f.startswith("w_h") else (h,))
+            for f in GRU_FIELDS]
 
 
 # --- elementwise ----------------------------------------------------------------
@@ -469,8 +472,8 @@ def test_pool_rejects_bad_out_len():
 def test_pool_gradients_match_fd():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(2, 3, 10))
-    fd_layer_check(lambda: nn.adaptive_avg_pool1d_forward(x, 4),
-                   lambda d, c: (nn.adaptive_avg_pool1d_backward(d, c),), [x], rng)
+    fd_layer_check(lambda: nn.adaptive_avg_pool1d_forward(x, 4), nn.adaptive_avg_pool1d_backward,
+                   [x], rng)
 
 
 # --- GRU ---------------------------------------------------------------------------
@@ -488,41 +491,27 @@ def test_gru_zero_parameters_fixed_point():
 def test_bigru_single_frame_symmetry():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(2, 3, 1))  # (B, C, T): one frame
-    p = make_gru_params(4, 3, np.random.default_rng(20))
-    out, _ = nn.bigru_forward(x, p, p)  # shared weights both directions
+    w = make_gru_weights(4, 3, np.random.default_rng(20))
+    out, _ = nn.bigru_forward(x, *w, *w)  # shared weights both directions
     assert np.array_equal(out[:, :4], out[:, 4:])
 
 
 def test_gru_gradients_match_fd():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 3, 4))
-    p = make_gru_params(5, 4, rng)
-
-    def backward(d, cache):
-        dx, g = nn.gru_backward(d, cache)
-        return [dx] + [g[f] for f in GRU_FIELDS]
-
-    fd_layer_check(lambda: nn.gru_forward(x, p), backward,
-                   [x] + [getattr(p, f) for f in GRU_FIELDS], rng)
+    w = make_gru_weights(5, 4, rng)
+    fd_layer_check(lambda: nn.gru_forward(x, GRUDirParams(*w)), nn.gru_backward, [x, *w], rng)
 
 
 def test_bigru_gradients_match_fd():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(2, 4, 3))  # (B, C, T)
-    pf = make_gru_params(5, 4, rng)
-    pb = make_gru_params(5, 4, rng)
-
-    def backward(d, cache):
-        dx, gf, gb = nn.bigru_backward(d, cache)
-        return [dx] + [gf[f] for f in GRU_FIELDS] + [gb[f] for f in GRU_FIELDS]
-
-    fd_layer_check(lambda: nn.bigru_forward(x, pf, pb), backward,
-                   [x] + [getattr(pf, f) for f in GRU_FIELDS] + [getattr(pb, f) for f in GRU_FIELDS],
-                   rng)
+    w = make_gru_weights(5, 4, rng) + make_gru_weights(5, 4, rng)
+    fd_layer_check(lambda: nn.bigru_forward(x, *w), nn.bigru_backward, [x, *w], rng)
 
 
 def test_gru_shape_error():
-    p = make_gru_params(4, 3, np.random.default_rng(23))
+    p = GRUDirParams(*make_gru_weights(4, 3, np.random.default_rng(23)))
     with pytest.raises(ShapeError):
         nn.gru_forward(np.zeros((2, 5, 7)), p)
 
@@ -545,43 +534,34 @@ def test_conv_bn_relu_gradients_match_fd(with_skip):
 # --- residual block ----------------------------------------------------------------
 
 
-def make_res_params(c, rng):
-    return ResBlockParams(
-        conv1_w=rng.normal(size=(c, c, 3)) * 0.3,
-        bn1_gamma=1.0 + rng.normal(size=c) * 0.1, bn1_beta=rng.normal(size=c) * 0.1,
-        bn1_state=BatchNormState.create(c, dtype=np.float64),
-        conv2_w=rng.normal(size=(c, c, 3)) * 0.3,
-        bn2_gamma=1.0 + rng.normal(size=c) * 0.1, bn2_beta=rng.normal(size=c) * 0.1,
-        bn2_state=BatchNormState.create(c, dtype=np.float64))
+def make_res_arrays(c, rng):
+    """(w1, gamma1, beta1, w2, gamma2, beta2) of a residual block."""
+    return [a for _ in range(2) for a in (
+        rng.normal(size=(c, c, 3)) * 0.3, 1.0 + rng.normal(size=c) * 0.1, rng.normal(size=c) * 0.1)]
+
+
+def make_res_states(c):
+    return [BatchNormState.create(c, dtype=np.float64) for _ in range(2)]
 
 
 def test_residual_dead_branch_reduces_to_relu():
     rng = np.random.default_rng(24)
     x = rng.normal(size=(2, 3, 6))
-    p = make_res_params(3, rng)
-    p.conv1_w[...] = 0
-    p.conv2_w[...] = 0
-    p.bn1_gamma[...] = 0
-    p.bn2_gamma[...] = 0
-    p.bn1_beta[...] = 0
-    p.bn2_beta[...] = 0
-    out, cache = nn.residual_block_forward(x, p, "train")
+    weights = make_res_arrays(3, rng)
+    for a in weights:
+        a[...] = 0
+    out, cache = nn.residual_block_forward(x, *weights, *make_res_states(3), "train")
     assert np.allclose(out, np.maximum(x, 0.0))
-    dx, _ = nn.residual_block_backward(np.ones_like(out), cache)
+    dx, *_ = nn.residual_block_backward(np.ones_like(out), cache)
     assert np.array_equal(dx, (x > 0).astype(float))
 
 
 def test_residual_gradients_match_fd():
     rng = np.random.default_rng(25)
     x = rng.normal(size=(2, 3, 6))
-    p = make_res_params(3, rng)
-
-    def backward(d, cache):
-        dx, g = nn.residual_block_backward(d, cache)
-        return [dx] + [g[f] for f in RES_FIELDS]
-
-    fd_layer_check(lambda: nn.residual_block_forward(x, p, "train"), backward,
-                   [x] + [getattr(p, f) for f in RES_FIELDS], rng)
+    weights, states = make_res_arrays(3, rng), make_res_states(3)
+    fd_layer_check(lambda: nn.residual_block_forward(x, *weights, *states, "train"),
+                   nn.residual_block_backward, [x, *weights], rng)
 
 
 # --- Adam -------------------------------------------------------------------------
