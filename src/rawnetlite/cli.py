@@ -67,13 +67,19 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _build_section(cls, doc, where: str):
+def _mapping(doc, where: str) -> dict:
+    """A config section as a dict; a null section means the defaults."""
     if doc is None:
-        doc = {}
+        return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(doc).__name__}")
+    return doc
+
+
+def _build_section(cls, doc, where: str):
+    doc = _mapping(doc, where)
     allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(map(str, set(doc) - allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown fields {unknown}")
     kwargs = dict(doc)
@@ -94,7 +100,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(map(str, set(doc) - allowed))
     if unknown:
         raise ConfigError(f"unknown top-level fields {unknown}")
     if "version" not in doc:
@@ -102,20 +108,27 @@ def config_from_dict(doc: dict) -> RunConfig:
     if doc["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {doc['version']!r}, expected {CONFIG_VERSION}")
 
-    mix_doc = dict(doc.get("mix") or {})
+    mix_doc = dict(_mapping(doc.get("mix"), "mix"))
+    caps = mix_doc.get("caps")
+    if not isinstance(caps, (list, type(None))):
+        raise ConfigError(f"mix: caps must be a list, got {type(caps).__name__}")
     mix_doc["caps"] = tuple(_build_section(DomainCap, c, f"mix.caps[{i}]")
-                            for i, c in enumerate(mix_doc.get("caps") or []))
+                            for i, c in enumerate(caps or []))
     mix = _build_section(MixSpec, mix_doc, "mix")
 
-    manifests = doc.get("manifests") or {}
-    if not isinstance(manifests, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in manifests.items()):
+    manifests = _mapping(doc.get("manifests"), "manifests")
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in manifests.items()):
         raise ConfigError("manifests: expected a mapping of domain name to CSV path")
+
+    model = _build_section(RawNetLiteConfig, doc.get("model"), "model")
+    if model.input_len != audio_io.CLIP_SAMPLES:  # the data layer makes no other length
+        raise ConfigError(f"model: input_len must be {audio_io.CLIP_SAMPLES}, the length of every "
+                          f"preprocessed clip, got {model.input_len}")
 
     return _build_section(RunConfig, {
         **doc,
         "manifests": dict(manifests),
-        "model": _build_section(RawNetLiteConfig, doc.get("model"), "model"),
+        "model": model,
         "train": _build_section(TrainConfig, doc.get("train"), "train"),
         "augment": (None if doc.get("augment") is None
                     else _build_section(AugmentConfig, doc["augment"], "augment")),
@@ -295,11 +308,11 @@ def cmd_protocol(args) -> int:
     # replace() runs MixSpec's checks, so a bad --scale fails before anything is written
     mix = cfg.mix if args.scale is None else dataclasses.replace(cfg.mix, scale=args.scale)
     out_dir = Path(args.output_dir or cfg.output_dir) / args.name
-    _echo_config(cfg, out_dir)
     summary = run_protocol(
         args.name, manifests, cfg.model, cfg.train, cfg.augment, out_dir,
         scale=mix.scale, split_seed=mix.split_seed, mix_seed=mix.seed,
-        cache_dir=_cache_dir(cfg))
+        cache_dir=_cache_dir(cfg),
+        on_composed=lambda out: _echo_config(dataclasses.replace(cfg, mix=mix), out))
     for ts_name, doc in summary["test_sets"].items():
         rep = doc["report"]
         f1 = "n/a" if rep["f1_fake"] is None else f"{rep['f1_fake']:.4f}"

@@ -13,12 +13,21 @@ Cache conventions, which bound what a training forward keeps alive: the stem
 and each residual block half is one `conv_bn_relu` unit, whose batch norm runs
 fused with the ReLU after it (and a block's skip add between them) in
 `batchnorm_relu_forward`, which caches its input, its per-channel float64 mean
-and invstd, gamma and its output, not xhat. ReLU caches its output (out > 0
-exactly where x > 0), and conv1d caches its unpadded input, so a conv after a
-ReLU holds the very same array. `batchnorm1d_*` and `relu_*` are the unfused
-reference the fused pair is tested against; the head runs `relu_*`. No kernel
-keeps a padded or otherwise copied (B, C, T) array, and kernels write into
-fresh outputs only, never into an array a cache holds.
+and invstd, gamma, its per-channel scale and shift in the input's dtype, and
+its output, not xhat. ReLU caches its output (out > 0 exactly where x > 0),
+and conv1d caches its unpadded input, so a conv after a ReLU holds the very
+same array: the stem's output is also res0's conv1 input. A residual block
+keeps no full-size output a1 of its first unit: the block swaps a1, in unit
+1's batch-norm cache and in unit 2's conv cache, for one `Rows` that rebuild
+it from unit 1's conv output with the cached scale and shift, one batch row at
+a time and bit for bit. So a block holds its conv outputs c1 and c2 and its
+output; a1 is rebuilt where a backward reads it, for unit 2's dw and unit 1's
+ReLU mask. A unit's backward passes the gradient of its conv output from the
+batch norm to the conv as Rows as well, so it is never full-size either.
+`batchnorm1d_*` and `relu_*` are the unfused reference the fused pair is
+tested against; the head runs `relu_*`. No kernel keeps a padded or otherwise
+copied (B, C, T) array, and kernels write into fresh outputs only, never into
+an array a cache holds.
 
 Tile convention: every conv (forward, backward and the eval `conv1d_relu`) runs
 one loop, `_conv_tiles`, over each batch row in time tiles of about `_TILE`
@@ -100,6 +109,32 @@ class BatchNormState:
         )
 
 
+# --- arrays built one batch row at a time -------------------------------------
+
+
+class Rows:
+    """A (B, C, T) array that is never held in full: its batch rows are built as they are read.
+
+    Iterating gives the B rows in order, each a (C, T) array computed when it is
+    reached, in a buffer that the next row overwrites, so a reader is done with
+    a row before it asks for the next. The kernels that loop over batch rows
+    (the conv tile loop, `conv1d_backward`, `batchnorm_relu_backward`) read an
+    ndarray or a Rows alike; `np.asarray(rows)` builds the whole array.
+    """
+
+    def __init__(self, shape, dtype, rows):
+        self.shape, self.dtype, self._rows = tuple(shape), np.dtype(dtype), rows
+
+    def __iter__(self):
+        return self._rows()
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape, self.dtype)
+        for o, row in zip(out, self):
+            o[...] = row
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 # --- elementwise -------------------------------------------------------------
 
 
@@ -178,33 +213,34 @@ def _conv_tiles(src, taps, out, product=np.matmul):
 
     taps is (W, 0), then the shifts -1 and +1 in either order; each output
     element sums its terms in that order, and a term that would read past
-    either end of src is left out. Every product reads one whole tile of
-    src[i]: the first writes straight into out, the other two go through one
-    tile-sized scratch buffer that also keeps the previous tile's last two
-    columns. A shifted term reaches one column into the next tile, so tile
-    [s, e) finishes the output columns [s - 1, e - 1), and the last tile of a
-    row finishes the row. Yields (i, s, e, done) after each tile: src[i, :, s:e]
-    was read, and out[i, :, done] is final.
+    either end of src is left out. src is an ndarray or `Rows`, read one row at
+    a time. Every product reads one whole tile of the row: the first writes
+    straight into out, the other two go through one tile-sized scratch buffer
+    that also keeps the previous tile's last two columns. A shifted term
+    reaches one column into the next tile, so tile [s, e) finishes the output
+    columns [s - 1, e - 1), and the last tile of a row finishes the row. Yields
+    (i, row, s, e, done) after each tile: row is src[i], whose columns s:e were
+    read, and out[i, :, done] is final.
     """
-    b, _, t = src.shape
+    t = src.shape[2]
     bounds = _tile_bounds(t)
     width = max(e - s for s, e in bounds)
     (w_first, _), *shifted = taps
     scratch = np.empty((out.shape[1], width + 2), dtype=out.dtype)
     history = np.empty((len(shifted), out.shape[1], 2), dtype=out.dtype)
-    for i in range(b):
+    for i, row in enumerate(src):
         lo = 0
         for s, e in bounds:
-            product(w_first, src[i, :, s:e], out=out[i, :, s:e])
+            product(w_first, row[:, s:e], out=out[i, :, s:e])
             hi = t if e == t else e - 1
             for k, (w, d) in enumerate(shifted):
                 # scratch column j + 2 holds the product at source column s + j
                 scratch[:, :2] = history[k]
-                product(w, src[i, :, s:e], out=scratch[:, 2 : 2 + e - s])
+                product(w, row[:, s:e], out=scratch[:, 2 : 2 + e - s])
                 history[k] = scratch[:, e - s : e - s + 2]
                 l, h = max(lo, -d), min(hi, t - d)
                 out[i, :, l:h] += scratch[:, l + d - s + 2 : h + d - s + 2]
-            yield i, s, e, slice(lo, hi)
+            yield i, row, s, e, slice(lo, hi)
             lo = hi
 
 
@@ -234,16 +270,20 @@ def conv1d_forward(x, w):
 
 def conv1d_backward(dout, cache):
     """(dx, dw). dx is the conv of dout with the transposed taps, summed 1, 0, 2 like the
-    forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache."""
+    forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache.
+    dout and the cached input may each be an ndarray or `Rows`."""
     x, w = cache
     t = x.shape[2]
-    dx = np.empty(x.shape, dtype=np.result_type(dout, w))
+    dx = np.empty(x.shape, dtype=np.result_type(dout.dtype, w.dtype))
     dw = np.zeros(w.shape, dtype=dx.dtype)
     taps = [(w[:, :, 1].T, 0), (w[:, :, 0].T, 1), (w[:, :, 2].T, -1)]
-    for i, s, e, _ in _conv_tiles(dout, taps, dx):
+    x_rows = iter(x)
+    for _, d, s, e, _ in _conv_tiles(dout, taps, dx):
+        if s == 0:
+            xi = next(x_rows)
         for k in range(3):  # tap k: dw[:, :, k] = sum over t of dout[t] x[t + k - 1]^T
             l, h = max(s, 1 - k), min(e, t + 1 - k)
-            dw[:, :, k] += np.matmul(dout[i, :, l:h], x[i, :, l + k - 1 : h + k - 1].T)
+            dw[:, :, k] += np.matmul(d[:, l:h], xi[:, l + k - 1 : h + k - 1].T)
     return dx, dw
 
 
@@ -299,13 +339,37 @@ def batchnorm1d_backward(dout, cache):
 # --- training: batch norm, skip add and ReLU fused --------------------------------
 
 
+def _affine_relu(x, scale, shift, out, skip=None):
+    """out = relu(x * scale + shift + skip), with per-channel (C, 1) scale and shift.
+
+    x is (B, C, T) or one (C, T) batch row; elementwise, so a row gives bit for
+    bit that row of the whole.
+    """
+    np.multiply(x, scale, out=out)
+    out += shift
+    if skip is not None:
+        out += skip
+    return np.maximum(out, 0, out=out)
+
+
+def _affine_relu_rows(x, scale, shift):
+    """relu(x * scale + shift) as `Rows`: bit for bit the output of a forward without a skip."""
+    def rows():
+        buf = np.empty(x.shape[1:], dtype=x.dtype)
+        for xi in x:
+            yield _affine_relu(xi, scale, shift, buf)
+    return Rows(x.shape, x.dtype, rows)
+
+
 def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
     """Training only: relu(batchnorm1d(x) + skip), normalized by the batch statistics.
 
     The batch statistics update the running ones. The per-channel sum and sum of squares each take one float64 pass over x;
     in float64 the one-pass variance E[x^2] - mean^2 loses nothing that matters
     for float32 data. The output is one fresh array, x * scale + shift, to which
-    the skip is added and the ReLU applied in place.
+    the skip is added and the ReLU applied in place. The cache keeps the
+    per-channel scale and shift in x's dtype, from which the output can be
+    rebuilt (`_affine_relu_rows`) where it is not kept.
     """
     if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm_relu: expected x (B, {gamma.shape[0]}, T), got {x.shape}")
@@ -321,12 +385,16 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
     state.running_var[...] = (1 - m) * state.running_var + m * var * (n / (n - 1))
     state.initialized = True
     scale = gamma * invstd
-    out = np.multiply(x, scale.astype(x.dtype)[:, None])
-    out += (beta - mean * scale).astype(x.dtype)[:, None]
-    if skip is not None:
-        out += skip
-    np.maximum(out, 0, out=out)
-    return out, (x, mean, invstd, gamma, out, skip is not None)
+    affine = scale.astype(x.dtype)[:, None], (beta - mean * scale).astype(x.dtype)[:, None]
+    out = _affine_relu(x, *affine, np.empty_like(x), skip)
+    return out, (x, mean, invstd, gamma, affine, out, skip is not None)
+
+
+def _masked_rows(dout, out, into=None):
+    """The rows of dout * (out > 0), written into the rows of `into` if given, else into one reused buffer."""
+    buf = np.empty(out.shape[1:], dtype=dout.dtype) if into is None else None
+    for i, (d, o) in enumerate(zip(dout, out)):
+        yield np.multiply(d, o > 0, out=buf if into is None else into[i])  # subgradient at exactly 0 is 0
 
 
 def batchnorm_relu_backward(dout, cache):
@@ -334,24 +402,36 @@ def batchnorm_relu_backward(dout, cache):
 
     With g the upstream gradient under the ReLU mask and xhat = (x - mean) * invstd,
     dx = gamma * invstd / n * (n * g - sum(g) - xhat * sum(g * xhat)), which is
-    a * g + b * x + c with per-channel a, b, c. dskip is g itself.
+    a * g + b * x + k with per-channel a, b, k. One pass over the batch rows
+    sums g and g * x in float64; dx is returned as `Rows` that rebuild each
+    row of g and apply a, b, k to it. So neither g nor dx is ever full-size,
+    except g when it is returned as dskip. dout, x and the cached output may
+    each be an ndarray or Rows.
     """
-    x, mean, invstd, gamma, out, has_skip = cache
+    x, mean, invstd, gamma, _, out, has_skip = cache
     n = x.shape[0] * x.shape[2]
-    g = dout * (out > 0)  # subgradient at exactly 0 is 0
-    dbeta = g.sum(axis=(0, 2), dtype=np.float64)
-    dgamma = invstd * (np.einsum("bct,bct->c", g, x, dtype=np.float64) - mean * dbeta)
+    g = np.empty(x.shape, dtype=dout.dtype) if has_skip else None
+    dbeta = np.zeros(x.shape[1])
+    sum_gx = np.zeros(x.shape[1])
+    for gi, xi in zip(_masked_rows(dout, out, g), x):
+        dbeta += gi.sum(axis=1, dtype=np.float64)
+        sum_gx += np.einsum("ct,ct->c", gi, xi, dtype=np.float64)
+    dgamma = invstd * (sum_gx - mean * dbeta)
     a = gamma * invstd
     b = -a * invstd * dgamma / n
-    c = -a * dbeta / n - b * mean
-    a, b, c = (v.astype(g.dtype)[:, None] for v in (a, b, c))
-    dx = np.empty_like(g)
-    tmp = np.empty_like(g[0])
-    for gi, xi, dxi in zip(g, x, dx):  # one sample at a time, so the b * x temporary stays small
-        np.multiply(gi, a, out=dxi)
-        dxi += np.multiply(xi, b, out=tmp)
-        dxi += c
-    grads = (dx, dgamma.astype(g.dtype), dbeta.astype(g.dtype))
+    k = -a * dbeta / n - b * mean
+    a, b, k = (v.astype(dout.dtype)[:, None] for v in (a, b, k))
+
+    def dx_rows():
+        tmp = np.empty(x.shape[1:], dtype=dout.dtype)
+        dxi = np.empty_like(tmp) if has_skip else None  # else each row of g is scratch
+        for gi, xi in zip(_masked_rows(dout, out) if g is None else g, x):
+            d = np.multiply(gi, a, out=gi if dxi is None else dxi)
+            d += np.multiply(xi, b, out=tmp)
+            d += k
+            yield d
+
+    grads = (Rows(x.shape, dout.dtype, dx_rows), dgamma.astype(dout.dtype), dbeta.astype(dout.dtype))
     return grads + (g,) if has_skip else grads
 
 
@@ -376,7 +456,7 @@ def conv1d_relu(x, w, b, skip=None):
     soon as the tile loop finishes it, while it is still in cache.
     """
     out, taps, product = _conv_start(x, w)
-    for i, _, _, done in _conv_tiles(x, taps, out, product):
+    for i, _, _, _, done in _conv_tiles(x, taps, out, product):
         o = out[i, :, done]
         o += b[:, None]
         if skip is not None:
@@ -558,11 +638,18 @@ def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, stat
     """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved.
 
     Two conv -> BN -> ReLU units, the second adding the skip. Eval mode runs
-    both folded and returns no cache.
+    both folded and returns no cache. In train mode the block does not keep
+    unit 1's output a1: unit 1's batch norm (for its ReLU mask) and unit 2's
+    conv (for its dw) hold `Rows` that rebuild it from unit 1's conv output.
     """
     a1, cache1 = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode)
     out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x)
-    return out, (None if mode == "eval" else (cache1, cache2))
+    if mode == "eval":
+        return out, None
+    conv1, (c1, mean, invstd, gamma, affine, _, has_skip) = cache1
+    (_, w), bn2 = cache2
+    a1 = _affine_relu_rows(c1, *affine)
+    return out, ((conv1, (c1, mean, invstd, gamma, affine, a1, has_skip)), ((a1, w), bn2))
 
 
 def residual_block_backward(dout, cache):

@@ -290,7 +290,8 @@ def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
 
     Builds the protocol's caps from FULL_COUNTS and draws them with
     `compose_pools` (primary domain "for"); returns (train, val,
-    {test_set_name: entries}), all pairwise disjoint by path.
+    {test_set_name: entries}), all pairwise disjoint by path. An empty train
+    or val pool is a ConfigError.
     """
     if name not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
@@ -307,6 +308,9 @@ def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
     spec = MixSpec(tuple(caps), seed=mix_seed, primary_domain="for", scale=scale,
                    split_seed=split_seed)
     train_pool, val, pools = compose_pools(spec, {d: manifests[d] for d in needed})
+    if not val or not train_pool:
+        raise ConfigError(f"protocol {name!r} at scale {scale}: the "
+                          f"{'validation' if not val else 'training'} set is empty")
 
     cross = pools.get("avspoof", []) + pools.get("codecfake", [])
     pools.update(cross=cross, triple=pools["for"] + cross)
@@ -317,12 +321,18 @@ def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
                  model_cfg: RawNetLiteConfig, train_cfg: TrainConfig,
                  augment_cfg: Optional[AugmentConfig], out_dir,
                  scale: float = 1.0, split_seed: int = 0, mix_seed: int = 0,
-                 cache_dir=None) -> dict:
-    """Compose, train, and evaluate one protocol; emits one report per test set."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+                 cache_dir=None, on_composed=None) -> dict:
+    """Compose, train, and evaluate one protocol; emits one report per test set.
+
+    Nothing is written until the pools are composed; then out_dir is created
+    and `on_composed(out_dir)` is called, if given, before training starts.
+    """
     train_pool, val, test_sets = compose_protocol(
         name, manifests, scale=scale, split_seed=split_seed, mix_seed=mix_seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if on_composed is not None:
+        on_composed(out_dir)
 
     augment = None
     if PROTOCOLS[name]["augmented"]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rawnetlite import audio_io as aio
@@ -392,3 +392,33 @@ def test_preprocess_mutated_wav_gives_clip_or_typed_error(edits, keep):
         if pos < len(data):
             data[pos] = byte
     _preprocess_or_typed_error(bytes(data))
+
+
+# --- fuzz: any clip-cache file gives a clip with peak <= 1 or ValueError ----------------
+
+CLIP_DUMP = np.linspace(-0.5, 0.5, CLIP_SAMPLES, dtype="<f4").tobytes()
+
+
+@given(st.one_of(
+    st.binary(max_size=64),
+    # a full-length dump, a few samples overwritten with any four bytes, then cut or extended
+    st.tuples(st.lists(st.tuples(st.integers(0, CLIP_SAMPLES - 1), st.binary(min_size=4, max_size=4)),
+                       max_size=4),
+              st.integers(-5, 5)).map(lambda t: _edited_dump(*t))))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_clip_any_bytes_gives_clip_or_value_error(tmp_path, data):
+    path = tmp_path / "clip.f32"
+    path.write_bytes(data)
+    try:
+        clip = aio.read_clip(path)
+    except ValueError:
+        return
+    assert clip.samples.shape == (CLIP_SAMPLES,) and clip.samples.dtype == np.float32
+    assert np.isfinite(clip.samples).all() and np.abs(clip.samples).max() == clip.peak <= 1.0
+
+
+def _edited_dump(edits, extra):
+    data = bytearray(CLIP_DUMP)
+    for i, word in edits:
+        data[4 * i : 4 * i + 4] = word
+    return bytes(data[: len(data) + extra] if extra < 0 else data + b"\x00" * extra)

@@ -5,13 +5,16 @@ import typing
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rawnetlite import cli
+from rawnetlite import cli, train_eval
 from rawnetlite.augment import AugmentConfig
 from rawnetlite.cli import main
-from rawnetlite.data_pipeline import MixSpec
+from rawnetlite.data_pipeline import DomainCap, MixSpec
 from rawnetlite.losses_metrics import read_score_file
 from rawnetlite.model import RawNetLiteConfig, build, save
+from rawnetlite.nn_core import TrainingError
 from rawnetlite.train_eval import TrainConfig
 
 from conftest import make_wav, records_from_scores
@@ -258,6 +261,79 @@ def test_protocol_rejects_mix_fields_it_would_ignore(tmp_path, corpus, capsys, m
     assert main(["protocol", "in_domain", str(cfg), "--scale", "0.002"]) == cli.EXIT_CONFIG
     assert fields in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_input_len_other_than_the_clip_length_is_config_error(tmp_path, corpus, capsys):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out")
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["train", str(cfg), *dry_run, "--set", "model.input_len=16000"]) == cli.EXIT_CONFIG
+        assert "model: input_len must be 48000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert RawNetLiteConfig(input_len=16000).input_len == 16000  # the model itself takes any length
+
+
+@pytest.mark.parametrize("doc", [{"mix": 0}, {"mix": []}, {"mix": ""}, {"mix": False},
+                                 {"manifests": []}, {"manifests": 0}, {"model": 0},
+                                 {"train": []}, {"mix": {"caps": 0}}, {"mix": {"caps": {}}}],
+                         ids=repr)
+def test_falsy_non_mapping_section_is_config_error(doc):
+    with pytest.raises(cli.ConfigError, match="expected a mapping|must be a list"):
+        cli.config_from_dict({"version": 1, **doc})
+    # a null section still means the defaults
+    nulled = {k: ({"caps": None} if isinstance(v, dict) else None) for k, v in doc.items()}
+    assert cli.config_from_dict({"version": 1, **nulled}) == cli.RunConfig(version=1)
+
+
+def test_protocol_echoes_the_scale_that_ran(tmp_path, monkeypatch):
+    manifest = write_manifest(tmp_path / "for.csv", "for", 16000, 16000)
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out", manifests={"for": str(manifest)})
+
+    def stop(*args, **kwargs):
+        raise TrainingError("stopped once the pools are composed")
+
+    monkeypatch.setattr(train_eval, "train", stop)
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.5"]) == cli.EXIT_NUMERIC
+    echo = tmp_path / "out" / "in_domain" / "effective_config.yaml"
+    assert yaml.safe_load(echo.read_text())["mix"]["scale"] == 0.5
+    assert cli.load_run_config(echo).mix == MixSpec(scale=0.5, split_seed=3)
+
+
+@pytest.mark.parametrize("name, scale, message", [
+    ("cross_domain", "0.002", "requires manifests for ['avspoof', 'codecfake']"),
+    ("in_domain", "0.0001", "the validation set is empty"),
+])
+def test_protocol_that_fails_to_compose_writes_nothing(tmp_path, corpus, capsys, name, scale, message):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", manifests={"for": str(corpus)})
+    assert main(["protocol", name, str(cfg), "--scale", scale]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+SCHEMA_KEYS = sorted({f.name for cls in (cli.RunConfig, RawNetLiteConfig, TrainConfig, AugmentConfig,
+                                         MixSpec, DomainCap) for f in dataclasses.fields(cls)})
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+KEYS = st.one_of(st.sampled_from(SCHEMA_KEYS), st.text(max_size=6), st.integers(-2, 2))
+NESTED = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(KEYS, inner, max_size=4)), max_leaves=12)
+CONFIG_DOCS = st.tuples(st.dictionaries(KEYS, NESTED, max_size=6), st.booleans()).map(
+    lambda t: {**t[0], "version": 1} if t[1] else t[0])
+
+
+@given(doc=CONFIG_DOCS)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_config_dict_gives_run_config_or_config_error(tmp_path, capsys, doc):
+    try:
+        cfg = cli.config_from_dict(doc)
+    except cli.ConfigError:
+        cfg = None
+    assert cfg is None or isinstance(cfg, cli.RunConfig)
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    code = main(["train", str(path), "--dry-run", "--output-dir", str(tmp_path / "out")])
+    # a config that loads still needs manifests that exist, so it may end in a data error
+    assert code == cli.EXIT_CONFIG if cfg is None else code in (
+        cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_PROTOCOL)
+    capsys.readouterr()
 
 
 # --- preprocess -------------------------------------------------------------------

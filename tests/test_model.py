@@ -359,6 +359,19 @@ def test_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
     assert len(calls) == FORWARD_CALLS[kernel]
 
 
+BACKWARD_CALLS = {f"{stem[:-len('_forward')]}_backward": n for stem, n in FORWARD_CALLS.items()}
+BACKWARD_KERNELS = sorted(n for n in vars(nn_core) if n.endswith("_backward"))
+
+
+@pytest.mark.parametrize("kernel", BACKWARD_KERNELS)
+def test_backward_looks_up_kernels_at_call_time(kernel, monkeypatch):
+    m = build(SMALL)
+    p, caches = m.forward_train(small_batch())
+    calls = count_calls(monkeypatch, kernel)
+    m.backward(np.ones_like(p), caches)
+    assert len(calls) == BACKWARD_CALLS[kernel]
+
+
 @pytest.mark.parametrize("kernel", FORWARD_KERNELS + ["conv1d_relu", "fold_batchnorm"])
 def test_eval_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
     m = build(SMALL)
@@ -470,14 +483,21 @@ def test_eval_forward_before_training_raises():
 # --- memory ---------------------------------------------------------------------------
 # NumPy allocations are visible to tracemalloc, so these byte counts are exact and
 # repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
-# output of every fused batch norm + ReLU (each also the next conv's input) and
-# every batch norm's input (its conv's output): 7 + 7 activations for three
-# blocks. The backward peaks at about 19.3: each unit's backward frees the
-# gradient of its conv's output when it returns, before the next unit's backward
-# allocates. An eval forward keeps no caches and folds each batch norm into its
-# conv; its peak is inside a residual block: the block's input (the skip), conv1's
-# output and conv2's output. The conv kernels allocate no full-size tap buffer,
-# only a scratch tile of C x ~_TILE samples (a quarter activation here).
+# stem's conv output and its fused batch norm + ReLU output (also res0's input),
+# and per block the conv outputs c1 and c2 and the block output (also the next
+# layer's input): 2 + 3 * 3 activations for three blocks. A block keeps no a1,
+# the output of its first unit: `Rows` rebuild it from c1 one batch row at a time
+# where the backward reads it, for unit 2's dw and unit 1's ReLU mask. The
+# backward peaks at about 16.1, in a block's unit-1 conv backward: the block's
+# upstream gradient, dskip, da1 and the dx being built, plus a few row buffers
+# (a quarter activation each at B = 4) and the conv scratch tile. The batch-norm
+# backward sums its gradient in one pass over the rows and hands the conv
+# backward the gradient of the conv output as Rows, so neither is full-size,
+# except unit 2's masked gradient, which is dskip. An eval forward keeps no caches
+# and folds each batch norm into its conv; its peak is inside a residual block:
+# the block's input (the skip), conv1's output and conv2's output. The conv
+# kernels allocate no full-size tap buffer, only a scratch tile of C x ~_TILE
+# samples (a quarter activation here).
 
 MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
                            fc_hidden=8, input_len=8000, seed=1)
@@ -505,13 +525,13 @@ def test_memory_bound_forward_backward():
         peak_eval = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert _activations(held, 4) < 14.5
-    assert _activations(peak_train, 4) < 20.0
+    assert _activations(held, 4) < 11.5
+    assert _activations(peak_train, 4) < 16.6
     assert _activations(peak_eval, 4) < 3.5
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
-    """Over several steps, train() peaks like one step: about 19.5 activations, not 28."""
+    """Over several steps, train() peaks like one step: about 16.3 activations, not the 22 of two steps' caches."""
     def synthetic_batches(entries, batch_size=16, **_):
         rng = np.random.default_rng(0)
         for k in range(0, len(entries), batch_size):
@@ -528,15 +548,48 @@ def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _activations(peak, 4) < 20.0
+    assert _activations(peak, 4) < 16.7
+
+
+def _arrays(cache):
+    if isinstance(cache, tuple):
+        return [a for c in cache for a in _arrays(c)]
+    return [cache] if isinstance(cache, np.ndarray) else []
 
 
 def test_conv_after_relu_caches_the_relu_output():
     m = build(SMALL)
-    _, caches = m.forward_train(small_batch())
-    (_, stem_bn_relu), ((cache_c1, cache_n1), (cache_c2, _)) = caches[0], caches[1]
-    assert cache_c1[0] is stem_bn_relu[4]  # res0.conv1 reads the stem's fused BN + ReLU output
-    assert cache_c2[0] is cache_n1[4]  # conv2 reads the block's first fused BN + ReLU output
+    x = small_batch()
+    _, caches = m.forward_train(x)
+    (_, stem_bn), ((res0_conv1, _), _) = caches[0], caches[1]
+    assert res0_conv1[0] is stem_bn[5]  # res0.conv1 reads the stem's fused BN + ReLU output
+    for block in caches[1 : 1 + N]:
+        (conv1, bn1), (conv2, bn2) = block
+        a1 = bn1[5]  # unit 1's output, for its ReLU mask, and conv2's input, for its dw
+        assert isinstance(a1, nn_core.Rows) and conv2[0] is a1
+        full = {id(a): a for a in _arrays(block) if a.shape == (len(x), SMALL.channels, SMALL.input_len)}
+        # the block's input, c1, c2 and the block's output; no full-size a1
+        assert set(full) == {id(conv1[0]), id(bn1[0]), id(bn2[0]), id(bn2[5])}
+        assert not any(np.array_equal(a, np.asarray(a1)) for a in full.values())
+
+
+def test_block_rebuilds_a1_bit_for_bit(monkeypatch):
+    forward = nn_core.conv_bn_relu_forward
+    outputs = []
+
+    def recording(*args, **kwargs):
+        out, cache = forward(*args, **kwargs)
+        outputs.append(out)
+        return out, cache
+
+    monkeypatch.setattr(nn_core, "conv_bn_relu_forward", recording)
+    m = build(MEM_CFG)
+    _, caches = m.forward_train(small_batch(MEM_CFG, n=4))
+    for i, block in enumerate(caches[1 : 1 + MEM_CFG.n_res_blocks]):
+        (_, bn1), _ = block
+        a1 = outputs[1 + 2 * i]  # what the block's unit 1 returned
+        assert (a1 == 0).any() and (a1 > 0).any()
+        assert np.array_equal(np.asarray(bn1[5]), a1)
 
 
 # --- gradient integrity -----------------------------------------------------------

@@ -406,11 +406,34 @@ def test_batchnorm_relu_matches_reference_composition(dtype, loc, scale, with_sk
 def test_batchnorm_relu_caches_input_and_output():
     rng = np.random.default_rng(28)
     x = rng.normal(size=(2, 3, 10)).astype(np.float32)
+    gamma, beta = rng.uniform(0.5, 2.0, 3).astype(np.float32), rng.normal(size=3).astype(np.float32)
     st_ = BatchNormState.create(3)
-    out, cache = nn.batchnorm_relu_forward(x, np.ones(3, np.float32), np.zeros(3, np.float32), st_)
-    cached_x, mean, invstd, _, cached_out, _ = cache
-    assert cached_x is x and cached_out is out
+    out, cache = nn.batchnorm_relu_forward(x, gamma, beta, st_)
+    cached_x, mean, invstd, cached_gamma, (scale, shift), cached_out, has_skip = cache
+    assert cached_x is x and cached_out is out and cached_gamma is gamma and not has_skip
     assert mean.dtype == invstd.dtype == np.float64 and out.dtype == np.float32
+    assert scale.dtype == shift.dtype == np.float32 and scale.shape == shift.shape == (3, 1)
+    assert (out == 0).any() and (out > 0).any()
+    # the cached scale and shift rebuild the output, bit for bit, one row at a time
+    assert np.array_equal(np.asarray(nn._affine_relu_rows(x, scale, shift)), out)
+
+
+@pytest.mark.parametrize("with_skip", [False, True])
+def test_batchnorm_relu_backward_returns_dx_as_rows(with_skip):
+    """dx is never full-size; g is, only as dskip."""
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(3, 4, 50)).astype(np.float32)
+    skip = rng.normal(size=x.shape).astype(np.float32) if with_skip else None
+    dout = rng.normal(size=x.shape).astype(np.float32)
+    out, cache = nn.batchnorm_relu_forward(x, np.ones(4, np.float32), np.zeros(4, np.float32),
+                                           BatchNormState.create(4), skip)
+    dx, *rest = nn.batchnorm_relu_backward(dout, cache)
+    assert isinstance(dx, nn.Rows) and dx.shape == x.shape and dx.dtype == np.float32
+    if with_skip:
+        assert np.array_equal(rest[-1], dout * (out > 0))
+    # read as rows from an ndarray or from Rows, dout gives the same dx
+    rows = nn.Rows(x.shape, np.float32, lambda: iter(dout))
+    assert np.array_equal(np.asarray(nn.batchnorm_relu_backward(rows, cache)[0]), np.asarray(dx))
 
 
 @pytest.mark.parametrize("with_skip", [False, True])
