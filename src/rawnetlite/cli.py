@@ -1,8 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: preprocess, train, eval, infer, metrics, figure-data, protocol.
 
 Configuration is file-first (versioned YAML) with one-to-one flag overrides
-via repeated `--set dotted.key=value`. Exit codes: 0 success, 1 usage or
-config error, 2 data error, 3 protocol violation, 4 numeric failure.
+via repeated `--set dotted.key=value`. Exit codes:
+
+0 success (`--help` too);
+1 usage or config error: a bad argument or --threshold outside [0, 1], a bad
+  config, a config manifest path that does not exist, an empty train or val pool;
+2 data error: an unreadable manifest, audio file (with --strict), checkpoint,
+  score file or report, a directory given for a file, an output path under a
+  regular file;
+3 protocol violation: a path in two manifests or two pools;
+4 numeric failure: a non-finite loss or a shape mismatch.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from . import audio_io, losses_metrics as lm, model as model_mod, train_eval
 from .augment import AugmentConfig
 from .data_pipeline import (
     BatchStats, DataError, DomainCap, ManifestError, MixSpec, ProtocolViolationError,
-    compose_pools, load_clip, parse_manifest,
+    compose_pools, load_clips, parse_manifest,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 from .losses_metrics import ScoreFileError, UndefinedMetricError
 from .model import CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig
 from .nn_core import ShapeError, TrainingError
@@ -158,7 +166,7 @@ def load_run_config(path, overrides: Optional[list[str]] = None) -> RunConfig:
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
-    except (FileNotFoundError, IsADirectoryError) as e:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}") from e
@@ -192,18 +200,8 @@ def cmd_preprocess(args) -> int:
     entries = parse_manifest(args.manifest)
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    silent = 0
     stats = BatchStats()
-    for e in entries:
-        try:
-            clip = load_clip(e.path, cache_dir=cache_dir, stats=stats)
-        except (OSError, ValueError) as err:
-            if args.strict:
-                raise DataError(f"unreadable audio {e.path!r}: {err}") from err
-            stats.skipped.append(e.path)
-            continue
-        if clip.is_silent:
-            silent += 1
+    silent = sum(clip.is_silent for _, clip in load_clips(entries, cache_dir, args.strict, stats))
     ok = len(entries) - len(stats.skipped)
     print(f"processed {ok}/{len(entries)} files ({stats.cache_hits} cache hits, {silent} silent)")
     if stats.skipped:
@@ -247,9 +245,7 @@ def cmd_eval(args) -> int:
         cache_dir=os.environ.get(CACHE_ENV_VAR), strict=args.strict)
     doc = {"test_set": Path(args.manifest).stem, "config": "eval",
            "n_skipped": len(stats.skipped), "report": report.to_dict()}
-    with atomic_write(out_dir / "report.json") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "report.json", doc)
     print(format_report(report, title=f"Evaluation of {args.manifest}"))
     return EXIT_OK
 
@@ -264,24 +260,29 @@ def cmd_infer(args) -> int:
 
 def cmd_metrics(args) -> int:
     records = lm.read_score_file(args.scores)
-    report = lm.classification_metrics(records, threshold=args.threshold)
-    report.eer, report.eer_threshold = lm.eer(records)
-    doc = {"score_file": str(args.scores), "report": report.to_dict()}
+    report = lm.evaluation_report(records, args.threshold)
     if args.out:
-        with atomic_write(args.out) as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(args.out, {"score_file": str(args.scores), "report": report.to_dict()})
     print(format_report(report, title=f"Metrics for {args.scores}"))
     return EXIT_OK
 
 
-def cmd_figure_data(args) -> int:
-    rows = []
-    for path in sorted(Path(args.report_dir).rglob("report_*.json")):
+def _report_row(path) -> tuple:
+    """(config, test_set, f1_fake, eer) of one report JSON; a malformed file is a DataError."""
+    try:
         with open(path) as f:
             doc = json.load(f)
         rep = doc["report"]
-        rows.append((doc["config"], doc["test_set"], rep["f1_fake"], rep["eer"]))
+        row = (doc["config"], doc["test_set"], rep["f1_fake"], rep["eer"])
+    except (ValueError, TypeError, KeyError) as e:  # not JSON, not an object, or a field missing
+        raise DataError(f"{path}: not a report: {type(e).__name__}: {e}") from e
+    if not all(map(_fits, row, (str, str, Optional[float], Optional[float]))):
+        raise DataError(f"{path}: config and test_set must be strings, f1_fake and eer finite or null")
+    return row
+
+
+def cmd_figure_data(args) -> int:
+    rows = [_report_row(p) for p in sorted(Path(args.report_dir).rglob("report_*.json"))]
     if not rows:
         raise DataError(f"no report_*.json files under {args.report_dir}")
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -321,8 +322,24 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit EXIT_CONFIG; argparse's own code, 2, is EXIT_DATA here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def probability(text: str) -> float:
+    """A --threshold value: a float in [0, 1]; nan and inf are not."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"threshold must be in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rawnetlite",
         description="Raw-waveform audio deepfake detection toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("manifest")
     p.add_argument("out_dir")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=probability, default=0.5)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -355,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="recompute metrics from a score file")
     p.add_argument("scores")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=probability, default=0.5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_metrics)
 
@@ -387,7 +404,8 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ManifestError, DataError, UndefinedMetricError, ScoreFileError, audio_io.DecodeError,
             audio_io.UnsupportedFormatError, CheckpointFormatError,
-            CheckpointIntegrityError, FileNotFoundError, IsADirectoryError) as e:
+            CheckpointIntegrityError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as e:  # the last two: a regular file where a directory must be
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as e:

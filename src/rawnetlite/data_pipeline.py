@@ -198,7 +198,7 @@ def compose_pools(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
     else 80/10/10. Scaled primary train caps and all other caps go through
     `compose_mix`; a primary val/test cap samples its split, and an uncapped
     primary role takes its whole split. Paths in two manifests or two pools
-    raise ProtocolViolationError.
+    raise ProtocolViolationError; an empty train or val pool, CompositionError.
     """
     primary = spec.primary_domain
     if primary is None:
@@ -249,6 +249,9 @@ def compose_pools(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
         if overlap:
             raise ProtocolViolationError(
                 f"{a}/{b} pools share {len(overlap)} paths, e.g. {sorted(overlap)[:3]}")
+    if not splits["val"] or not train:
+        raise CompositionError(f"at scale {spec.scale}: the "
+                               f"{'validation' if not splits['val'] else 'training'} set is empty")
     return train, splits["val"], tests
 
 
@@ -292,6 +295,27 @@ def load_clip(path: str, cache_dir=None, stats: Optional[BatchStats] = None) -> 
     return clip
 
 
+def load_clips(entries: list[ManifestEntry], cache_dir=None, strict: bool = False,
+               stats: Optional[BatchStats] = None) -> Iterator[tuple[int, FixedClip]]:
+    """Yield (i, clip) for each readable entry, in order.
+
+    An unreadable file raises DataError if `strict`; otherwise it is logged
+    with its reason, recorded in `stats.skipped` and passed over.
+    """
+    for i, entry in enumerate(entries):
+        try:
+            clip = load_clip(entry.path, cache_dir=cache_dir, stats=stats)
+        except (OSError, ValueError) as e:
+            reason = f"unreadable audio {entry.path!r}: {e}"
+            if strict:
+                raise DataError(reason) from e
+            log.warning("skipping %s", reason)
+            if stats is not None:
+                stats.skipped.append(entry.path)
+            continue
+        yield i, clip
+
+
 def make_batches(entries: list[ManifestEntry], batch_size: int = 16, shuffle_seed: int = 0,
                  augment: Optional[AugmentConfig] = None, epoch: int = 0,
                  shuffle: bool = True, strict: bool = False, cache_dir=None,
@@ -301,8 +325,7 @@ def make_batches(entries: list[ManifestEntry], batch_size: int = 16, shuffle_see
 
     With augmentation, every entry appears twice per epoch: once clean and
     once through the pipeline keyed by (epoch, entry index), so the augmented
-    bytes do not depend on shuffle order. Unreadable files are skipped with a
-    warning (collected in `stats`) unless `strict`.
+    bytes do not depend on shuffle order. Unreadable files follow `load_clips`.
     """
     if not entries:
         raise ValueError("no entries to batch")
@@ -316,17 +339,9 @@ def make_batches(entries: list[ManifestEntry], batch_size: int = 16, shuffle_see
     clips: list[np.ndarray] = []
     labels: list[float] = []
     batch_entries: list[ManifestEntry] = []
-    for idx, augmented in items:
+    for k, clip in load_clips([entries[i] for i, _ in items], cache_dir, strict, stats):
+        idx, augmented = items[k]
         entry = entries[idx]
-        try:
-            clip = load_clip(entry.path, cache_dir=cache_dir, stats=stats)
-        except (OSError, ValueError) as e:
-            if strict:
-                raise DataError(f"unreadable audio {entry.path!r}: {e}") from e
-            log.warning("skipping unreadable audio %s: %s", entry.path, e)
-            if stats is not None:
-                stats.skipped.append(entry.path)
-            continue
         if augmented:
             clip = augment_pipeline(clip, augment, (epoch, idx))
         clips.append(clip.samples)

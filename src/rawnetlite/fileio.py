@@ -1,9 +1,10 @@
-"""File helpers shared by every on-disk artefact: crash-safe writes and typed CSV reads."""
+"""File helpers shared by every on-disk artefact: crash-safe writes, JSON reports and typed CSV reads."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 
 
@@ -33,3 +34,10 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` atomically as indented, key-sorted JSON ending in a newline."""
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -109,12 +109,14 @@ def focal_loss(p: np.ndarray, y: np.ndarray, gamma: float = 2.0, alpha: float = 
 # --- threshold metrics ---------------------------------------------------------
 
 
-def _f1(precision: Optional[float], recall: Optional[float]) -> Optional[float]:
-    if precision is None or recall is None:
-        return None
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _class_rates(hits: int, misses: int, false_alarms: int):
+    """(precision, recall, F1) of one class; all None when the class is absent."""
+    if hits + misses == 0:
+        return None, None, None
+    precision = hits / (hits + false_alarms) if hits + false_alarms > 0 else 0.0
+    recall = hits / (hits + misses)
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    return precision, recall, f1
 
 
 def classification_metrics(records: list[ScoreRecord], threshold: float = 0.5) -> EvalReport:
@@ -133,31 +135,14 @@ def classification_metrics(records: list[ScoreRecord], threshold: float = 0.5) -
     fp = int(np.sum(pred & ~fake))
     tn = int(np.sum(~pred & ~fake))
 
-    n_fake = tp + fn
-    n_real = tn + fp
-
-    def rate(num, den):
-        return num / den if den > 0 else 0.0
-
-    if n_fake > 0:
-        p_fake = rate(tp, tp + fp)
-        r_fake = tp / n_fake
-        f1_fake = _f1(p_fake, r_fake)
-    else:
-        p_fake = r_fake = f1_fake = None
-    if n_real > 0:
-        p_real = rate(tn, tn + fn)
-        r_real = tn / n_real
-        f1_real = _f1(p_real, r_real)
-    else:
-        p_real = r_real = f1_real = None
-
+    p_fake, r_fake, f1_fake = _class_rates(tp, fn, fp)
+    p_real, r_real, f1_real = _class_rates(tn, fp, fn)
     macro = None if f1_real is None or f1_fake is None else (f1_real + f1_fake) / 2.0
     return EvalReport(
         threshold=threshold, tp=tp, tn=tn, fp=fp, fn=fn,
         accuracy=(tp + tn) / len(records),
-        precision_real=p_real, recall_real=r_real, f1_real=f1_real, support_real=n_real,
-        precision_fake=p_fake, recall_fake=r_fake, f1_fake=f1_fake, support_fake=n_fake,
+        precision_real=p_real, recall_real=r_real, f1_real=f1_real, support_real=tn + fp,
+        precision_fake=p_fake, recall_fake=r_fake, f1_fake=f1_fake, support_fake=tp + fn,
         macro_f1=macro,
     )
 
@@ -185,6 +170,13 @@ def eer(records: list[ScoreRecord]) -> tuple[float, float]:
     fpr, fnr, taus = det_curve(records)
     best = int(np.argmin(np.abs(fpr - fnr)))  # first occurrence = lowest threshold
     return float((fpr[best] + fnr[best]) / 2.0), float(taus[best])
+
+
+def evaluation_report(records: list[ScoreRecord], threshold: float = 0.5) -> EvalReport:
+    """Threshold metrics at `threshold` plus the EER over every distinct score."""
+    report = classification_metrics(records, threshold=threshold)
+    report.eer, report.eer_threshold = eer(records)
+    return report
 
 
 # --- score files -----------------------------------------------------------------
@@ -218,4 +210,6 @@ def read_score_file(path) -> list[ScoreRecord]:
             records.append(ScoreRecord(path_field, LABEL_CODES[label], float(score)))
         except ValueError as e:
             raise ScoreFileError(f"line {lineno}: {e}") from e
+    if not records:
+        raise ScoreFileError(f"{path}: no score rows")
     return records

@@ -11,7 +11,6 @@ pool composer that the `train` command uses too.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from .data_pipeline import (
     BatchStats, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
     compose_pools, make_batches,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 from .model import ConfigError, Model, RawNetLiteConfig, build, save
 from .nn_core import Adam, TrainingError
 
@@ -71,7 +70,6 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     train_loss: float
-    train_accuracy: float
     val_loss: float
     val_f1: float
     seconds: float
@@ -81,7 +79,6 @@ class EpochRecord:
 class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
-    stopped_early: bool = False
 
 
 class BestTracker:
@@ -159,8 +156,6 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         losses: list[float] = []
-        correct = 0
-        seen = 0
         for batch_idx, (x, y, _) in enumerate(make_batches(
                 train_entries, batch_size=cfg.batch_size, shuffle_seed=cfg.shuffle_seed,
                 augment=augment, epoch=epoch, shuffle=True, strict=cfg.strict_data,
@@ -173,8 +168,6 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
             del caches  # else this step's activations stay alive through the next forward
             opt.step()
             losses.append(loss)
-            correct += int(np.sum((probs >= 0.5) == (y >= 0.5)))
-            seen += y.size
             step += 1
             if cfg.max_steps is not None and step >= cfg.max_steps:
                 budget_exhausted = True
@@ -191,16 +184,12 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
 
         history.records.append(EpochRecord(
             epoch=epoch, train_loss=float(np.mean(losses)) if losses else float("nan"),
-            train_accuracy=correct / seen if seen else float("nan"),
             val_loss=val_loss, val_f1=val_f1, seconds=time.perf_counter() - t0))
 
         improved, stop = tracker.update(epoch, val_f1)
         if improved:
             best_snap = _snapshot(model)
-        if stop:
-            history.stopped_early = True
-            break
-        if budget_exhausted:
+        if stop or budget_exhausted:
             break
 
     history.best_epoch = tracker.best_epoch
@@ -236,9 +225,7 @@ def evaluate(model: Model, entries: list[ManifestEntry], score_path=None,
         raise ValueError("no readable clips in the evaluation set")
     if score_path is not None:
         lm.write_score_file(records, score_path)
-    report = lm.classification_metrics(records, threshold=threshold)
-    report.eer, report.eer_threshold = lm.eer(records)
-    return report, records, stats
+    return lm.evaluation_report(records, threshold), records, stats
 
 
 def format_report(report: lm.EvalReport, title: str = "") -> str:
@@ -290,8 +277,7 @@ def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
 
     Builds the protocol's caps from FULL_COUNTS and draws them with
     `compose_pools` (primary domain "for"); returns (train, val,
-    {test_set_name: entries}), all pairwise disjoint by path. An empty train
-    or val pool is a ConfigError.
+    {test_set_name: entries}), all pairwise disjoint by path.
     """
     if name not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
@@ -308,9 +294,6 @@ def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
     spec = MixSpec(tuple(caps), seed=mix_seed, primary_domain="for", scale=scale,
                    split_seed=split_seed)
     train_pool, val, pools = compose_pools(spec, {d: manifests[d] for d in needed})
-    if not val or not train_pool:
-        raise ConfigError(f"protocol {name!r} at scale {scale}: the "
-                          f"{'validation' if not val else 'training'} set is empty")
 
     cross = pools.get("avspoof", []) + pools.get("codecfake", [])
     pools.update(cross=cross, triple=pools["for"] + cross)
@@ -356,8 +339,6 @@ def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
             "n_skipped": len(stats.skipped),
             "report": report.to_dict(),
         }
-        with atomic_write(out_dir / f"report_{ts_name}.json") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(out_dir / f"report_{ts_name}.json", doc)
         summary["test_sets"][ts_name] = doc
     return summary

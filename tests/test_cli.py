@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import typing
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from rawnetlite import cli, train_eval
 from rawnetlite.augment import AugmentConfig
 from rawnetlite.cli import main
-from rawnetlite.data_pipeline import DomainCap, MixSpec
-from rawnetlite.losses_metrics import read_score_file
+from rawnetlite.data_pipeline import DomainCap, MixSpec, load_clip, make_batches, parse_manifest
+from rawnetlite.losses_metrics import ScoreFileError, read_score_file
 from rawnetlite.model import RawNetLiteConfig, build, save
 from rawnetlite.nn_core import TrainingError
 from rawnetlite.train_eval import TrainConfig
@@ -250,6 +251,15 @@ def test_train_applies_primary_val_cap(tmp_path, capsys):
         "train pool: 64 entries (32 real / 32 fake), val: 3 entries")
 
 
+@pytest.mark.parametrize("dry_run", [["--dry-run"], []], ids=["dry_run", "run"])
+def test_train_with_an_empty_val_pool_writes_nothing(tmp_path, corpus, capsys, dry_run):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", mix={"split_seed": 3, "caps": [
+        {"domain": "sanity", "n_real": 0, "n_fake": 0, "role": "val"}]})
+    assert main(["train", str(cfg), *dry_run]) == cli.EXIT_CONFIG
+    assert "the validation set is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mix, fields", [
     ({"primary_domain": "nowhere"}, "mix.primary_domain"),
     ({"caps": [{"domain": "nowhere", "n_real": 100000, "n_fake": 0, "role": "train"}]},
@@ -372,6 +382,26 @@ def test_preprocess_unreadable_manifest_is_data_error(tmp_path, capsys):
         assert "data error" in capsys.readouterr().err
 
 
+def test_preprocess_logs_each_skipped_file_as_make_batches_does(tmp_path, corpus, caplog):
+    bad = [tmp_path / "bad.wav", tmp_path / "empty.wav"]
+    bad[0].write_bytes(b"garbage")
+    bad[1].write_bytes(b"")
+    manifest = tmp_path / "m.csv"
+    lines = corpus.read_text().strip().splitlines()
+    manifest.write_text("\n".join(lines[:4] + [f"{b},fake,sanity" for b in bad]) + "\n")
+    with caplog.at_level(logging.WARNING, logger="rawnetlite.data_pipeline"):
+        assert main(["preprocess", str(manifest), str(tmp_path / "cache")]) == 0
+        from_preprocess = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        list(make_batches(parse_manifest(manifest), shuffle=False))
+        from_batches = [r.getMessage() for r in caplog.records]
+    assert from_preprocess == from_batches and len(from_preprocess) == len(bad)
+    for path, message in zip(bad, from_preprocess):
+        with pytest.raises(ValueError) as reason:
+            load_clip(str(path))
+        assert repr(str(path)) in message and message.endswith(str(reason.value))
+
+
 # --- train / eval / infer -----------------------------------------------------------
 
 
@@ -479,6 +509,30 @@ def test_metrics_malformed_score_file_is_data_error(tmp_path, capsys, content):
     assert "data error" in capsys.readouterr().err
 
 
+def test_metrics_score_file_without_rows_is_data_error(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_text("path,label,score\n\n")
+    with pytest.raises(ScoreFileError, match="no score rows"):
+        read_score_file(path)
+    assert main(["metrics", str(path), "--out", str(tmp_path / "m.json")]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_threshold_outside_the_unit_interval_is_config_error(tmp_path, tiny_ckpt, capsys, threshold):
+    path = tmp_path / "scores.csv"
+    write_score_file(records_from_scores([0.1], [0.9]), path)
+    out = tmp_path / "out"
+    for argv in (["metrics", str(path), "--out", str(out)],
+                 ["eval", str(tiny_ckpt), str(path), str(out)]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--threshold", threshold])
+        assert exit_.value.code == cli.EXIT_CONFIG
+        assert "threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- figure-data ----------------------------------------------------------------------
 
 
@@ -505,3 +559,57 @@ def test_figure_data_empty_dir(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
     assert main(["figure-data", str(empty)]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("content", [
+    "{}", "[1]", "not json",
+    '{"config": 1, "test_set": "for", "report": {"f1_fake": 0.5, "eer": 0.1}}',
+    '{"config": "a", "test_set": "for", "report": {"f1_fake": NaN, "eer": 0.1}}',
+], ids=["empty_object", "list", "not_json", "config_not_a_string", "f1_not_finite"])
+def test_figure_data_malformed_report_is_data_error(tmp_path, capsys, content):
+    report = tmp_path / "reports" / "report_for.json"
+    report.parent.mkdir()
+    report.write_text(content)
+    assert main(["figure-data", str(report.parent)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and str(report) in err
+
+
+# --- exit codes ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], cli.EXIT_OK),
+    (["eval", "--help"], cli.EXIT_OK),
+    (["eval"], cli.EXIT_CONFIG),
+    (["metrics", "s.csv", "--threshold", "abc"], cli.EXIT_CONFIG),
+    (["transcode", "a.wav"], cli.EXIT_CONFIG),
+], ids=["help", "command_help", "missing_arguments", "threshold_not_a_float", "unknown_command"])
+def test_argument_errors_exit_as_usage_errors(capsys, argv, code):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "eval", "train", "metrics", "figure-data"])
+def test_output_under_a_regular_file_is_data_error(tmp_path, corpus, tiny_ckpt, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    scores = tmp_path / "scores.csv"
+    write_score_file(records_from_scores([0.1], [0.9]), scores)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "report_for.json").write_text(json.dumps(
+        {"config": "in_domain", "test_set": "for", "report": {"f1_fake": 0.9, "eer": 0.1}}))
+    argv = {
+        "preprocess": ["preprocess", str(corpus), str(afile)],
+        "eval": ["eval", str(tiny_ckpt), str(corpus), str(afile)],
+        "train": ["train", str(write_config(tmp_path / "c.yaml", corpus, tmp_path / "out")),
+                  "--output-dir", str(afile / "run")],
+        "metrics": ["metrics", str(scores), "--out", str(afile / "m.json")],
+        "figure-data": ["figure-data", str(reports), "--out", str(afile / "fig.csv")],
+    }[command]
+    assert main(argv) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert afile.read_text() == "keep"

@@ -231,6 +231,13 @@ def test_pools_val_cap_only_on_primary():
         compose_pools(spec, manifests)
 
 
+@pytest.mark.parametrize("role, pool", [("train", "training"), ("val", "validation")])
+def test_pools_empty_train_or_val_pool_is_composition_error(role, pool):
+    spec = MixSpec((DomainCap("d", 0, 0, role),), scale=0.5)
+    with pytest.raises(CompositionError, match=f"at scale 0.5: the {pool} set is empty"):
+        compose_pools(spec, {"d": synthetic_entries(20, 20)})
+
+
 # --- batching -------------------------------------------------------------------
 
 
