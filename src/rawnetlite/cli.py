@@ -7,8 +7,8 @@ via repeated `--set dotted.key=value`. Exit codes:
 1 usage or config error: a bad argument or --threshold outside [0, 1], a bad
   config, a config manifest path that does not exist, an empty train or val pool;
 2 data error: an unreadable manifest, audio file (with --strict), checkpoint,
-  score file or report, a directory given for a file, an output path under a
-  regular file;
+  score file or report, no readable clip in an eval manifest or val set, a
+  directory given for a file, an output path under a regular file;
 3 protocol violation: a path in two manifests or two pools;
 4 numeric failure: a non-finite loss or a shape mismatch.
 """
@@ -238,11 +238,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = model_mod.load(args.checkpoint)
     entries = parse_manifest(args.manifest)
+    report, records, stats = evaluate(model, entries, threshold=args.threshold,
+                                      cache_dir=os.environ.get(CACHE_ENV_VAR), strict=args.strict)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report, _, stats = evaluate(
-        model, entries, score_path=out_dir / "scores.csv", threshold=args.threshold,
-        cache_dir=os.environ.get(CACHE_ENV_VAR), strict=args.strict)
+    lm.write_score_file(records, out_dir / "scores.csv")
     doc = {"test_set": Path(args.manifest).stem, "config": "eval",
            "n_skipped": len(stats.skipped), "report": report.to_dict()}
     write_json(out_dir / "report.json", doc)

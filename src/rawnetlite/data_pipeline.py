@@ -3,15 +3,16 @@
 Manifests are CSV files with header `path,label,domain[,split]`; labels are
 the literals `real` and `fake`. `compose_pools` is the single pool composer:
 the `train` command and every protocol draw their train/val/test pools from
-it over one `MixSpec`. Every random choice is keyed by explicit seeds, so
-(manifests, spec, seeds) fully determine every batch.
+it over one `MixSpec`, drawing the caps role by role (train, val, test).
+Every random choice is keyed by explicit seeds, so (manifests, spec, seeds)
+fully determine every batch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional
@@ -53,7 +54,7 @@ class ProtocolViolationError(ValueError):
 
 
 class DataError(RuntimeError):
-    """Unreadable audio in strict mode."""
+    """Unreadable audio in strict mode, or no readable clip to score."""
 
 
 @dataclass(frozen=True)
@@ -164,41 +165,17 @@ def sample_per_class(entries: list[ManifestEntry], n_real: int, n_fake: int,
     return chosen
 
 
-def compose_mix(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
-    """Assemble (train, test) pools from per-domain caps.
-
-    Train caps are filled first; test caps sample from each domain's
-    remainder, so no file can serve both roles.
-    """
-    val_domains = [c.domain for c in spec.caps if c.role == "val"]
-    if val_domains:
-        raise CompositionError(f"val caps on {val_domains}: only the primary domain has a val split")
-    rng = np.random.default_rng(spec.seed & ((1 << 64) - 1))
-    taken: dict[str, set[str]] = {d: set() for d in manifests}
-    train_pool: list[ManifestEntry] = []
-    test_pool: list[ManifestEntry] = []
-    for role, target in (("train", train_pool), ("test", test_pool)):
-        for cap in spec.caps:
-            if cap.role != role:
-                continue
-            if cap.domain not in manifests:
-                raise CompositionError(f"cap references unknown domain {cap.domain!r}")
-            available = [e for e in manifests[cap.domain] if e.path not in taken[cap.domain]]
-            chosen = sample_per_class(available, cap.n_real, cap.n_fake, rng,
-                                      what=f"domain {cap.domain!r} ({role})")
-            taken[cap.domain].update(e.path for e in chosen)
-            target.extend(chosen)
-    return train_pool, test_pool
-
-
 def compose_pools(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
     """The one pool composer: (train, val, {manifest name: test entries}).
 
     The primary domain is split by its `split` tags when every entry has one,
-    else 80/10/10. Scaled primary train caps and all other caps go through
-    `compose_mix`; a primary val/test cap samples its split, and an uncapped
-    primary role takes its whole split. Paths in two manifests or two pools
-    raise ProtocolViolationError; an empty train or val pool, CompositionError.
+    else 80/10/10. Caps are scaled, then drawn role by role (train, val,
+    test), each in cap order. A primary val or test cap samples its split on
+    its own seed stream; every other cap samples, on the one shared stream
+    `seed`, what earlier caps left of its domain (for the primary domain, of
+    its train split), so no file serves two roles. An uncapped primary role
+    takes its whole split. Paths in two manifests or two pools raise
+    ProtocolViolationError; an empty train or val pool, CompositionError.
     """
     primary = spec.primary_domain
     if primary is None:
@@ -222,26 +199,36 @@ def compose_pools(spec: MixSpec, manifests: dict[str, list[ManifestEntry]]):
     else:
         splits = dict(zip(ROLES, stratified_split(entries, (0.8, 0.1, 0.1), seed=spec.split_seed)))
 
-    caps = [replace(c, n_real=int(round(c.n_real * spec.scale)),
-                    n_fake=int(round(c.n_fake * spec.scale))) for c in spec.caps]
-    mixed = tuple(c for c in caps if c.domain != primary or c.role == "train")
-    train, mix_test = compose_mix(MixSpec(mixed, seed=spec.seed),
-                                  {**manifests, primary: splits["train"]})
-    if not any(c.domain == primary for c in mixed):
-        train = splits["train"] + train
-
     seed = spec.seed & ((1 << 64) - 1)
-    for role, stream in (("val", 101), ("test", 102)):
-        own = [c for c in caps if c.domain == primary and c.role == role]
-        if len(own) > 1:
-            raise CompositionError(f"more than one {role} cap on primary domain {primary!r}")
-        if own:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
-            splits[role] = sample_per_class(splits[role], own[0].n_real, own[0].n_fake, rng,
-                                            what=f"domain {primary!r} ({role})")
-    tests = {primary: splits["test"], **{c.domain: [] for c in mixed if c.role == "test"}}
-    for e in mix_test:
-        tests[owner[e.path]].append(e)
+    shared = np.random.default_rng(seed)
+    left = {**manifests, primary: splits["train"]}  # what earlier caps left of each domain
+    train: list[ManifestEntry] = []
+    tests: dict[str, list[ManifestEntry]] = {primary: []}  # the primary's test set comes first
+    capped: set[tuple[str, str]] = set()
+    for role in ROLES:
+        for cap in spec.caps:
+            if cap.role != role:
+                continue
+            domain, what = cap.domain, f"domain {cap.domain!r} ({role})"
+            n_real, n_fake = (int(round(n * spec.scale)) for n in (cap.n_real, cap.n_fake))
+            if domain == primary and role != "train":
+                if (domain, role) in capped:
+                    raise CompositionError(f"more than one {role} cap on primary domain {primary!r}")
+                rng = np.random.default_rng(np.random.SeedSequence([seed, 101 if role == "val" else 102]))
+                splits[role] = sample_per_class(splits[role], n_real, n_fake, rng, what)
+            elif role == "val":
+                raise CompositionError(f"val cap on {domain!r}: only the primary domain has a val split")
+            elif domain not in manifests:
+                raise CompositionError(f"cap references unknown domain {domain!r}")
+            else:
+                chosen = sample_per_class(left[domain], n_real, n_fake, shared, what)
+                taken = {e.path for e in chosen}
+                left[domain] = [e for e in left[domain] if e.path not in taken]
+                (train if role == "train" else tests.setdefault(domain, [])).extend(chosen)
+            capped.add((domain, role))
+    if (primary, "train") not in capped:
+        train = splits["train"] + train
+    tests[primary] = splits["test"]
 
     pools = {"train": train, "val": splits["val"], "test": [e for t in tests.values() for e in t]}
     for (a, pa), (b, pb) in combinations(pools.items(), 2):

@@ -144,8 +144,12 @@ class Model:
         return h[:, 0]
 
     def backward(self, dprobs: np.ndarray, caches: list) -> None:
-        """Accumulate gradients of a scalar loss into the registry, given dL/dprob."""
-        d = dprobs[:, None]
+        """Accumulate gradients of a scalar loss into the registry, given dL/dprob.
+
+        `dprobs` is cast to the model dtype, so a float64 loss gradient does
+        not run a float32 model's backward in float64.
+        """
+        d = dprobs.astype(self.dtype, copy=False)[:, None]
         for (prefix, stem, _), cache in zip(reversed(self.layers), reversed(caches), strict=True):
             out = getattr(nn_core, f"{stem}_backward")(d, cache)
             d, *grads = out if isinstance(out, tuple) else (out,)

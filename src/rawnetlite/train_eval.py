@@ -21,7 +21,7 @@ import numpy as np
 from . import losses_metrics as lm
 from .augment import AugmentConfig
 from .data_pipeline import (
-    BatchStats, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
+    BatchStats, DataError, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
     compose_pools, make_batches,
 )
 from .fileio import atomic_write, write_json
@@ -117,13 +117,15 @@ def _restore(model: Model, snap) -> None:
 def score_entries(model: Model, entries: list[ManifestEntry], batch_size: int = 64,
                   cache_dir=None, strict: bool = False, stats: Optional[BatchStats] = None,
                   ) -> list[lm.ScoreRecord]:
-    """Eval-mode forward over all clips, in manifest order."""
+    """Eval-mode forward over all readable clips, in manifest order; none is a DataError."""
     records: list[lm.ScoreRecord] = []
     for x, _, batch in make_batches(entries, batch_size=batch_size, shuffle=False,
                                     strict=strict, cache_dir=cache_dir, stats=stats):
         probs = model.forward(x, mode="eval")
         records.extend(
             lm.ScoreRecord(e.path, e.label, float(p)) for e, p in zip(batch, probs))
+    if not records:
+        raise DataError(f"none of the {len(entries)} clips to score is readable")
     return records
 
 
@@ -164,7 +166,7 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
             loss, dp = loss_fn(probs.astype(np.float64), y)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")
-            model.backward(dp.astype(model.dtype), caches)
+            model.backward(dp, caches)
             del caches  # else this step's activations stay alive through the next forward
             opt.step()
             losses.append(loss)
@@ -175,8 +177,6 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
 
         val_records = score_entries(model, val_entries, batch_size=cfg.eval_batch_size,
                                     cache_dir=cache_dir, strict=cfg.strict_data)
-        if not val_records:
-            raise ConfigError("validation set produced no readable clips")
         val_probs = np.array([r.score for r in val_records])
         val_labels = np.array([float(r.label) for r in val_records])
         val_loss = loss_fn(val_probs, val_labels)[0]
@@ -221,8 +221,6 @@ def evaluate(model: Model, entries: list[ManifestEntry], score_path=None,
     stats = BatchStats()
     records = score_entries(model, entries, batch_size=batch_size,
                             cache_dir=cache_dir, strict=strict, stats=stats)
-    if not records:
-        raise ValueError("no readable clips in the evaluation set")
     if score_path is not None:
         lm.write_score_file(records, score_path)
     return lm.evaluation_report(records, threshold), records, stats
@@ -331,7 +329,8 @@ def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
     for ts_name, entries in test_sets.items():
         report, _, stats = evaluate(
             model, entries, score_path=out_dir / f"scores_{ts_name}.csv",
-            cache_dir=cache_dir, strict=train_cfg.strict_data, train_paths=protected)
+            batch_size=train_cfg.eval_batch_size, cache_dir=cache_dir,
+            strict=train_cfg.strict_data, train_paths=protected)
         doc = {
             "config": name,
             "test_set": ts_name,

@@ -455,6 +455,30 @@ def test_eval_single_class_manifest(tmp_path, corpus, tiny_ckpt, capsys):
     assert "EER" in capsys.readouterr().err
 
 
+def test_eval_with_no_readable_clip_is_data_error_and_writes_nothing(tmp_path, tiny_ckpt, capsys):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"garbage")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,label,domain\n{bad},fake,for\n")
+    out_dir = tmp_path / "evout"
+    assert main(["eval", str(tiny_ckpt), str(manifest), str(out_dir)]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_train_with_no_readable_val_clip_is_data_error(tmp_path, corpus, capsys):
+    rows = [f"{line},train" for line in corpus.read_text().strip().splitlines()[1:]]
+    for label in ("real", "fake"):
+        bad = tmp_path / f"bad_{label}.wav"
+        bad.write_bytes(b"garbage")
+        rows.append(f"{bad},{label},sanity,val")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,domain,split\n" + "\n".join(rows) + "\n")
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out")
+    assert main(["train", str(cfg)]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
 # --- metrics -------------------------------------------------------------------------
 
 

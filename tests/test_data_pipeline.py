@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rawnetlite.augment import AugmentConfig
 from rawnetlite.data_pipeline import (
     BatchStats, CompositionError, DataError, DomainCap, ManifestEntry, ManifestError,
-    MixSpec, ProtocolViolationError, SplitError, compose_mix, compose_pools, load_clip,
+    MixSpec, ProtocolViolationError, SplitError, compose_pools, load_clip,
     make_batches, parse_manifest, stratified_split,
 )
 
@@ -142,7 +142,7 @@ def test_split_bad_ratios_rejected():
         stratified_split(synthetic_entries(5, 5), (0.8, 0.1, 0.2), seed=0)
 
 
-# --- compose_mix ----------------------------------------------------------------
+# --- compose_pools: caps ---------------------------------------------------------
 
 
 def test_compose_caps_and_disjointness():
@@ -152,48 +152,60 @@ def test_compose_caps_and_disjointness():
     }
     spec = MixSpec((DomainCap("for", 80, 80, "train"),
                     DomainCap("avspoof", 20, 20, "train"),
-                    DomainCap("avspoof", 40, 50, "test")), seed=5)
-    train, test = compose_mix(spec, manifests)
+                    DomainCap("avspoof", 40, 50, "test")), seed=5, primary_domain="for")
+    train, val, tests = compose_pools(spec, manifests)
     assert len(train) == 200
-    assert len(test) == 90
-    assert {e.path for e in train}.isdisjoint({e.path for e in test})
+    assert len(tests["avspoof"]) == 90
+    pools = [{e.path for e in pool} for pool in (train, val, tests["for"], tests["avspoof"])]
+    assert sum(map(len, pools)) == len(set().union(*pools))
     avs_train = [e for e in train if e.domain == "avspoof"]
     assert sum(1 for e in avs_train if e.label == 0) == 20
 
 
 def test_compose_cap_exceeds_availability():
-    manifests = {"avspoof": synthetic_entries(10, 10, "avspoof")}
-    spec = MixSpec((DomainCap("avspoof", 11, 5, "train"),), seed=0)
+    manifests = {"for": synthetic_entries(10, 10, "for"),
+                 "avspoof": synthetic_entries(10, 10, "avspoof")}
+    spec = MixSpec((DomainCap("avspoof", 11, 5, "train"),), primary_domain="for")
     with pytest.raises(CompositionError, match="avspoof.*11 real"):
-        compose_mix(spec, manifests)
+        compose_pools(spec, manifests)
 
 
 def test_compose_train_plus_test_exceeding_pool():
-    manifests = {"avspoof": synthetic_entries(10, 10, "avspoof")}
+    manifests = {"for": synthetic_entries(10, 10, "for"),
+                 "avspoof": synthetic_entries(10, 10, "avspoof")}
     spec = MixSpec((DomainCap("avspoof", 6, 6, "train"),
-                    DomainCap("avspoof", 5, 5, "test")), seed=0)
-    with pytest.raises(CompositionError):
-        compose_mix(spec, manifests)
+                    DomainCap("avspoof", 5, 5, "test")), primary_domain="for")
+    with pytest.raises(CompositionError, match=r"'avspoof' \(test\): requested 5 real .* only 4"):
+        compose_pools(spec, manifests)
 
 
 def test_compose_zero_caps_reduce_to_baseline():
     manifests = {"for": synthetic_entries(10, 10, "for"),
                  "avspoof": synthetic_entries(10, 10, "avspoof")}
-    spec = MixSpec((DomainCap("for", 8, 8, "train"), DomainCap("avspoof", 0, 0, "train")), seed=1)
-    train, test = compose_mix(spec, manifests)
+    baseline = MixSpec((DomainCap("for", 8, 8, "train"),), seed=1, primary_domain="for")
+    spec = MixSpec(baseline.caps + (DomainCap("avspoof", 0, 0, "train"),), seed=1,
+                   primary_domain="for")
+    train, val, tests = compose_pools(spec, manifests)
     assert all(e.domain == "for" for e in train)
-    assert test == []
+    assert set(tests) == {"for"}
+    assert (train, val, tests) == compose_pools(baseline, manifests)
 
 
 def test_compose_deterministic():
-    manifests = {"for": synthetic_entries(50, 50, "for")}
-    spec = MixSpec((DomainCap("for", 30, 30, "train"), DomainCap("for", 10, 10, "test")), seed=9)
-    assert compose_mix(spec, manifests) == compose_mix(spec, manifests)
+    manifests = {"for": synthetic_entries(50, 50, "for"),
+                 "other": synthetic_entries(50, 50, "other")}
+    caps = (DomainCap("for", 30, 30, "train"), DomainCap("for", 3, 3, "test"),
+            DomainCap("other", 10, 10, "train"), DomainCap("other", 10, 10, "test"))
+    spec = MixSpec(caps, seed=9, primary_domain="for")
+    assert compose_pools(spec, manifests) == compose_pools(spec, manifests)
+    reseeded = MixSpec(caps, seed=10, primary_domain="for")
+    assert compose_pools(spec, manifests) != compose_pools(reseeded, manifests)
 
 
 def test_compose_unknown_domain():
+    spec = MixSpec((DomainCap("nope", 1, 1, "train"),), primary_domain="for")
     with pytest.raises(CompositionError, match="unknown domain"):
-        compose_mix(MixSpec((DomainCap("nope", 1, 1, "train"),), seed=0), {"for": []})
+        compose_pools(spec, {"for": synthetic_entries(10, 10, "for")})
 
 
 def test_cap_validation():

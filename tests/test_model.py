@@ -595,6 +595,18 @@ def test_block_rebuilds_a1_bit_for_bit(monkeypatch):
 # --- gradient integrity -----------------------------------------------------------
 
 
+def test_backward_casts_dprobs_to_the_model_dtype():
+    """A float64 loss gradient must not run a float32 model's backward in float64."""
+    x, y = small_batch(n=4), np.array([0.0, 1.0, 1.0, 0.0])
+    grads = []
+    for dp_dtype in (np.float32, np.float64):
+        m = build(SMALL)
+        p, caches = m.forward_train(x)
+        m.backward(lm.bce_loss(p.astype(np.float64), y)[1].astype(dp_dtype), caches)
+        grads.append({k: q.grad for k, q in m.params.items()})
+    assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+
+
 def test_end_to_end_gradient_check_small():
     cfg = RawNetLiteConfig(channels=3, n_res_blocks=1, pool_len=4, gru_hidden=2,
                            fc_hidden=3, input_len=32, seed=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rawnetlite import train_eval
 from rawnetlite.data_pipeline import ManifestEntry, ProtocolViolationError, parse_manifest
 from rawnetlite.losses_metrics import write_score_file
 from rawnetlite.model import ConfigError, RawNetLiteConfig, build
@@ -275,3 +276,18 @@ def test_run_protocol_in_domain(tiny_model_cfg, sanity_corpus, clip_cache, tmp_p
     assert rep["eer"] is not None
     assert rep["tp"] + rep["tn"] + rep["fp"] + rep["fn"] == len(
         open(out / "scores_for.csv").readlines()) - 1
+
+
+def test_run_protocol_scores_test_sets_at_eval_batch_size(tiny_model_cfg, sanity_corpus, clip_cache,
+                                                         tmp_path, monkeypatch):
+    sizes = []
+
+    def recording(model, entries, batch_size=64, **kw):
+        sizes.append(batch_size)
+        return score_entries(model, entries, batch_size=batch_size, **kw)
+
+    monkeypatch.setattr(train_eval, "score_entries", recording)
+    run_protocol("in_domain", {"for": parse_manifest(sanity_corpus)}, tiny_model_cfg,
+                 small_train_cfg(max_steps=1, max_epochs=1, eval_batch_size=5), None,
+                 tmp_path / "proto", scale=0.002, cache_dir=clip_cache)
+    assert sizes == [5, 5]  # the val set, then the one test set
