@@ -4,12 +4,13 @@ Every audio file is reduced to the model's single input shape: a mono,
 16 kHz, peak-normalized clip of exactly 48000 samples (3 seconds).
 `preprocess` mixes and resamples only the input frames that feed those
 48000 samples, and `fit_clip` is the one trim/pad-and-normalize step, which
-augmentation ends in too. All functions are pure; nothing here touches
-global state.
+augmentation ends in too. All functions are pure; the only global state is
+a small memo of anti-aliasing filter designs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -217,19 +218,27 @@ def _filter_geometry(up: int, down: int) -> tuple[int, int, int]:
     return center, lead, (center + lead) // down
 
 
+@functools.lru_cache(maxsize=8)  # a corpus has a few source rates
 def _design_lowpass(up: int, down: int, center: int) -> np.ndarray:
     """Windowed-sinc filter of 2 * center + 1 taps; Kaiser window; gain `up`
-    at DC to undo zero-stuffing.
+    at DC to undo zero-stuffing. Memoised, so the array is read-only.
     """
     # cutoff in cycles per high-rate sample
     fc = 0.5 / max(up, down)
     t = np.arange(-center, center + 1)
     h = 2.0 * fc * np.sinc(2.0 * fc * t) * np.kaiser(t.size, KAISER_BETA)
-    return h * (up / h.sum())
+    h *= up / h.sum()
+    h.flags.writeable = False
+    return h
 
 
-def _resample_by_ratio(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """Polyphase resample of a 1-D float64 signal by the exact ratio up/down."""
+def _resample_by_ratio(x: np.ndarray, up: int, down: int, memo: bool = True) -> np.ndarray:
+    """Polyphase resample of a 1-D float64 signal by the exact ratio up/down.
+
+    With `memo` false the filter is designed afresh and not memoised: for a
+    ratio that rarely repeats, such as a pitch shift's, a memo entry would
+    only hold memory.
+    """
     if up == down:
         return x.copy()
     n_out = (2 * x.size * up + down) // (2 * down)  # round(n * up / down), half away from zero
@@ -237,7 +246,8 @@ def _resample_by_ratio(x: np.ndarray, up: int, down: int) -> np.ndarray:
         return np.zeros(n_out, dtype=np.float64)
 
     center, lead, skip = _filter_geometry(up, down)
-    h = np.concatenate([np.zeros(lead), _design_lowpass(up, down, center)])
+    design = _design_lowpass if memo else _design_lowpass.__wrapped__
+    h = np.concatenate([np.zeros(lead), design(up, down, center)])
 
     # pad the tail so upfirdn emits every needed output sample:
     # its output length is ceil(((m - 1) * up + len(h)) / down)

@@ -148,8 +148,8 @@ def pitch_shift_samples(x: np.ndarray, semitones: float) -> np.ndarray:
         return np.asarray(x, dtype=np.float64).copy()
     r = 2.0 ** (semitones / 12.0)
     stretched = time_stretch_samples(x, 1.0 / r)
-    frac = Fraction(r).limit_denominator(1000)
-    y = _resample_by_ratio(stretched, frac.denominator, frac.numerator)
+    frac = Fraction(r).limit_denominator(1000)  # nearly every shift gets a ratio of its own
+    y = _resample_by_ratio(stretched, frac.denominator, frac.numerator, memo=False)
     n = np.asarray(x).size
     if y.size < n:
         y = np.concatenate([y, np.zeros(n - y.size)])

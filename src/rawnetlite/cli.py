@@ -223,6 +223,7 @@ def cmd_train(args) -> int:
     if args.dry_run:
         return EXIT_OK
 
+    train_eval.require_readable(val, "val", _cache_dir(cfg), cfg.train.strict_data)
     out_dir = Path(args.output_dir or cfg.output_dir)
     _echo_config(cfg, out_dir)
     best, history = train(cfg.model, cfg.train, train_pool, val,

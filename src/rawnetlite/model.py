@@ -12,13 +12,14 @@ registration order, the entry's constants, and its batch-norm states (if any)
 with the mode; its backward returns the gradients in registration order.
 Kernels are resolved on `nn_core` by name at each call, never stored, so a
 function rebound there (a test's mutation, the benchmark's tracer) is the one
-that runs. In eval mode the walk keeps nothing: the units fold each batch norm
-into its conv inside `nn_core`, and each layer's input is freed once its
-output exists. The registry owns every trainable tensor; batch-norm running
-statistics are serialized alongside but are not parameters. Checkpoints are
-format 2. `load` also reads format 1, which held a bias per conv: it subtracts
-each from its batch norm's running mean, which keeps the eval function and the
-training trajectory.
+that runs. In eval mode the walk keeps nothing and runs depth first: the stem
+and the blocks fold each batch norm into its conv inside `nn_core` and return
+lazy `nn_core.Windows`, which the pool reads one batch row and one time tile at
+a time, so no (B, C, T) activation is allocated. The registry owns every
+trainable tensor; batch-norm running statistics are serialized alongside but
+are not parameters. Checkpoints are format 2. `load` also reads format 1,
+which held a bias per conv: it subtracts each from its batch norm's running
+mean, which keeps the eval function and the training trajectory.
 """
 
 from __future__ import annotations

@@ -29,23 +29,29 @@ tested against; the head runs `relu_*`. No kernel keeps a padded or otherwise
 copied (B, C, T) array, and kernels write into fresh outputs only, never into
 an array a cache holds.
 
-Tile convention: every conv (forward, backward and the eval `conv1d_relu`) runs
-one loop, `_conv_tiles`, over each batch row in time tiles of about `_TILE`
-samples, so a tile's input, output and scratch stay in a core's L2 cache. No
-conv allocates a full-size tap buffer: taps 0 and 2 go through one tile-sized
-scratch buffer. Each output element sums the same products in the same order
-as an untiled conv, so the forward and dx are bit-identical to it (except,
-across tiles, the dx of a C_in = 1 conv, whose taps are matrix-vector products
-that the BLAS rounds by position); dw sums its tiles in another order. The eval epilogue
-(folded bias, skip, ReLU) runs on each finished tile while it is in cache.
+Tile convention: every training conv (forward and backward) runs one loop,
+`_conv_tiles`, over each batch row in time tiles of about `_TILE` samples, so a
+tile's input, output and scratch stay in a core's L2 cache. No conv allocates a
+full-size tap buffer: taps 0 and 2 go through one tile-sized scratch buffer.
+Each output element sums the same products in the same order as an untiled
+conv, so the forward and dx are bit-identical to it (except, across tiles, the
+dx of a C_in = 1 conv, whose taps are matrix-vector products that the BLAS
+rounds by position); dw sums its tiles in another order.
 
-Eval convention: an eval forward keeps nothing for a backward pass, so it does
-not run batch norm at all. An eval `conv_bn_relu_forward`, two per residual
-block, folds the batch norm into its conv (`fold_batchnorm`, from the current
-parameters and running statistics on every call), and `conv1d_relu` adds the
-folded bias and the skip and applies the ReLU in place in the conv's output.
-`batchnorm1d_forward`'s eval branch is the unfolded reference; it returns no
-cache, so there is no eval backward.
+Eval convention: an eval forward keeps nothing for a backward pass and runs
+depth first, so it never holds a (B, C, T) activation. An eval
+`conv_bn_relu_forward` or `residual_block_forward` folds each batch norm into
+its conv (`fold_batchnorm`, from the current parameters and running statistics
+on every call) and returns `Windows`: the layer's output, computed only when
+the pool reads it, one batch row and one time tile of about `_TILE` samples at
+a time. A window of a unit's output needs its input one column wider on each
+side, so the pool's tile reads the network input with a halo of one column per
+unit (7 for three blocks); a block reads its input window once and adds it as
+the skip. Each unit applies its folded bias, the skip and the ReLU to the
+window and zeroes the columns outside [0, T), which are the next conv's
+padding. `adaptive_avg_pool1d_forward` adds each finished tile into float64
+per-bin sums. `batchnorm1d_forward`'s eval branch is the unfolded reference; it
+returns no cache, so there is no eval backward.
 
 GRU convention: `bigru_*` read and give back (B, C, T) and run `gru_*` over
 (B, T, C). The reset gate multiplies the hidden-to-candidate product,
@@ -135,6 +141,39 @@ class Rows:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
+class Windows:
+    """A (B, C, T) array that is never held in full: windows of its time axis are built as they are read.
+
+    `window(i, lo, hi)` gives columns lo:hi of batch row i as a fresh (C, hi - lo)
+    array. lo may be below 0 and hi above T; those columns read as 0, so a conv
+    can take them as its padding. `np.asarray(windows)` builds the whole array
+    one tile at a time. The time-axis sibling of `Rows`, for the eval forward.
+    """
+
+    def __init__(self, shape, dtype, window):
+        self.shape, self.dtype, self.window = tuple(shape), np.dtype(dtype), window
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape, self.dtype)
+        for i in range(self.shape[0]):
+            for s, e in _tile_bounds(self.shape[2]):
+                out[i, :, s:e] = self.window(i, s, e)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _window_reader(x):
+    """The `window` function of x, an ndarray or `Windows`."""
+    if isinstance(x, Windows):
+        return x.window
+
+    def window(i, lo, hi):
+        out = np.zeros((x.shape[1], hi - lo), dtype=x.dtype)
+        s, e = max(lo, 0), min(hi, x.shape[2])
+        out[:, s - lo : e - lo] = x[i, :, s:e]
+        return out
+    return window
+
+
 # --- elementwise -------------------------------------------------------------
 
 
@@ -201,10 +240,11 @@ def _tile_bounds(t: int) -> list[tuple[int, int]]:
     Near-equal, so no tile is one column, which the BLAS would run as a
     matrix-vector product; starts are multiples of 64, so each column keeps its
     place in the GEMM kernel's column blocks. Both keep every tiled product bit
-    for bit what the untiled GEMM computes.
+    for bit what the untiled GEMM computes. A _TILE below 128 can round two
+    starts to one; the tile between them is dropped, so no tile is empty.
     """
     n = max(1, -(-t // _TILE))
-    starts = [k * t // n // 64 * 64 for k in range(n)]
+    starts = list(dict.fromkeys(k * t // n // 64 * 64 for k in range(n)))
     return list(zip(starts, starts[1:] + [t]))
 
 
@@ -219,8 +259,7 @@ def _conv_tiles(src, taps, out, product=np.matmul):
     that also keeps the previous tile's last two columns. A shifted term
     reaches one column into the next tile, so tile [s, e) finishes the output
     columns [s - 1, e - 1), and the last tile of a row finishes the row. Yields
-    (i, row, s, e, done) after each tile: row is src[i], whose columns s:e were
-    read, and out[i, :, done] is final.
+    (row, s, e) after each tile: row is the src row whose columns s:e were read.
     """
     t = src.shape[2]
     bounds = _tile_bounds(t)
@@ -240,25 +279,34 @@ def _conv_tiles(src, taps, out, product=np.matmul):
                 history[k] = scratch[:, e - s : e - s + 2]
                 l, h = max(lo, -d), min(hi, t - d)
                 out[i, :, l:h] += scratch[:, l + d - s + 2 : h + d - s + 2]
-            yield i, row, s, e, slice(lo, hi)
+            yield row, s, e
             lo = hi
 
 
-def _conv_start(x, w):
-    """The output buffer, the taps in summation order and the product that applies them.
-
-    Tap k reads x[t + k - 1]; each output sums tap 1, 0, 2 in that order. The
-    stem (C_in = 1) multiplies by broadcasting, which is cheaper than a K=1 GEMM.
-    """
-    if x.ndim != 3:
+def _check_conv(x, w):
+    if len(x.shape) != 3:
         raise ShapeError(f"conv1d: expected x (B, C_in, T), got {x.shape}")
     if w.ndim != 3 or w.shape[2] != 3:
         raise ShapeError(f"conv1d: expected w (C_out, C_in, 3), got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: x has {x.shape[1]} channels but w expects {w.shape[1]}")
+
+
+def _conv_product(w):
+    """The product that applies a tap of w: the stem (C_in = 1) multiplies by
+    broadcasting, which is cheaper than a K=1 GEMM."""
+    return np.multiply if w.shape[1] == 1 else np.matmul
+
+
+def _conv_start(x, w):
+    """The output buffer, the taps in summation order and the product that applies them.
+
+    Tap k reads x[t + k - 1]; each output sums tap 1, 0, 2 in that order.
+    """
+    _check_conv(x, w)
     out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x, w))
     taps = [(w[:, :, 1], 0), (w[:, :, 0], -1), (w[:, :, 2], 1)]
-    return out, taps, (np.multiply if x.shape[1] == 1 else np.matmul)
+    return out, taps, _conv_product(w)
 
 
 def conv1d_forward(x, w):
@@ -278,7 +326,7 @@ def conv1d_backward(dout, cache):
     dw = np.zeros(w.shape, dtype=dx.dtype)
     taps = [(w[:, :, 1].T, 0), (w[:, :, 0].T, 1), (w[:, :, 2].T, -1)]
     x_rows = iter(x)
-    for _, d, s, e, _ in _conv_tiles(dout, taps, dx):
+    for d, s, e in _conv_tiles(dout, taps, dx):
         if s == 0:
             xi = next(x_rows)
         for k in range(3):  # tap k: dw[:, :, k] = sum over t of dout[t] x[t + k - 1]^T
@@ -449,20 +497,48 @@ def fold_batchnorm(w, gamma, beta, state: BatchNormState):
     return w * scale[:, None, None], beta - state.running_mean * scale
 
 
-def conv1d_relu(x, w, b, skip=None):
-    """Inference only: relu(conv1d(x, w) + b + skip); no cache.
+def _folded_unit(xw, w, b, lo, hi, t, skip=None):
+    """Inference only: relu(conv1d(x, w) + b + skip) at columns lo:hi of a length-t row.
 
-    The bias, the skip and the ReLU are applied to each tile of the output as
-    soon as the tile loop finishes it, while it is still in cache.
+    xw holds the input columns lo - 1 : hi + 1, with zeros outside [0, t); the
+    taps are summed 1, 0, 2 like `_conv_tiles`. skip, if given, is columns
+    lo:hi. Output columns outside [0, t) are zeroed: they are the next conv's
+    padding.
     """
-    out, taps, product = _conv_start(x, w)
-    for i, _, _, _, done in _conv_tiles(x, taps, out, product):
-        o = out[i, :, done]
-        o += b[:, None]
-        if skip is not None:
-            o += skip[i, :, done]
-        np.maximum(o, 0, out=o)
+    n = hi - lo
+    product = _conv_product(w)
+    out = product(w[:, :, 1], xw[:, 1 : n + 1])
+    scratch = product(w[:, :, 0], xw[:, :n])
+    out += scratch
+    out += product(w[:, :, 2], xw[:, 2:], out=scratch)
+    out += b[:, None]
+    if skip is not None:
+        out += skip
+    np.maximum(out, 0, out=out)
+    out[:, : max(0, -lo)] = 0
+    out[:, max(0, t - lo) :] = 0
     return out
+
+
+def _folded_windows(x, folds, skip: bool):
+    """Inference only: the folded units `folds`, [(w, b), ...], run in order over x as `Windows`.
+
+    Each window of the output reads one window of x, n columns wider on each
+    side for n units; with `skip`, its middle is added to the last unit's
+    output as the residual.
+    """
+    for w, _ in folds:
+        _check_conv(x, w)
+    read, t, n = _window_reader(x), x.shape[2], len(folds)
+
+    def window(i, lo, hi):
+        h = xw = read(i, lo - n, hi + n)
+        for k, (w, b) in enumerate(folds, 1):
+            res = xw[:, n : n + hi - lo] if skip and k == n else None
+            h = _folded_unit(h, w, b, lo - n + k, hi + n - k, t, res)
+        return h
+    w_last = folds[-1][0]
+    return Windows((x.shape[0], w_last.shape[0], t), np.result_type(x.dtype, w_last.dtype), window)
 
 
 # --- conv -> batch norm -> ReLU: the stem and each residual block half ---------
@@ -470,10 +546,12 @@ def conv1d_relu(x, w, b, skip=None):
 
 def conv_bn_relu_forward(x, w, gamma, beta, state: BatchNormState, mode: str, skip=None):
     """relu(BN(conv1d(x, w)) + skip). Train mode runs `conv1d_forward` and then
-    `batchnorm_relu_forward`; eval mode runs `conv1d_relu` with the batch norm
-    folded into the conv, and returns no cache."""
+    `batchnorm_relu_forward`; eval mode folds the batch norm into the conv,
+    returns the output as `Windows` and no cache, and takes no skip."""
     if mode == "eval":
-        return conv1d_relu(x, *fold_batchnorm(w, gamma, beta, state), skip), None
+        if skip is not None:
+            raise ValueError("an eval unit takes no skip; residual_block_forward adds its own")
+        return _folded_windows(x, [fold_batchnorm(w, gamma, beta, state)], skip=False), None
     if mode != "train":
         raise ValueError(f"unknown mode {mode!r}")
     c, cache_conv = conv1d_forward(x, w)
@@ -503,10 +581,30 @@ def adaptive_avg_pool1d_forward(x, out_len: int):
     if out_len > t:
         raise ValueError(f"out_len {out_len} exceeds input length {t}")
     bins = _pool_bins(t, out_len)
+    if isinstance(x, Windows):
+        return _pool_windows(x, bins), (t, bins)
     out = np.empty(x.shape[:2] + (out_len,), dtype=x.dtype)
     for j, (s, e) in enumerate(bins):
         out[:, :, j] = x[:, :, s:e].mean(axis=2)
     return out, (t, bins)
+
+
+def _pool_windows(x, bins):
+    """The bin means of `Windows`, read one batch row and one tile at a time into float64 sums.
+
+    Adjacent bins may share a column, so a column can count toward two bins.
+    """
+    tiles = [(s, e, [(j, max(a, s), min(b, e)) for j, (a, b) in enumerate(bins) if a < e and b > s])
+             for s, e in _tile_bounds(x.shape[2])]
+    sums = np.zeros(x.shape[:2] + (len(bins),))
+    for i in range(x.shape[0]):
+        for s, e, parts in tiles:
+            tile = x.window(i, s, e)
+            for j, a, b in parts:
+                sums[i, :, j] += tile[:, a - s : b - s].sum(axis=1, dtype=np.float64)
+            del tile  # else it stays alive while the next tile is built
+    sums /= [e - s for s, e in bins]
+    return sums.astype(x.dtype)
 
 
 def adaptive_avg_pool1d_backward(dout, cache):
@@ -637,15 +735,17 @@ def bigru_backward(dout, cache):
 def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, state2, mode: str):
     """y = relu(BN2(conv2(relu(BN1(conv1(x))))) + x); channel count is preserved.
 
-    Two conv -> BN -> ReLU units, the second adding the skip. Eval mode runs
-    both folded and returns no cache. In train mode the block does not keep
+    Two conv -> BN -> ReLU units, the second adding the skip. Eval mode folds
+    both and returns the output as `Windows`, each read from one window of x
+    that is also the skip, and no cache. In train mode the block does not keep
     unit 1's output a1: unit 1's batch norm (for its ReLU mask) and unit 2's
     conv (for its dw) hold `Rows` that rebuild it from unit 1's conv output.
     """
+    if mode == "eval":
+        folds = [fold_batchnorm(w1, gamma1, beta1, state1), fold_batchnorm(w2, gamma2, beta2, state2)]
+        return _folded_windows(x, folds, skip=True), None
     a1, cache1 = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode)
     out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x)
-    if mode == "eval":
-        return out, None
     conv1, (c1, mean, invstd, gamma, affine, _, has_skip) = cache1
     (_, w), bn2 = cache2
     a1 = _affine_relu_rows(c1, *affine)

@@ -22,7 +22,7 @@ from . import losses_metrics as lm
 from .augment import AugmentConfig
 from .data_pipeline import (
     BatchStats, DataError, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
-    compose_pools, make_batches,
+    compose_pools, load_clips, make_batches,
 )
 from .fileio import atomic_write, write_json
 from .model import ConfigError, Model, RawNetLiteConfig, build, save
@@ -127,6 +127,13 @@ def score_entries(model: Model, entries: list[ManifestEntry], batch_size: int = 
     if not records:
         raise DataError(f"none of the {len(entries)} clips to score is readable")
     return records
+
+
+def require_readable(entries: list[ManifestEntry], what: str, cache_dir=None,
+                     strict: bool = False) -> None:
+    """DataError unless a clip of `entries` is readable; loads clips only up to the first that is."""
+    if next(load_clips(entries, cache_dir, strict), None) is None:
+        raise DataError(f"none of the {len(entries)} {what} clips is readable")
 
 
 def _fake_f1(records: list[lm.ScoreRecord]) -> float:
@@ -305,11 +312,13 @@ def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
                  cache_dir=None, on_composed=None) -> dict:
     """Compose, train, and evaluate one protocol; emits one report per test set.
 
-    Nothing is written until the pools are composed; then out_dir is created
-    and `on_composed(out_dir)` is called, if given, before training starts.
+    Nothing is written until the pools are composed and a val clip has been
+    read; then out_dir is created and `on_composed(out_dir)` is called, if
+    given, before training starts.
     """
     train_pool, val, test_sets = compose_protocol(
         name, manifests, scale=scale, split_seed=split_seed, mix_seed=mix_seed)
+    require_readable(val, "val", cache_dir, train_cfg.strict_data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if on_composed is not None:

@@ -211,6 +211,24 @@ def test_resample_length_formula():
         assert resample(w, dst).n_samples == int(round(n * dst / src))
 
 
+def test_lowpass_design_is_memoised_and_read_only():
+    center = aio._filter_geometry(320, 441)[0]
+    h = aio._design_lowpass(320, 441, center)
+    assert aio._design_lowpass(320, 441, center) is h
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0] = 0.0
+    assert h.size == 2 * center + 1 and abs(h.sum() - 320) < 1e-9
+
+
+def test_pitch_shift_keeps_its_filter_out_of_the_memo():
+    from rawnetlite.augment import pitch_shift_samples
+
+    before = aio._design_lowpass.cache_info()  # a memo lookup counts a hit or a miss
+    pitch_shift_samples(np.random.default_rng(0).normal(size=4000), 1.3)
+    assert aio._design_lowpass.cache_info() == before
+
+
 def test_importing_the_package_leaves_scipy_signal_unloaded():
     # scipy.signal costs ~1 s to import; only resampling needs it
     code = "import sys, rawnetlite.cli, rawnetlite.train_eval; print('scipy.signal' in sys.modules)"

@@ -301,6 +301,7 @@ def test_protocol_echoes_the_scale_that_ran(tmp_path, monkeypatch):
     def stop(*args, **kwargs):
         raise TrainingError("stopped once the pools are composed")
 
+    monkeypatch.setattr(train_eval, "require_readable", lambda *a, **k: None)  # the manifest's files do not exist
     monkeypatch.setattr(train_eval, "train", stop)
     assert main(["protocol", "in_domain", str(cfg), "--scale", "0.5"]) == cli.EXIT_NUMERIC
     echo = tmp_path / "out" / "in_domain" / "effective_config.yaml"
@@ -477,6 +478,27 @@ def test_train_with_no_readable_val_clip_is_data_error(tmp_path, corpus, capsys)
     cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out")
     assert main(["train", str(cfg)]) == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_train_with_no_readable_val_clip_fails_before_writing(tmp_path, corpus, capsys, monkeypatch):
+    rows = [f"{line},train" for line in corpus.read_text().strip().splitlines()[1:]]
+    rows += [f"{tmp_path / 'missing'}_{label}.wav,{label},sanity,val" for label in ("real", "fake")]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,domain,split\n" + "\n".join(rows) + "\n")
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out")
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained with an unreadable val set"))
+    assert main(["train", str(cfg)]) == cli.EXIT_DATA
+    assert "none of the 2 val clips is readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_protocol_with_no_readable_val_clip_fails_before_writing(tmp_path, capsys, monkeypatch):
+    manifest = write_manifest(tmp_path / "for.csv", "for", 40, 40)  # paths that do not exist
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out", manifests={"for": str(manifest)})
+    monkeypatch.setattr(train_eval, "train", lambda *a, **k: pytest.fail("trained with an unreadable val set"))
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.001"]) == cli.EXIT_DATA
+    assert "val clips is readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- metrics -------------------------------------------------------------------------

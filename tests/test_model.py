@@ -335,9 +335,10 @@ FORWARD_CALLS = {  # per Model.forward, counting calls made inside composite ker
 
 
 FORWARD_KERNELS = sorted(n for n in vars(nn_core) if n.endswith("_forward"))
-# in eval, each unit folds its batch norm into its conv instead of running both
-EVAL_CALLS = {**FORWARD_CALLS, "conv1d_forward": 0, "batchnorm_relu_forward": 0,
-              "conv1d_relu": 1 + 2 * N, "fold_batchnorm": 1 + 2 * N}
+# in eval, each unit folds its batch norm into its conv instead of running both, a
+# residual block runs its two units itself, and the pool pulls them depth first
+EVAL_CALLS = {**FORWARD_CALLS, "conv_bn_relu_forward": 1, "conv1d_forward": 0,
+              "batchnorm_relu_forward": 0, "fold_batchnorm": 1 + 2 * N}
 
 
 def count_calls(monkeypatch, kernel):
@@ -372,7 +373,7 @@ def test_backward_looks_up_kernels_at_call_time(kernel, monkeypatch):
     assert len(calls) == BACKWARD_CALLS[kernel]
 
 
-@pytest.mark.parametrize("kernel", FORWARD_KERNELS + ["conv1d_relu", "fold_batchnorm"])
+@pytest.mark.parametrize("kernel", FORWARD_KERNELS + ["fold_batchnorm"])
 def test_eval_forward_looks_up_kernels_at_call_time(kernel, monkeypatch):
     m = build(SMALL)
     m.forward(small_batch(), mode="train")  # sets the running statistics eval reads
@@ -466,6 +467,33 @@ def test_eval_fold_follows_a_training_step(dtype):
     assert_matches_unfolded(m, x)
 
 
+@st.composite
+def eval_shapes(draw):
+    """(input_len, pool_len) with 64-sample tiles: up to 7 tiles, or a row shorter than one."""
+    t = draw(st.integers(1, 400))
+    return t, draw(st.integers(1, t))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=eval_shapes(), n_res_blocks=st.integers(0, 3), seed=st.integers(0, 2**16),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_depth_first_eval_matches_unfolded_across_tiles(monkeypatch, shape, n_res_blocks, seed, dtype):
+    """Tiles of 64 samples put halos past both ends of short rows and pool bins across tile edges."""
+    monkeypatch.setattr(nn_core, "_TILE", 64)
+    t, pool_len = shape
+    cfg = RawNetLiteConfig(channels=3, n_res_blocks=n_res_blocks, pool_len=pool_len,
+                           gru_hidden=3, fc_hidden=4, input_len=t, seed=seed)
+    m = build(cfg, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for bn, state in m.bn_states.items():
+        m.params[f"{bn}.gamma"].values[...] = rng.uniform(0.5, 2.0, 3)
+        m.params[f"{bn}.beta"].values[...] = rng.normal(size=3)
+        state.running_mean[...] = rng.normal(size=3)
+        state.running_var[...] = rng.uniform(0.25, 4.0, 3)
+        state.initialized = True
+    assert_matches_unfolded(m, small_batch(cfg, n=2, seed=seed).astype(dtype))
+
+
 def test_eval_forward_changes_no_state():
     m = randomized_bn_model(np.float32)
     state = {name: a.copy() for name, a in m._state_arrays()}
@@ -493,11 +521,14 @@ def test_eval_forward_before_training_raises():
 # (a quarter activation each at B = 4) and the conv scratch tile. The batch-norm
 # backward sums its gradient in one pass over the rows and hands the conv
 # backward the gradient of the conv output as Rows, so neither is full-size,
-# except unit 2's masked gradient, which is dskip. An eval forward keeps no caches
-# and folds each batch norm into its conv; its peak is inside a residual block:
-# the block's input (the skip), conv1's output and conv2's output. The conv
-# kernels allocate no full-size tap buffer, only a scratch tile of C x ~_TILE
-# samples (a quarter activation here).
+# except unit 2's masked gradient, which is dskip. The conv kernels allocate no
+# full-size tap buffer, only a scratch tile of C x ~_TILE samples (a quarter
+# activation here). An eval forward keeps no caches, folds each batch norm into
+# its conv and runs depth first: the pool reads the conv stack one batch row and
+# one time tile at a time, so nothing it allocates grows with B or T. Its peak,
+# about 2.0 MiB at any B here (1.02 activations at B = 4), is four C x ~_TILE
+# windows inside a residual block's second unit: the block's input window (also
+# the skip), unit 1's output, and unit 2's output and scratch.
 
 MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
                            fc_hidden=8, input_len=8000, seed=1)
@@ -527,7 +558,32 @@ def test_memory_bound_forward_backward():
         tracemalloc.stop()
     assert _activations(held, 4) < 11.5
     assert _activations(peak_train, 4) < 16.6
-    assert _activations(peak_eval, 4) < 3.5
+    assert _activations(peak_eval, 4) < 1.1
+
+
+def _eval_peak(cfg, batch):
+    """tracemalloc peak of one eval forward at the given batch size, above what existed before it."""
+    m = build(cfg)
+    m.forward(small_batch(cfg, n=2), mode="train")  # sets the running statistics eval reads
+    x = small_batch(cfg, n=batch)
+    m.forward(x, mode="eval")  # warm-up, so one-time allocations stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m.forward(x, mode="eval")
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_memory_does_not_grow_with_the_batch():
+    assert _eval_peak(MEM_CFG, 8) < 1.1 * _eval_peak(MEM_CFG, 1)
+
+
+def test_eval_memory_does_not_grow_with_the_clip(monkeypatch):
+    monkeypatch.setattr(nn_core, "_TILE", 1024)  # several tiles per row at both lengths
+    longer = RawNetLiteConfig(**{**MEM_CFG.__dict__, "input_len": 2 * MEM_CFG.input_len})
+    assert _eval_peak(longer, 4) < 1.1 * _eval_peak(MEM_CFG, 4)
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):

@@ -318,17 +318,24 @@ def test_conv1d_tiles_match_padded_reference(dtype, b, c_in, t):
 @pytest.mark.parametrize("c_in", [1, 16])
 @pytest.mark.parametrize("t", [5, 2 * nn._TILE + 1])
 def test_conv1d_relu_matches_forward_bias_skip_relu(with_skip, c_in, t):
+    """The eval unit, run window by window over a row, is relu(conv1d + bias + skip), and 0 past either end."""
     rng = np.random.default_rng(24)
-    x = rng.normal(size=(2, c_in, t)).astype(np.float32)
+    x = rng.normal(size=(1, c_in, t)).astype(np.float32)
     w = rng.normal(size=(16, c_in, 3)).astype(np.float32)
     b = rng.normal(size=16).astype(np.float32)
-    skip = rng.normal(size=(2, 16, t)).astype(np.float32) if with_skip else None
+    skip = rng.normal(size=(1, 16, t)).astype(np.float32) if with_skip else None
     ref, _ = nn.conv1d_forward(x, w)
     ref += b[None, :, None]
     if with_skip:
         ref += skip
     ref, _ = nn.relu_forward(ref)
-    assert np.array_equal(nn.conv1d_relu(x, w, b, skip), ref)
+    windows = [(-2, 0)] + nn._tile_bounds(t) + [(t, t + 2)]
+    got = np.concatenate([
+        nn._folded_unit(nn._window_reader(x)(0, lo - 1, hi + 1), w, b, lo, hi, t,
+                        None if skip is None else nn._window_reader(skip)(0, lo, hi))
+        for lo, hi in windows], axis=1)
+    assert not got[:, :2].any() and not got[:, -2:].any()
+    assert np.array_equal(got[:, 2:-2], ref[0])
 
 
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
