@@ -7,8 +7,8 @@ via repeated `--set dotted.key=value`. Exit codes:
 1 usage or config error: a bad argument or --threshold outside [0, 1], a bad
   config, a config manifest path that does not exist, an empty train or val pool;
 2 data error: an unreadable manifest, audio file (with --strict), checkpoint,
-  score file or report, no readable clip in an eval manifest or val set, a
-  directory given for a file, an output path under a regular file;
+  score file or report, no readable clip in an eval manifest, train pool or
+  val set, a directory given for a file, an output path under a regular file;
 3 protocol violation: a path in two manifests or two pools;
 4 numeric failure: a non-finite loss or a shape mismatch.
 """
@@ -224,6 +224,7 @@ def cmd_train(args) -> int:
         return EXIT_OK
 
     train_eval.require_readable(val, "val", _cache_dir(cfg), cfg.train.strict_data)
+    train_eval.require_readable(train_pool, "train", _cache_dir(cfg), cfg.train.strict_data)
     out_dir = Path(args.output_dir or cfg.output_dir)
     _echo_config(cfg, out_dir)
     best, history = train(cfg.model, cfg.train, train_pool, val,

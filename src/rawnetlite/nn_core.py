@@ -18,25 +18,32 @@ its output, not xhat. ReLU caches its output (out > 0 exactly where x > 0),
 and conv1d caches its unpadded input, so a conv after a ReLU holds the very
 same array: the stem's output is also res0's conv1 input. A residual block
 keeps no full-size output a1 of its first unit: the block swaps a1, in unit
-1's batch-norm cache and in unit 2's conv cache, for one `Rows` that rebuild
-it from unit 1's conv output with the cached scale and shift, one batch row at
-a time and bit for bit. So a block holds its conv outputs c1 and c2 and its
-output; a1 is rebuilt where a backward reads it, for unit 2's dw and unit 1's
-ReLU mask. A unit's backward passes the gradient of its conv output from the
-batch norm to the conv as Rows as well, so it is never full-size either.
+1's batch-norm cache and in unit 2's conv cache, for one `Windows` that
+rebuilds any window of it from unit 1's conv output with the cached scale and
+shift, bit for bit. So a block holds its conv outputs c1 and c2 and its
+output; a1 is rebuilt where a backward reads it: a tile at a time for unit 2's
+dw and unit 1's dx, a batch row at a time for unit 1's batch-norm sums. A
+unit's backward passes the gradient of its conv output from the batch norm to
+the conv as `Windows` as well, so it is never full-size either. `Windows` is
+the one lazy array type, and a kernel reads a (B, C, T) operand that may be
+lazy only through `_window_reader`, which gives views of an ndarray.
 `batchnorm1d_*` and `relu_*` are the unfused reference the fused pair is
 tested against; the head runs `relu_*`. No kernel keeps a padded or otherwise
 copied (B, C, T) array, and kernels write into fresh outputs only, never into
 an array a cache holds.
 
 Tile convention: every training conv (forward and backward) runs one loop,
-`_conv_tiles`, over each batch row in time tiles of about `_TILE` samples, so a
-tile's input, output and scratch stay in a core's L2 cache. No conv allocates a
-full-size tap buffer: taps 0 and 2 go through one tile-sized scratch buffer.
-Each output element sums the same products in the same order as an untiled
-conv, so the forward and dx are bit-identical to it (except, across tiles, the
-dx of a C_in = 1 conv, whose taps are matrix-vector products that the BLAS
-rounds by position); dw sums its tiles in another order.
+`_conv_tiles`, over each batch row in time tiles of about `_TILE` samples. It
+reads its input one tile at a time through `_window_reader`, so a lazy input
+(a1, or the batch-norm gradient) is built tile by tile inside the loop, and a
+tile's input, output and scratch stay in a core's L2 cache; the conv
+backward's dw reads the tile's columns of x, one wider on each side, the same
+way. No conv allocates a full-size tap buffer: taps 0 and 2 go through one
+tile-sized scratch buffer. Each output element sums the same products in the
+same order as an untiled conv, so the forward and dx are bit-identical to it
+(except, across tiles, the dx of a C_in = 1 conv, whose taps are
+matrix-vector products that the BLAS rounds by position); dw sums its tiles in
+another order.
 
 Eval convention: an eval forward keeps nothing for a backward pass and runs
 depth first, so it never holds a (B, C, T) activation. An eval
@@ -115,39 +122,18 @@ class BatchNormState:
         )
 
 
-# --- arrays built one batch row at a time -------------------------------------
-
-
-class Rows:
-    """A (B, C, T) array that is never held in full: its batch rows are built as they are read.
-
-    Iterating gives the B rows in order, each a (C, T) array computed when it is
-    reached, in a buffer that the next row overwrites, so a reader is done with
-    a row before it asks for the next. The kernels that loop over batch rows
-    (the conv tile loop, `conv1d_backward`, `batchnorm_relu_backward`) read an
-    ndarray or a Rows alike; `np.asarray(rows)` builds the whole array.
-    """
-
-    def __init__(self, shape, dtype, rows):
-        self.shape, self.dtype, self._rows = tuple(shape), np.dtype(dtype), rows
-
-    def __iter__(self):
-        return self._rows()
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.empty(self.shape, self.dtype)
-        for o, row in zip(out, self):
-            o[...] = row
-        return out if dtype is None else out.astype(dtype, copy=False)
+# --- arrays built one time window at a time -------------------------------------
 
 
 class Windows:
     """A (B, C, T) array that is never held in full: windows of its time axis are built as they are read.
 
-    `window(i, lo, hi)` gives columns lo:hi of batch row i as a fresh (C, hi - lo)
-    array. lo may be below 0 and hi above T; those columns read as 0, so a conv
-    can take them as its padding. `np.asarray(windows)` builds the whole array
-    one tile at a time. The time-axis sibling of `Rows`, for the eval forward.
+    `window(i, lo, hi)` gives columns lo:hi of batch row i as a (C, hi - lo)
+    array, which may be a view and is only read. lo may be below 0 and hi
+    above T; those columns read as 0, so a conv can take them as its padding.
+    A window depends on (i, lo, hi) alone, so windows may be read in any order
+    and any number of times. `np.asarray(windows)` builds the whole array one
+    tile at a time.
     """
 
     def __init__(self, shape, dtype, window):
@@ -161,17 +147,26 @@ class Windows:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def _window_reader(x):
-    """The `window` function of x, an ndarray or `Windows`."""
-    if isinstance(x, Windows):
-        return x.window
+def _padded(shape, dtype, inside):
+    """`Windows` that read inside(i, lo, hi) for 0 <= lo <= hi <= T, and 0 outside [0, T)."""
+    c, t = shape[1], shape[2]
 
     def window(i, lo, hi):
-        out = np.zeros((x.shape[1], hi - lo), dtype=x.dtype)
-        s, e = max(lo, 0), min(hi, x.shape[2])
-        out[:, s - lo : e - lo] = x[i, :, s:e]
+        s, e = max(lo, 0), min(hi, t)
+        if (s, e) == (lo, hi):
+            return inside(i, lo, hi)
+        out = np.zeros((c, hi - lo), dtype=dtype)
+        if s < e:
+            out[:, s - lo : e - lo] = inside(i, s, e)
         return out
-    return window
+    return Windows(shape, dtype, window)
+
+
+def _window_reader(x):
+    """The `window` function of x, an ndarray or `Windows`; an ndarray's window inside [0, T) is a view."""
+    if isinstance(x, Windows):
+        return x.window
+    return _padded(x.shape, x.dtype, lambda i, lo, hi: x[i, :, lo:hi]).window
 
 
 # --- elementwise -------------------------------------------------------------
@@ -253,33 +248,35 @@ def _conv_tiles(src, taps, out, product=np.matmul):
 
     taps is (W, 0), then the shifts -1 and +1 in either order; each output
     element sums its terms in that order, and a term that would read past
-    either end of src is left out. src is an ndarray or `Rows`, read one row at
-    a time. Every product reads one whole tile of the row: the first writes
-    straight into out, the other two go through one tile-sized scratch buffer
-    that also keeps the previous tile's last two columns. A shifted term
-    reaches one column into the next tile, so tile [s, e) finishes the output
-    columns [s - 1, e - 1), and the last tile of a row finishes the row. Yields
-    (row, s, e) after each tile: row is the src row whose columns s:e were read.
+    either end of src is left out. src is an ndarray or `Windows`, read through
+    `_window_reader` one tile of one batch row at a time. Every product reads
+    the whole tile: the first writes straight into out, the other two go
+    through one tile-sized scratch buffer that also keeps the previous tile's
+    last two columns. A shifted term reaches one column into the next tile, so
+    tile [s, e) finishes the output columns [s - 1, e - 1), and the last tile of
+    a row finishes the row. Yields (i, tile, s) after each tile: tile is
+    columns s:e of src's row i.
     """
-    t = src.shape[2]
-    bounds = _tile_bounds(t)
+    b, _, t = src.shape
+    read, bounds = _window_reader(src), _tile_bounds(t)
     width = max(e - s for s, e in bounds)
     (w_first, _), *shifted = taps
     scratch = np.empty((out.shape[1], width + 2), dtype=out.dtype)
     history = np.empty((len(shifted), out.shape[1], 2), dtype=out.dtype)
-    for i, row in enumerate(src):
+    for i in range(b):
         lo = 0
         for s, e in bounds:
-            product(w_first, row[:, s:e], out=out[i, :, s:e])
+            tile = read(i, s, e)
+            product(w_first, tile, out=out[i, :, s:e])
             hi = t if e == t else e - 1
             for k, (w, d) in enumerate(shifted):
                 # scratch column j + 2 holds the product at source column s + j
                 scratch[:, :2] = history[k]
-                product(w, row[:, s:e], out=scratch[:, 2 : 2 + e - s])
+                product(w, tile, out=scratch[:, 2 : 2 + e - s])
                 history[k] = scratch[:, e - s : e - s + 2]
                 l, h = max(lo, -d), min(hi, t - d)
                 out[i, :, l:h] += scratch[:, l + d - s + 2 : h + d - s + 2]
-            yield row, s, e
+            yield i, tile, s
             lo = hi
 
 
@@ -304,7 +301,7 @@ def _conv_start(x, w):
     Tap k reads x[t + k - 1]; each output sums tap 1, 0, 2 in that order.
     """
     _check_conv(x, w)
-    out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x, w))
+    out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
     taps = [(w[:, :, 1], 0), (w[:, :, 0], -1), (w[:, :, 2], 1)]
     return out, taps, _conv_product(w)
 
@@ -318,20 +315,21 @@ def conv1d_forward(x, w):
 
 def conv1d_backward(dout, cache):
     """(dx, dw). dx is the conv of dout with the transposed taps, summed 1, 0, 2 like the
-    forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache.
-    dout and the cached input may each be an ndarray or `Rows`."""
+    forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache,
+    from the columns [s - 1, e + 1) of x that the tile needs. dout and the cached input may
+    each be an ndarray or `Windows`."""
     x, w = cache
     t = x.shape[2]
     dx = np.empty(x.shape, dtype=np.result_type(dout.dtype, w.dtype))
     dw = np.zeros(w.shape, dtype=dx.dtype)
     taps = [(w[:, :, 1].T, 0), (w[:, :, 0].T, 1), (w[:, :, 2].T, -1)]
-    x_rows = iter(x)
-    for d, s, e in _conv_tiles(dout, taps, dx):
-        if s == 0:
-            xi = next(x_rows)
+    read_x = _window_reader(x)
+    for i, d, s in _conv_tiles(dout, taps, dx):
+        e, lo = s + d.shape[1], max(s - 1, 0)
+        xw = read_x(i, lo, min(e + 1, t))
         for k in range(3):  # tap k: dw[:, :, k] = sum over t of dout[t] x[t + k - 1]^T
             l, h = max(s, 1 - k), min(e, t + 1 - k)
-            dw[:, :, k] += np.matmul(d[:, l:h], xi[:, l + k - 1 : h + k - 1].T)
+            dw[:, :, k] += np.matmul(d[:, l - s : h - s], xw[:, l + k - 1 - lo : h + k - 1 - lo].T)
     return dx, dw
 
 
@@ -387,26 +385,22 @@ def batchnorm1d_backward(dout, cache):
 # --- training: batch norm, skip add and ReLU fused --------------------------------
 
 
-def _affine_relu(x, scale, shift, out, skip=None):
-    """out = relu(x * scale + shift + skip), with per-channel (C, 1) scale and shift.
+def _affine_relu(x, scale, shift, out=None, skip=None):
+    """relu(x * scale + shift + skip), with per-channel (C, 1) scale and shift, into out if given.
 
-    x is (B, C, T) or one (C, T) batch row; elementwise, so a row gives bit for
-    bit that row of the whole.
+    x is (B, C, T) or columns of one (C, T) batch row; elementwise, so a window
+    gives bit for bit that window of the whole.
     """
-    np.multiply(x, scale, out=out)
+    out = np.multiply(x, scale, out=out)
     out += shift
     if skip is not None:
         out += skip
     return np.maximum(out, 0, out=out)
 
 
-def _affine_relu_rows(x, scale, shift):
-    """relu(x * scale + shift) as `Rows`: bit for bit the output of a forward without a skip."""
-    def rows():
-        buf = np.empty(x.shape[1:], dtype=x.dtype)
-        for xi in x:
-            yield _affine_relu(xi, scale, shift, buf)
-    return Rows(x.shape, x.dtype, rows)
+def _affine_relu_windows(x, scale, shift):
+    """relu(x * scale + shift) as `Windows` over the ndarray x: bit for bit the output of a forward without a skip."""
+    return _padded(x.shape, x.dtype, lambda i, lo, hi: _affine_relu(x[i, :, lo:hi], scale, shift))
 
 
 def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
@@ -417,7 +411,7 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
     for float32 data. The output is one fresh array, x * scale + shift, to which
     the skip is added and the ReLU applied in place. The cache keeps the
     per-channel scale and shift in x's dtype, from which the output can be
-    rebuilt (`_affine_relu_rows`) where it is not kept.
+    rebuilt (`_affine_relu_windows`) where it is not kept.
     """
     if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm_relu: expected x (B, {gamma.shape[0]}, T), got {x.shape}")
@@ -434,15 +428,8 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
     state.initialized = True
     scale = gamma * invstd
     affine = scale.astype(x.dtype)[:, None], (beta - mean * scale).astype(x.dtype)[:, None]
-    out = _affine_relu(x, *affine, np.empty_like(x), skip)
+    out = _affine_relu(x, *affine, skip=skip)
     return out, (x, mean, invstd, gamma, affine, out, skip is not None)
-
-
-def _masked_rows(dout, out, into=None):
-    """The rows of dout * (out > 0), written into the rows of `into` if given, else into one reused buffer."""
-    buf = np.empty(out.shape[1:], dtype=dout.dtype) if into is None else None
-    for i, (d, o) in enumerate(zip(dout, out)):
-        yield np.multiply(d, o > 0, out=buf if into is None else into[i])  # subgradient at exactly 0 is 0
 
 
 def batchnorm_relu_backward(dout, cache):
@@ -450,36 +437,40 @@ def batchnorm_relu_backward(dout, cache):
 
     With g the upstream gradient under the ReLU mask and xhat = (x - mean) * invstd,
     dx = gamma * invstd / n * (n * g - sum(g) - xhat * sum(g * xhat)), which is
-    a * g + b * x + k with per-channel a, b, k. One pass over the batch rows
-    sums g and g * x in float64; dx is returned as `Rows` that rebuild each
-    row of g and apply a, b, k to it. So neither g nor dx is ever full-size,
-    except g when it is returned as dskip. dout, x and the cached output may
-    each be an ndarray or Rows.
+    a * g + b * x + k with per-channel a, b, k. One pass over whole batch rows
+    sums g and g * x in float64; dx is returned as `Windows` that rebuild each
+    window of g and apply a, b, k to it. So neither g nor dx is ever full-size,
+    except g when it is returned as dskip. dout is an ndarray; the cached
+    output may be an ndarray or Windows.
     """
     x, mean, invstd, gamma, _, out, has_skip = cache
-    n = x.shape[0] * x.shape[2]
+    t = x.shape[2]
+    n = x.shape[0] * t
+    read_out = _window_reader(out)
+
+    def masked(i, lo, hi, into=None):  # subgradient at exactly 0 is 0
+        return np.multiply(dout[i, :, lo:hi], read_out(i, lo, hi) > 0, out=into)
+
     g = np.empty(x.shape, dtype=dout.dtype) if has_skip else None
     dbeta = np.zeros(x.shape[1])
     sum_gx = np.zeros(x.shape[1])
-    for gi, xi in zip(_masked_rows(dout, out, g), x):
+    for i in range(x.shape[0]):
+        gi = masked(i, 0, t, None if g is None else g[i])
         dbeta += gi.sum(axis=1, dtype=np.float64)
-        sum_gx += np.einsum("ct,ct->c", gi, xi, dtype=np.float64)
+        sum_gx += np.einsum("ct,ct->c", gi, x[i], dtype=np.float64)
     dgamma = invstd * (sum_gx - mean * dbeta)
     a = gamma * invstd
     b = -a * invstd * dgamma / n
     k = -a * dbeta / n - b * mean
     a, b, k = (v.astype(dout.dtype)[:, None] for v in (a, b, k))
 
-    def dx_rows():
-        tmp = np.empty(x.shape[1:], dtype=dout.dtype)
-        dxi = np.empty_like(tmp) if has_skip else None  # else each row of g is scratch
-        for gi, xi in zip(_masked_rows(dout, out) if g is None else g, x):
-            d = np.multiply(gi, a, out=gi if dxi is None else dxi)
-            d += np.multiply(xi, b, out=tmp)
-            d += k
-            yield d
+    def dx(i, lo, hi):
+        d = (masked(i, lo, hi) if g is None else g[i, :, lo:hi]) * a
+        d += x[i, :, lo:hi] * b
+        d += k
+        return d
 
-    grads = (Rows(x.shape, dout.dtype, dx_rows), dgamma.astype(dout.dtype), dbeta.astype(dout.dtype))
+    grads = (_padded(x.shape, dout.dtype, dx), dgamma.astype(dout.dtype), dbeta.astype(dout.dtype))
     return grads + (g,) if has_skip else grads
 
 
@@ -739,7 +730,7 @@ def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, stat
     both and returns the output as `Windows`, each read from one window of x
     that is also the skip, and no cache. In train mode the block does not keep
     unit 1's output a1: unit 1's batch norm (for its ReLU mask) and unit 2's
-    conv (for its dw) hold `Rows` that rebuild it from unit 1's conv output.
+    conv (for its dw) hold `Windows` that rebuild it from unit 1's conv output.
     """
     if mode == "eval":
         folds = [fold_batchnorm(w1, gamma1, beta1, state1), fold_batchnorm(w2, gamma2, beta2, state2)]
@@ -748,7 +739,7 @@ def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, stat
     out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x)
     conv1, (c1, mean, invstd, gamma, affine, _, has_skip) = cache1
     (_, w), bn2 = cache2
-    a1 = _affine_relu_rows(c1, *affine)
+    a1 = _affine_relu_windows(c1, *affine)
     return out, ((conv1, (c1, mean, invstd, gamma, affine, a1, has_skip)), ((a1, w), bn2))
 
 

@@ -312,13 +312,14 @@ def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
                  cache_dir=None, on_composed=None) -> dict:
     """Compose, train, and evaluate one protocol; emits one report per test set.
 
-    Nothing is written until the pools are composed and a val clip has been
-    read; then out_dir is created and `on_composed(out_dir)` is called, if
-    given, before training starts.
+    Nothing is written until the pools are composed and a val clip and a
+    train clip have been read; then out_dir is created and
+    `on_composed(out_dir)` is called, if given, before training starts.
     """
     train_pool, val, test_sets = compose_protocol(
         name, manifests, scale=scale, split_seed=split_seed, mix_seed=mix_seed)
     require_readable(val, "val", cache_dir, train_cfg.strict_data)
+    require_readable(train_pool, "train", cache_dir, train_cfg.strict_data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if on_composed is not None:

@@ -501,6 +501,33 @@ def test_protocol_with_no_readable_val_clip_fails_before_writing(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def missing_train_manifest(tmp_path, corpus, n_train):
+    """Split-tagged: the corpus clips, readable, alternate val and test; the n_train real and
+    n_train fake train files do not exist."""
+    readable = corpus.read_text().strip().splitlines()[1:]
+    rows = [f"{line},{('val', 'test')[k % 2]}" for k, line in enumerate(readable)]
+    rows += [f"{tmp_path / 'missing'}_{label}_{k}.wav,{label},sanity,train"
+             for label in ("real", "fake") for k in range(n_train)]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,domain,split\n" + "\n".join(rows) + "\n")
+    return manifest
+
+
+def test_train_with_no_readable_train_clip_is_data_error_and_writes_nothing(tmp_path, corpus, capsys):
+    cfg = write_config(tmp_path / "c.yaml", missing_train_manifest(tmp_path, corpus, 4), tmp_path / "out")
+    assert main(["train", str(cfg)]) == cli.EXIT_DATA
+    assert "none of the 8 train clips is readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_protocol_with_no_readable_train_clip_is_data_error_and_writes_nothing(tmp_path, corpus, capsys):
+    manifest = missing_train_manifest(tmp_path, corpus, 13)  # in_domain at scale 0.0005 trains on 13 + 13
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out", manifests={"for": str(manifest)})
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.0005"]) == cli.EXIT_DATA
+    assert "none of the 26 train clips is readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- metrics -------------------------------------------------------------------------
 
 

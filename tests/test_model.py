@@ -513,22 +513,24 @@ def test_eval_forward_before_training_raises():
 # repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
 # stem's conv output and its fused batch norm + ReLU output (also res0's input),
 # and per block the conv outputs c1 and c2 and the block output (also the next
-# layer's input): 2 + 3 * 3 activations for three blocks. A block keeps no a1,
-# the output of its first unit: `Rows` rebuild it from c1 one batch row at a time
-# where the backward reads it, for unit 2's dw and unit 1's ReLU mask. The
-# backward peaks at about 16.1, in a block's unit-1 conv backward: the block's
-# upstream gradient, dskip, da1 and the dx being built, plus a few row buffers
-# (a quarter activation each at B = 4) and the conv scratch tile. The batch-norm
-# backward sums its gradient in one pass over the rows and hands the conv
-# backward the gradient of the conv output as Rows, so neither is full-size,
-# except unit 2's masked gradient, which is dskip. The conv kernels allocate no
-# full-size tap buffer, only a scratch tile of C x ~_TILE samples (a quarter
-# activation here). An eval forward keeps no caches, folds each batch norm into
-# its conv and runs depth first: the pool reads the conv stack one batch row and
-# one time tile at a time, so nothing it allocates grows with B or T. Its peak,
-# about 2.0 MiB at any B here (1.02 activations at B = 4), is four C x ~_TILE
-# windows inside a residual block's second unit: the block's input window (also
-# the skip), unit 1's output, and unit 2's output and scratch.
+# layer's input): 2 + 3 * 3 activations for three blocks; 11.06 measured. A
+# block keeps no a1, the output of its first unit, and a unit's backward hands
+# the conv backward the gradient of its conv output unbuilt: both are
+# `Windows`, the one lazy array type, which the conv tile loop reads one
+# C x ~_TILE window at a time through `_window_reader` (a1, rebuilt from c1,
+# for unit 2's dw and unit 1's ReLU mask; the batch-norm dx from its per-channel
+# float64 sums). Those sums read whole batch rows (a quarter activation each
+# at B = 4), and unit 2's masked gradient is kept whole, as dskip. One step
+# peaks at 16.07, held caches included, in a block's unit-1 conv backward: the
+# block's upstream gradient, dskip, da1 and the dx being built, plus a few
+# tile-sized windows. The conv kernels allocate no full-size tap buffer, only
+# a scratch tile of C x ~_TILE samples (a quarter activation here). An eval
+# forward keeps no caches, folds each batch norm into its conv and runs depth
+# first: the pool reads the conv stack one batch row and one time tile at a
+# time, so nothing it allocates grows with B or T. Its peak, about 2.0 MiB at
+# any B here (1.02 activations at B = 4), is four C x ~_TILE windows inside a
+# residual block's second unit: the block's input window (also the skip), unit
+# 1's output, and unit 2's output and scratch.
 
 MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
                            fc_hidden=8, input_len=8000, seed=1)
@@ -622,7 +624,7 @@ def test_conv_after_relu_caches_the_relu_output():
     for block in caches[1 : 1 + N]:
         (conv1, bn1), (conv2, bn2) = block
         a1 = bn1[5]  # unit 1's output, for its ReLU mask, and conv2's input, for its dw
-        assert isinstance(a1, nn_core.Rows) and conv2[0] is a1
+        assert isinstance(a1, nn_core.Windows) and conv2[0] is a1
         full = {id(a): a for a in _arrays(block) if a.shape == (len(x), SMALL.channels, SMALL.input_len)}
         # the block's input, c1, c2 and the block's output; no full-size a1
         assert set(full) == {id(conv1[0]), id(bn1[0]), id(bn2[0]), id(bn2[5])}

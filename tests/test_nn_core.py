@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -421,8 +421,8 @@ def test_batchnorm_relu_caches_input_and_output():
     assert mean.dtype == invstd.dtype == np.float64 and out.dtype == np.float32
     assert scale.dtype == shift.dtype == np.float32 and scale.shape == shift.shape == (3, 1)
     assert (out == 0).any() and (out > 0).any()
-    # the cached scale and shift rebuild the output, bit for bit, one row at a time
-    assert np.array_equal(np.asarray(nn._affine_relu_rows(x, scale, shift)), out)
+    # the cached scale and shift rebuild the output, bit for bit, one window at a time
+    assert np.array_equal(np.asarray(nn._affine_relu_windows(x, scale, shift)), out)
 
 
 @pytest.mark.parametrize("with_skip", [False, True])
@@ -435,12 +435,55 @@ def test_batchnorm_relu_backward_returns_dx_as_rows(with_skip):
     out, cache = nn.batchnorm_relu_forward(x, np.ones(4, np.float32), np.zeros(4, np.float32),
                                            BatchNormState.create(4), skip)
     dx, *rest = nn.batchnorm_relu_backward(dout, cache)
-    assert isinstance(dx, nn.Rows) and dx.shape == x.shape and dx.dtype == np.float32
+    assert isinstance(dx, nn.Windows) and dx.shape == x.shape and dx.dtype == np.float32
     if with_skip:
         assert np.array_equal(rest[-1], dout * (out > 0))
-    # read as rows from an ndarray or from Rows, dout gives the same dx
-    rows = nn.Rows(x.shape, np.float32, lambda: iter(dout))
-    assert np.array_equal(np.asarray(nn.batchnorm_relu_backward(rows, cache)[0]), np.asarray(dx))
+
+
+def _padded_reference(full, i, lo, hi):
+    """Columns lo:hi of row i of full, 0 outside [0, T)."""
+    ref = np.zeros((full.shape[1], hi - lo), dtype=full.dtype)
+    s, e = max(lo, 0), min(hi, full.shape[2])
+    ref[:, s - lo : e - lo] = full[i, :, s:e]
+    return ref
+
+
+@given(t=st.integers(1, 400), dtype=st.sampled_from([np.float32, np.float64]),
+       with_skip=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       spans=st.lists(st.tuples(st.integers(-3, 403), st.integers(0, 80)), max_size=4))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_lazy_operands_read_like_their_arrays(monkeypatch, t, dtype, with_skip, seed, spans):
+    """With 64-sample tiles, a `Windows` operand gives the conv kernels the bits of its np.asarray,
+    and every window of a1 and of the batch-norm dx is the matching slice, 0 outside [0, T)."""
+    monkeypatch.setattr(nn, "_TILE", 64)
+    rng = np.random.default_rng(seed)
+    b, c = 2, 3
+    c1, dout, skip = (rng.normal(size=(b, c, t)).astype(dtype) for _ in range(3))
+    gamma, beta = rng.uniform(0.5, 2.0, c).astype(dtype), rng.normal(size=c).astype(dtype)
+    out, cache = nn.batchnorm_relu_forward(c1, gamma, beta, BatchNormState.create(c, dtype),
+                                           skip if with_skip else None)
+    a1 = nn._affine_relu_windows(c1, *cache[4])
+    dx = nn.batchnorm_relu_backward(dout, cache)[0]
+    if not with_skip:  # a block's unit 1 caches a1 as its output
+        assert np.array_equal(np.asarray(a1), out)
+        lazy_out = nn.batchnorm_relu_backward(dout, cache[:5] + (a1, False))[0]
+        assert np.array_equal(np.asarray(lazy_out), np.asarray(dx))
+    windows = nn._tile_bounds(t) + [(-2, 1), (t - 1, t + 2), (-1, t + 1)]
+    windows += [(lo, lo + n) for lo, n in spans if lo <= t]
+    for lazy in (a1, dx):
+        full = np.asarray(lazy)
+        assert full.dtype == dtype
+        for i in range(b):
+            for lo, hi in windows:
+                assert np.array_equal(lazy.window(i, lo, hi), _padded_reference(full, i, lo, hi))
+        w = rng.normal(size=(4, c, 3)).astype(dtype)
+        assert np.array_equal(nn.conv1d_forward(lazy, w)[0], nn.conv1d_forward(full, w)[0])
+        d = rng.normal(size=(b, 4, t)).astype(dtype)
+        for got, ref in zip(nn.conv1d_backward(d, (lazy, w)), nn.conv1d_backward(d, (full, w))):
+            assert np.array_equal(got, ref)
+        x, w = rng.normal(size=(b, 2, t)).astype(dtype), rng.normal(size=(c, 2, 3)).astype(dtype)
+        for got, ref in zip(nn.conv1d_backward(lazy, (x, w)), nn.conv1d_backward(full, (x, w))):
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("with_skip", [False, True])
