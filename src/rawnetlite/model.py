@@ -63,6 +63,9 @@ class RawNetLiteConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if type(getattr(self, f.name)) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         for name in ("channels", "pool_len", "gru_hidden", "fc_hidden", "input_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -275,7 +278,7 @@ def load(path) -> Model:
 
     try:
         config = RawNetLiteConfig(**header["config"])
-    except TypeError as e:
+    except (TypeError, ConfigError) as e:  # not a mapping of the config's fields, or a field out of range
         raise CheckpointFormatError(f"bad config block: {e}") from e
     tensors, flags = header["tensors"], header["bn_initialized"]
     if not isinstance(tensors, list):

@@ -32,18 +32,22 @@ tested against; the head runs `relu_*`. No kernel keeps a padded or otherwise
 copied (B, C, T) array, and kernels write into fresh outputs only, never into
 an array a cache holds.
 
-Tile convention: every training conv (forward and backward) runs one loop,
-`_conv_tiles`, over each batch row in time tiles of about `_TILE` samples. It
-reads its input one tile at a time through `_window_reader`, so a lazy input
-(a1, or the batch-norm gradient) is built tile by tile inside the loop, and a
-tile's input, output and scratch stay in a core's L2 cache; the conv
-backward's dw reads the tile's columns of x, one wider on each side, the same
-way. No conv allocates a full-size tap buffer: taps 0 and 2 go through one
-tile-sized scratch buffer. Each output element sums the same products in the
-same order as an untiled conv, so the forward and dx are bit-identical to it
-(except, across tiles, the dx of a C_in = 1 conv, whose taps are
-matrix-vector products that the BLAS rounds by position); dw sums its tiles in
-another order.
+Tile convention: one function, `_conv_window`, applies conv taps, in training
+and eval alike. It reads a window one column wider on each side than its
+output, zero past either end of the row, and sums tap 1, then 0, then 2. Every
+training conv (forward and backward) runs one loop, `_conv_tiles`, over each
+batch row in time tiles of about `_TILE` samples. Tile [s, e) reads its haloed
+window, columns s - 1 : e + 1, through `_window_reader`, so a lazy input (a1,
+or the batch-norm gradient) is built tile by tile inside the loop, and a
+tile's input, output and scratch stay in a core's L2 cache. Nothing carries
+over from one tile to the next: output columns s:e are finished when the loop
+yields the tile. The conv backward's dw reads the tile's columns of x, one
+wider on each side but clamped to [0, T), the same way. No conv allocates a
+full-size tap buffer: taps 0 and 2 go through one tile-sized scratch buffer.
+Each output element sums the same products in the same order as an untiled
+conv, so the forward and dx are bit-identical to it (except, across tiles, the
+dx of a C_in = 1 conv, whose taps are matrix-vector products that the BLAS
+rounds by position); dw sums its tiles in another order.
 
 Eval convention: an eval forward keeps nothing for a backward pass and runs
 depth first, so it never holds a (B, C, T) activation. An eval
@@ -54,11 +58,11 @@ the pool reads it, one batch row and one time tile of about `_TILE` samples at
 a time. A window of a unit's output needs its input one column wider on each
 side, so the pool's tile reads the network input with a halo of one column per
 unit (7 for three blocks); a block reads its input window once and adds it as
-the skip. Each unit applies its folded bias, the skip and the ReLU to the
-window and zeroes the columns outside [0, T), which are the next conv's
-padding. `adaptive_avg_pool1d_forward` adds each finished tile into float64
-per-bin sums. `batchnorm1d_forward`'s eval branch is the unfolded reference; it
-returns no cache, so there is no eval backward.
+the skip. Each unit runs `_conv_window` on its window, applies its folded
+bias, the skip and the ReLU, and zeroes the columns outside [0, T), which are
+the next conv's padding. `adaptive_avg_pool1d_forward` adds each finished tile
+into float64 per-bin sums. `batchnorm1d_forward`'s eval branch is the unfolded
+reference; it returns no cache, so there is no eval backward.
 
 GRU convention: `bigru_*` read and give back (B, C, T) and run `gru_*` over
 (B, T, C). The reset gate multiplies the hidden-to-candidate product,
@@ -243,41 +247,40 @@ def _tile_bounds(t: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [t]))
 
 
-def _conv_tiles(src, taps, out, product=np.matmul):
-    """Fill out[i, :, t] with the sum of product(W, src[i, :, t + d]) over taps, one tile at a time.
+def _conv_window(xw, taps, product, out=None, scratch=None):
+    """The conv of the window xw, which is one column wider on each side than the output, into out if given.
 
-    taps is (W, 0), then the shifts -1 and +1 in either order; each output
-    element sums its terms in that order, and a term that would read past
-    either end of src is left out. src is an ndarray or `Windows`, read through
-    `_window_reader` one tile of one batch row at a time. Every product reads
-    the whole tile: the first writes straight into out, the other two go
-    through one tile-sized scratch buffer that also keeps the previous tile's
-    last two columns. A shifted term reaches one column into the next tile, so
-    tile [s, e) finishes the output columns [s - 1, e - 1), and the last tile of
-    a row finishes the row. Yields (i, tile, s) after each tile: tile is
-    columns s:e of src's row i.
+    taps are (W, k) in summation order; tap (W, k) adds product(W, xw[:, k : k + n])
+    to the n output columns. The first product writes out, the others go through
+    scratch, one buffer at least n columns wide, allocated here if not given.
+    """
+    n = xw.shape[1] - 2
+    (w, k), *rest = taps
+    out = product(w, xw[:, k : k + n], out=out)
+    for w, k in rest:
+        scratch = product(w, xw[:, k : k + n], out=None if scratch is None else scratch[:, :n])
+        out += scratch
+    return out
+
+
+def _conv_tiles(src, taps, out, product=np.matmul):
+    """Fill out[i] with the conv of src[i] by taps (`_conv_window`), one tile at a time.
+
+    src is an ndarray or `Windows`; tile [s, e) of batch row i reads the window
+    src[i, :, s - 1 : e + 1] through `_window_reader`, zero past either end of
+    the row, and writes out[i, :, s:e] from it, so a tile is finished when it is
+    yielded and no state passes from one tile to the next. One tile-sized
+    scratch buffer serves every tile. Yields (i, tile, s) after each tile: tile
+    is columns s:e of src's row i.
     """
     b, _, t = src.shape
     read, bounds = _window_reader(src), _tile_bounds(t)
-    width = max(e - s for s, e in bounds)
-    (w_first, _), *shifted = taps
-    scratch = np.empty((out.shape[1], width + 2), dtype=out.dtype)
-    history = np.empty((len(shifted), out.shape[1], 2), dtype=out.dtype)
+    scratch = np.empty((out.shape[1], max(e - s for s, e in bounds)), dtype=out.dtype)
     for i in range(b):
-        lo = 0
         for s, e in bounds:
-            tile = read(i, s, e)
-            product(w_first, tile, out=out[i, :, s:e])
-            hi = t if e == t else e - 1
-            for k, (w, d) in enumerate(shifted):
-                # scratch column j + 2 holds the product at source column s + j
-                scratch[:, :2] = history[k]
-                product(w, tile, out=scratch[:, 2 : 2 + e - s])
-                history[k] = scratch[:, e - s : e - s + 2]
-                l, h = max(lo, -d), min(hi, t - d)
-                out[i, :, l:h] += scratch[:, l + d - s + 2 : h + d - s + 2]
-            yield i, tile, s
-            lo = hi
+            xw = read(i, s - 1, e + 1)
+            _conv_window(xw, taps, product, out[i, :, s:e], scratch)
+            yield i, xw[:, 1:-1], s
 
 
 def _check_conv(x, w):
@@ -295,20 +298,15 @@ def _conv_product(w):
     return np.multiply if w.shape[1] == 1 else np.matmul
 
 
-def _conv_start(x, w):
-    """The output buffer, the taps in summation order and the product that applies them.
-
-    Tap k reads x[t + k - 1]; each output sums tap 1, 0, 2 in that order.
-    """
-    _check_conv(x, w)
-    out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
-    taps = [(w[:, :, 1], 0), (w[:, :, 0], -1), (w[:, :, 2], 1)]
-    return out, taps, _conv_product(w)
+def _taps(w):
+    """The taps of w for `_conv_window`, summed 1, 0, 2; tap k reads x[t + k - 1]."""
+    return [(w[:, :, k], k) for k in (1, 0, 2)]
 
 
 def conv1d_forward(x, w):
-    out, taps, product = _conv_start(x, w)
-    for _ in _conv_tiles(x, taps, out, product):
+    _check_conv(x, w)
+    out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
+    for _ in _conv_tiles(x, _taps(w), out, _conv_product(w)):
         pass
     return out, (x, w)
 
@@ -316,13 +314,13 @@ def conv1d_forward(x, w):
 def conv1d_backward(dout, cache):
     """(dx, dw). dx is the conv of dout with the transposed taps, summed 1, 0, 2 like the
     forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache,
-    from the columns [s - 1, e + 1) of x that the tile needs. dout and the cached input may
-    each be an ndarray or `Windows`."""
+    from the columns [s - 1, e + 1) of x that the tile needs, clamped to [0, T). dout and the
+    cached input may each be an ndarray or `Windows`."""
     x, w = cache
     t = x.shape[2]
     dx = np.empty(x.shape, dtype=np.result_type(dout.dtype, w.dtype))
     dw = np.zeros(w.shape, dtype=dx.dtype)
-    taps = [(w[:, :, 1].T, 0), (w[:, :, 0].T, 1), (w[:, :, 2].T, -1)]
+    taps = [(wk.T, 2 - k) for wk, k in _taps(w)]  # tap k carries dout[t] to dx[t + k - 1]
     read_x = _window_reader(x)
     for i, d, s in _conv_tiles(dout, taps, dx):
         e, lo = s + d.shape[1], max(s - 1, 0)
@@ -385,13 +383,13 @@ def batchnorm1d_backward(dout, cache):
 # --- training: batch norm, skip add and ReLU fused --------------------------------
 
 
-def _affine_relu(x, scale, shift, out=None, skip=None):
-    """relu(x * scale + shift + skip), with per-channel (C, 1) scale and shift, into out if given.
+def _affine_relu(x, scale, shift, skip=None):
+    """relu(x * scale + shift + skip) into a fresh array, with per-channel (C, 1) scale and shift.
 
     x is (B, C, T) or columns of one (C, T) batch row; elementwise, so a window
     gives bit for bit that window of the whole.
     """
-    out = np.multiply(x, scale, out=out)
+    out = x * scale
     out += shift
     if skip is not None:
         out += skip
@@ -491,17 +489,12 @@ def fold_batchnorm(w, gamma, beta, state: BatchNormState):
 def _folded_unit(xw, w, b, lo, hi, t, skip=None):
     """Inference only: relu(conv1d(x, w) + b + skip) at columns lo:hi of a length-t row.
 
-    xw holds the input columns lo - 1 : hi + 1, with zeros outside [0, t); the
-    taps are summed 1, 0, 2 like `_conv_tiles`. skip, if given, is columns
-    lo:hi. Output columns outside [0, t) are zeroed: they are the next conv's
-    padding.
+    xw holds the input columns lo - 1 : hi + 1, with zeros outside [0, t), and
+    `_conv_window` applies the taps to it as in training. The rest is the
+    epilogue: skip, if given, is columns lo:hi, and output columns outside
+    [0, t) are zeroed: they are the next conv's padding.
     """
-    n = hi - lo
-    product = _conv_product(w)
-    out = product(w[:, :, 1], xw[:, 1 : n + 1])
-    scratch = product(w[:, :, 0], xw[:, :n])
-    out += scratch
-    out += product(w[:, :, 2], xw[:, 2:], out=scratch)
+    out = _conv_window(xw, _taps(w), _conv_product(w))
     out += b[:, None]
     if skip is not None:
         out += skip

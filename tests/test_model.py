@@ -62,6 +62,10 @@ def test_config_validation():
         RawNetLiteConfig(pool_len=100, input_len=50)
     with pytest.raises(ConfigError):
         RawNetLiteConfig(kernel=5)
+    for field in ("channels", "n_res_blocks", "seed"):
+        for value in (4.0, "4", True, None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                RawNetLiteConfig(**{field: value})
 
 
 def test_forward_probabilities_in_open_interval():
@@ -134,7 +138,7 @@ def _edit_header(path, mutate):
 # tensor-entry and flag checks. Single-byte edits cannot grow a config number past
 # two digits, so no edit builds a large model.
 
-CHECKPOINT_ERRORS = (CheckpointFormatError, CheckpointIntegrityError, ConfigError)
+CHECKPOINT_ERRORS = (CheckpointFormatError, CheckpointIntegrityError)
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +312,13 @@ MALFORMED_HEADERS = {
     "tensors_a_number": lambda h: h.update(tensors=3),
     "bn_initialized_a_list": lambda h: h.update(bn_initialized=[True]),
     "bn_flag_a_string": lambda h: h["bn_initialized"].update({"stem.bn": "yes"}),
+    "config_float_channels": lambda h: h["config"].update(channels=4.0),
+    "config_fractional_blocks": lambda h: h["config"].update(n_res_blocks=1.5),
+    "config_string_seed": lambda h: h["config"].update(seed="x"),
+    "config_bool_channels": lambda h: h["config"].update(channels=True),
+    "config_zero_channels": lambda h: h["config"].update(channels=0),
+    "config_kernel_5": lambda h: h["config"].update(kernel=5),
+    "config_a_list": lambda h: h.update(config=[4, 3]),
 }
 
 

@@ -317,7 +317,7 @@ def test_conv1d_tiles_match_padded_reference(dtype, b, c_in, t):
 @pytest.mark.parametrize("with_skip", [False, True])
 @pytest.mark.parametrize("c_in", [1, 16])
 @pytest.mark.parametrize("t", [5, 2 * nn._TILE + 1])
-def test_conv1d_relu_matches_forward_bias_skip_relu(with_skip, c_in, t):
+def test_folded_unit_matches_forward_bias_skip_relu(with_skip, c_in, t):
     """The eval unit, run window by window over a row, is relu(conv1d + bias + skip), and 0 past either end."""
     rng = np.random.default_rng(24)
     x = rng.normal(size=(1, c_in, t)).astype(np.float32)
@@ -336,6 +336,30 @@ def test_conv1d_relu_matches_forward_bias_skip_relu(with_skip, c_in, t):
         for lo, hi in windows], axis=1)
     assert not got[:, :2].any() and not got[:, -2:].any()
     assert np.array_equal(got[:, 2:-2], ref[0])
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("c_in", [1, 24])
+@pytest.mark.parametrize("t", [63, 128, 129, 200])
+def test_conv_tiles_finish_each_tile_when_they_yield_it(monkeypatch, lazy, c_in, t):
+    """With 64-sample tiles, output columns s:e equal the padded reference as soon as
+    `_conv_tiles` yields tile [s, e), for an ndarray source and a `Windows` one."""
+    monkeypatch.setattr(nn, "_TILE", 64)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(2, c_in, t)).astype(np.float32)
+    w = rng.normal(size=(16, c_in, 3)).astype(np.float32)
+    scale, shift = (rng.normal(size=(c_in, 1)).astype(np.float32) for _ in range(2))
+    src = nn._affine_relu_windows(x, scale, shift) if lazy else x
+    full = np.asarray(src)
+    ref = conv1d_reference(full, w)
+    out = np.full(ref.shape, np.nan, dtype=np.float32)
+    seen = []
+    for i, tile, s in nn._conv_tiles(src, nn._taps(w), out, nn._conv_product(w)):
+        e = s + tile.shape[1]
+        assert np.array_equal(tile, full[i, :, s:e])
+        assert np.array_equal(out[i, :, s:e], ref[i, :, s:e]), (i, s, e)
+        seen.append((i, s, e))
+    assert seen == [(i, s, e) for i in range(2) for s, e in nn._tile_bounds(t)]
 
 
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
@@ -444,7 +468,8 @@ def _padded_reference(full, i, lo, hi):
     """Columns lo:hi of row i of full, 0 outside [0, T)."""
     ref = np.zeros((full.shape[1], hi - lo), dtype=full.dtype)
     s, e = max(lo, 0), min(hi, full.shape[2])
-    ref[:, s - lo : e - lo] = full[i, :, s:e]
+    if s < e:  # else the window lies wholly outside [0, T)
+        ref[:, s - lo : e - lo] = full[i, :, s:e]
     return ref
 
 
