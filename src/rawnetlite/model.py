@@ -1,31 +1,32 @@
-"""RawNetLite assembly: parameter registry, layer table, forward/backward, checkpoints.
+"""RawNetLite assembly: tensor table, layer table, forward/backward, checkpoints.
 
 Layer stack: Conv1D(1->C, k3, s1, p1) + BN + ReLU -> n residual blocks ->
 AdaptiveAvgPool1D(pool_len) -> BiGRU -> Linear + ReLU -> Linear + Sigmoid.
-`Model.layers` is the single source of that order: one (registry prefix,
-nn_core kernel stem, constants) entry per layer. One loop runs it forward and
-one backward, with no special case for any layer or mode; the only shape
-handling is the (B, 1) output read as (B,) probabilities. The stem is one conv
+`_tensor_shapes` is the one source of every serialized tensor's name, shape and
+order, derived from the config: `build` draws from it, `Model` registers from
+it, and `load` checks a checkpoint's header against it before allocating.
+`Model.layers` is the one source of the layer order: a (registry prefix,
+nn_core kernel stem, constants) entry per layer, run by one loop forward and
+one backward with no special case for any layer or mode. The stem is one conv
 -> batch norm -> ReLU unit, and a residual block is two. Each kernel takes, in
 `nn_core`'s one calling convention, the registry values under its prefix in
 registration order, the entry's constants, and its batch-norm states (if any)
-with the mode; its backward returns the gradients in registration order.
-Kernels are resolved on `nn_core` by name at each call, never stored, so a
-function rebound there (a test's mutation, the benchmark's tracer) is the one
-that runs. In eval mode the walk keeps nothing and runs depth first: the stem
-and the blocks fold each batch norm into its conv inside `nn_core` and return
-lazy `nn_core.Windows`, which the pool reads one batch row and one time tile at
-a time, so no (B, C, T) activation is allocated. The registry owns every
-trainable tensor; batch-norm running statistics are serialized alongside but
-are not parameters. Checkpoints are format 2. `load` also reads format 1,
-which held a bias per conv: it subtracts each from its batch norm's running
-mean, which keeps the eval function and the training trajectory.
+with the mode; its backward returns the gradients in that order. Kernels are
+resolved on `nn_core` by name at each call, so a function rebound there (a
+test's mutation, the benchmark's tracer) is the one that runs. In eval mode the
+stem and the blocks fold each batch norm into their conv and return lazy
+`nn_core.Windows`, which the pool reads depth first, one batch row and one time
+tile at a time. Batch-norm running statistics are serialized but are not
+parameters. Checkpoints are format 2; `load` also reads format 1, which held a
+bias per conv, and subtracts each from its batch norm's running mean, which
+keeps the eval function and the training trajectory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -77,8 +78,35 @@ class RawNetLiteConfig:
             raise ConfigError(f"pool_len {self.pool_len} exceeds input_len {self.input_len}")
 
 
-_GRU_FIELDS = tuple(f.name for f in fields(GRUDirParams))
 _HEADER_KEYS = ("payload_bytes", "payload_sha256", "config", "tensors", "bn_initialized")
+
+
+def _tensor_shapes(config: RawNetLiteConfig, version: int = _FORMAT_VERSION):
+    """(name, shape) of every serialized tensor in checkpoint order: the parameters in registration
+    order (format 1 held a bias after each conv's weights), then each batch norm's running mean and
+    variance. Lazy, so a consumer can stop before a large `n_res_blocks` costs anything."""
+    c, h = config.channels, config.gru_hidden
+
+    def units():  # (conv prefix, batch-norm prefix, conv input channels) of each unit
+        yield "stem.conv", "stem.bn", 1
+        yield from ((f"res{i}.conv{j}", f"res{i}.bn{j}", c) for i in range(config.n_res_blocks) for j in (1, 2))
+
+    for conv, bn, c_in in units():
+        yield f"{conv}.w", (c, c_in, 3)
+        if version == 1:
+            yield f"{conv}.b", (c,)
+        yield f"{bn}.gamma", (c,)
+        yield f"{bn}.beta", (c,)
+    for direction in ("fwd", "bwd"):
+        for f in fields(GRUDirParams):
+            yield f"gru.{direction}.{f.name}", {"w_i": (h, c), "w_h": (h, h)}.get(f.name[:3], (h,))
+    yield "head.fc1.w", (config.fc_hidden, 2 * h)
+    yield "head.fc1.b", (config.fc_hidden,)
+    yield "head.fc2.w", (1, config.fc_hidden)
+    yield "head.fc2.b", (1,)
+    for _, bn, _ in units():
+        yield f"{bn}.running_mean", (c,)
+        yield f"{bn}.running_var", (c,)
 
 
 def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str, tuple]]:
@@ -91,27 +119,22 @@ def _layer_table(config: RawNetLiteConfig) -> list[tuple[str, str, tuple]]:
 
 
 class Model:
-    """Parameter registry plus the layer table that wires nn_core kernels."""
+    """Parameter registry plus the layer table that wires nn_core kernels; holds `arrays` cast to `dtype`."""
 
-    def __init__(self, config: RawNetLiteConfig, dtype=np.float32):
+    def __init__(self, config: RawNetLiteConfig, arrays: dict[str, np.ndarray], dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.layers = _layer_table(config)
-        self.params: dict[str, ParamTensor] = {}
-        self.bn_states: dict[str, BatchNormState] = {}
         self.metadata: dict = {}
-
-    # -- construction ---------------------------------------------------
-
-    def _add(self, name: str, values: np.ndarray) -> None:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        self.params[name] = ParamTensor(name, values.astype(self.dtype))
-
-    def _add_bn(self, prefix: str, channels: int) -> None:
-        self._add(f"{prefix}.gamma", np.ones(channels))
-        self._add(f"{prefix}.beta", np.zeros(channels))
-        self.bn_states[prefix] = BatchNormState.create(channels, dtype=self.dtype)
+        names = [name for name, _ in _tensor_shapes(config)]  # `arrays` holds one array for each
+        self.params: dict[str, ParamTensor] = {
+            name: ParamTensor(name, arrays[name].astype(self.dtype, copy=False))
+            for name in names if ".running_" not in name}
+        self.bn_states: dict[str, BatchNormState] = {
+            name.removesuffix(".running_mean"): BatchNormState(
+                arrays[name].astype(self.dtype, copy=False),
+                arrays[name.replace("_mean", "_var")].astype(self.dtype, copy=False))
+            for name in names if name.endswith(".running_mean")}
 
     @property
     def parameter_count(self) -> int:
@@ -172,47 +195,24 @@ class Model:
 
 
 def build(config: RawNetLiteConfig, dtype=np.float32) -> Model:
-    """Construct a model with seeded initialization.
+    """Construct a model with seeded initialization, drawing in `_tensor_shapes` order.
 
-    Conv and dense weights ~ U(+-sqrt(6 / fan_in)), dense biases zero; all
-    GRU tensors ~ U(+-1/sqrt(H)); BN gamma 1 and beta 0. No conv biases: each
+    All GRU tensors ~ U(+-1/sqrt(H)); conv and dense weights (`.w`) ~
+    U(+-sqrt(6 / fan_in)), fan_in the product of all but the first dimension;
+    BN gamma and running variance 1, everything else 0. No conv biases: each
     conv feeds a batch norm whose beta plays that role. Equal seeds give
     bit-identical parameters.
     """
-    m = Model(config, dtype=dtype)
     rng = np.random.default_rng(config.seed & ((1 << 64) - 1))
-    c = config.channels
-
-    def uniform(bound, *shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    m._add("stem.conv.w", uniform(np.sqrt(6.0 / 3.0), c, 1, 3))
-    m._add_bn("stem.bn", c)
-
-    conv_bound = np.sqrt(6.0 / (c * 3))
-    for i in range(config.n_res_blocks):
-        m._add(f"res{i}.conv1.w", uniform(conv_bound, c, c, 3))
-        m._add_bn(f"res{i}.bn1", c)
-        m._add(f"res{i}.conv2.w", uniform(conv_bound, c, c, 3))
-        m._add_bn(f"res{i}.bn2", c)
-
-    h = config.gru_hidden
-    gru_bound = 1.0 / np.sqrt(h)
-    for direction in ("fwd", "bwd"):
-        for f in _GRU_FIELDS:
-            if f.startswith("w_i"):
-                shape = (h, c)
-            elif f.startswith("w_h"):
-                shape = (h, h)
-            else:
-                shape = (h,)
-            m._add(f"gru.{direction}.{f}", uniform(gru_bound, *shape))
-
-    m._add("head.fc1.w", uniform(np.sqrt(6.0 / (2 * h)), config.fc_hidden, 2 * h))
-    m._add("head.fc1.b", np.zeros(config.fc_hidden))
-    m._add("head.fc2.w", uniform(np.sqrt(6.0 / config.fc_hidden), 1, config.fc_hidden))
-    m._add("head.fc2.b", np.zeros(1))
-    return m
+    arrays = {}
+    for name, shape in _tensor_shapes(config):
+        gru = name.startswith("gru.")
+        if gru or name.endswith(".w"):
+            bound = 1.0 / np.sqrt(config.gru_hidden) if gru else np.sqrt(6.0 / math.prod(shape[1:]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        else:
+            arrays[name] = np.full(shape, float(name.endswith((".gamma", ".running_var"))), dtype=dtype)
+    return Model(config, arrays, dtype=dtype)
 
 
 def save(model: Model, path) -> None:
@@ -285,13 +285,12 @@ def load(path) -> Model:
         raise CheckpointFormatError(f"'tensors' is a JSON {type(tensors).__name__}, not a list")
     if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
         raise CheckpointFormatError("'bn_initialized' is not an object of booleans")
-    model = build(config)
-    expected = dict(model._state_arrays())
-    conv_biases = {}
-    if version == 1:  # it also holds conv biases, to be folded into the batch norms' running means
-        conv_biases = {bn.replace(".bn", ".conv") + ".b": st for bn, st in model.bn_states.items()}
-        expected.update((name, np.empty_like(st.running_mean)) for name, st in conv_biases.items())
-    seen = set()
+    table, needed = {}, 0  # bounded by the payload: every tensor holds at least one float
+    for name, shape in _tensor_shapes(config, version):
+        table[name], needed = shape, needed + 4 * math.prod(shape)
+        if needed > len(payload):
+            raise CheckpointFormatError(f"config needs more than the payload's {len(payload)} bytes")
+    arrays = {}  # read-only views of the payload
     for entry in tensors:
         try:
             name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
@@ -299,28 +298,28 @@ def load(path) -> Model:
             raise CheckpointFormatError(f"malformed tensor entry {entry!r}: {e!r}") from e
         if not isinstance(name, str) or type(start) is not int or start < 0:
             raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
-        if name not in expected:
+        if name not in table:
             raise CheckpointFormatError(f"unknown tensor {name!r} in checkpoint")
-        if name in seen:
+        if name in arrays:
             raise CheckpointFormatError(f"tensor {name!r} appears twice")
-        seen.add(name)
-        target = expected[name]
-        if shape != target.shape:
+        if shape != table[name]:
             raise CheckpointFormatError(
-                f"tensor {name!r}: checkpoint shape {shape} != model shape {target.shape}")
-        end = start + target.size * 4
-        if end > len(payload):
+                f"tensor {name!r}: checkpoint shape {shape} != model shape {table[name]}")
+        count = math.prod(table[name])  # not of `shape`, which may hold floats equal to it
+        if start + 4 * count > len(payload):
             raise CheckpointIntegrityError(f"tensor {name!r} overruns payload")
-        target[...] = np.frombuffer(payload[start:end], dtype="<f4").reshape(target.shape)
-    missing = set(expected) - seen
+        arrays[name] = np.frombuffer(payload, "<f4", count, start).reshape(table[name])
+    missing = set(table) - set(arrays)
     if missing:
         raise CheckpointFormatError(f"checkpoint missing tensors: {sorted(missing)}")
-    for name, st in conv_biases.items():
-        st.running_mean -= expected[name]
-
+    for bn in flags:
+        if f"{bn}.running_mean" not in table:
+            raise CheckpointFormatError(f"unknown batch-norm state {bn!r}")
+    if version == 1:  # fold each conv bias into its batch norm's running mean
+        for name in [n for n in table if n.endswith(".running_mean")]:
+            arrays[name] = arrays[name] - arrays.pop(name.replace(".bn", ".conv").replace(".running_mean", ".b"))
+    model = Model(config, {name: a.copy() for name, a in arrays.items()})  # writable, off the payload
     for bn_name, flag in flags.items():
-        if bn_name not in model.bn_states:
-            raise CheckpointFormatError(f"unknown batch-norm state {bn_name!r}")
         model.bn_states[bn_name].initialized = flag
     model.metadata = header.get("metadata", {})
     return model

@@ -1,4 +1,4 @@
-"""Shared fixtures: WAV builders, score helpers, and the brute-force EER oracle."""
+"""Shared fixtures: WAV builders, score helpers, the brute-force EER oracle and the gradient oracle."""
 
 from __future__ import annotations
 
@@ -71,6 +71,42 @@ def records_from_scores(real_scores, fake_scores) -> list[ScoreRecord]:
     recs = [ScoreRecord(f"real_{i}", 0, float(s)) for i, s in enumerate(real_scores)]
     recs += [ScoreRecord(f"fake_{i}", 1, float(s)) for i, s in enumerate(fake_scores)]
     return recs
+
+
+def finite_difference_check(f, params, eps: float = 1e-5,
+                            max_coords_per_param: int | None = None,
+                            rng: np.random.Generator | None = None,
+                            scale_floor: float = 1e-5) -> float:
+    """Max relative error between analytic grads and central finite differences.
+
+    `f()` evaluates the scalar forward loss at the current parameter values;
+    `params` carry analytic gradients (populated by one backward pass before
+    the call). Each sampled coordinate is perturbed by eps * (|theta| + 1).
+    The relative-error denominator is floored at `scale_floor` so roundoff in
+    near-zero gradients does not register as disagreement.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    worst = 0.0
+    for p in params:
+        flat_v = p.values.reshape(-1)
+        flat_g = p.grad.reshape(-1)
+        idx = np.arange(flat_v.size)
+        if max_coords_per_param is not None and flat_v.size > max_coords_per_param:
+            idx = rng.choice(flat_v.size, size=max_coords_per_param, replace=False)
+        for i in idx:
+            orig = flat_v[i]
+            h = eps * (abs(orig) + 1.0)
+            flat_v[i] = orig + h
+            f_plus = f()
+            flat_v[i] = orig - h
+            f_minus = f()
+            flat_v[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            analytic = flat_g[i]
+            denom = max(abs(analytic), abs(numeric), scale_floor)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
 
 
 @pytest.fixture(scope="session")

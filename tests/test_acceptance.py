@@ -17,10 +17,9 @@ from rawnetlite.losses_metrics import (
     ScoreRecord, bce_loss, classification_metrics, eer, focal_loss,
 )
 from rawnetlite.model import RawNetLiteConfig, build
-from rawnetlite.nn_core import finite_difference_check
 from rawnetlite.train_eval import FULL_COUNTS, PROTOCOLS, TrainConfig, compose_protocol, run_protocol, score_entries, train
 
-from conftest import brute_force_eer, make_wav, records_from_scores
+from conftest import brute_force_eer, finite_difference_check, make_wav, records_from_scores
 
 REDUCED = RawNetLiteConfig(channels=4, n_res_blocks=3, pool_len=8, gru_hidden=3,
                            fc_hidden=4, input_len=256, seed=123)

@@ -14,7 +14,9 @@ from rawnetlite.model import (
     CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig,
     build, load, save,
 )
-from rawnetlite.nn_core import Adam, ShapeError, TrainingError, finite_difference_check
+from rawnetlite.nn_core import Adam, ShapeError, TrainingError
+
+from conftest import finite_difference_check
 
 SMALL = RawNetLiteConfig(channels=4, n_res_blocks=2, pool_len=8, gru_hidden=3,
                          fc_hidden=4, input_len=64, seed=9)
@@ -334,6 +336,28 @@ def test_checkpoint_malformed_tensor_entries_and_flags(tmp_path, mutate):
     assert cli.main(["infer", str(path), str(tmp_path / "x.wav")]) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("field, value", [("channels", 10000), ("gru_hidden", 10000),
+                                          ("n_res_blocks", 1000000)])
+def test_checkpoint_naming_a_larger_model_is_refused_before_allocating(tmp_path, field, value):
+    """A header whose config needs more tensors than its payload holds costs what the file costs.
+
+    Built, each of these configs would take gigabytes, or the time of a million residual blocks."""
+    from rawnetlite import cli
+
+    path = tmp_path / "m.ckpt"
+    save(build(SMALL), path)
+    _edit_header(path, lambda h: h["config"].update({field: value}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="payload"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cli.main(["infer", str(path), str(tmp_path / "x.wav")]) == cli.EXIT_DATA
+
+
 # --- layer table -------------------------------------------------------------------
 
 N = SMALL.n_res_blocks
@@ -532,7 +556,7 @@ def test_eval_forward_before_training_raises():
 # for unit 2's dw and unit 1's ReLU mask; the batch-norm dx from its per-channel
 # float64 sums). Those sums read whole batch rows (a quarter activation each
 # at B = 4), and unit 2's masked gradient is kept whole, as dskip. One step
-# peaks at 16.07, held caches included, in a block's unit-1 conv backward: the
+# peaks at 16.32, held caches included, in a block's unit-1 conv backward: the
 # block's upstream gradient, dskip, da1 and the dx being built, plus a few
 # tile-sized windows. The conv kernels allocate no full-size tap buffer, only
 # a scratch tile of C x ~_TILE samples (a quarter activation here). An eval
@@ -600,7 +624,7 @@ def test_eval_memory_does_not_grow_with_the_clip(monkeypatch):
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
-    """Over several steps, train() peaks like one step: about 16.3 activations, not the 22 of two steps' caches."""
+    """Over several steps, train() peaks like one step: about 16.45 activations, not the 22 of two steps' caches."""
     def synthetic_batches(entries, batch_size=16, **_):
         rng = np.random.default_rng(0)
         for k in range(0, len(entries), batch_size):

@@ -6,9 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from rawnetlite import nn_core as nn
 from rawnetlite.nn_core import (
-    Adam, BatchNormState, GRUDirParams, ParamTensor, ShapeError,
-    TrainingError, finite_difference_check,
+    Adam, BatchNormState, GRUDirParams, ParamTensor, ShapeError, TrainingError,
 )
+
+from conftest import finite_difference_check
 
 GRU_FIELDS = ["w_ir", "w_iz", "w_in", "w_hr", "w_hz", "w_hn",
               "b_ir", "b_iz", "b_in", "b_hr", "b_hz", "b_hn"]
