@@ -5,8 +5,12 @@ The pipeline is: generate the sanity corpus (the `make_sanity_data.py`
 defaults), `rawnetlite train configs/sanity.yaml`, then `rawnetlite eval` of
 the checkpoint on the same manifest. The script prints the digests of
 `checkpoint.ckpt`, of `scores.csv`, and of `history.csv` without its
-wall-clock `seconds` column. A change that must not alter results prints the
-same three lines before and after; run the script in a checkout of each.
+wall-clock `seconds` column. The sanity config trains without augmentation, so
+a fourth digest covers that path: every clip and label of one augmented
+`make_batches` pass over the corpus (the default `AugmentConfig`, epoch
+AUG_EPOCH, shuffle seed AUG_SHUFFLE_SEED). A change that must not alter
+results prints the same four lines before and after; run the script in a
+checkout of each.
 
     python scripts/sanity_digests.py
 
@@ -27,14 +31,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rawnetlite import cli  # noqa: E402
+from rawnetlite import cli, data_pipeline  # noqa: E402
+from rawnetlite.augment import AugmentConfig  # noqa: E402
 from rawnetlite.sanity import generate_corpus  # noqa: E402
+
+AUG_EPOCH = 3
+AUG_SHUFFLE_SEED = 5
 
 
 def history_without_seconds(path: Path) -> bytes:
     rows = [line.split(",") for line in path.read_text().splitlines()]
     drop = rows[0].index("seconds")
     return "".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows).encode()
+
+
+def augmented_pass(manifest: Path) -> bytes:
+    """The clips and labels of one augmented `make_batches` pass, batch after batch."""
+    batches = data_pipeline.make_batches(data_pipeline.parse_manifest(manifest), augment=AugmentConfig(),
+                                         epoch=AUG_EPOCH, shuffle_seed=AUG_SHUFFLE_SEED)
+    return b"".join(clips.tobytes() + labels.tobytes() for clips, labels, _ in batches)
 
 
 def main() -> None:
@@ -53,7 +68,8 @@ def main() -> None:
         for name, data in (("checkpoint.ckpt", (run / "checkpoint.ckpt").read_bytes()),
                            ("scores.csv", (evaluated / "scores.csv").read_bytes()),
                            ("history.csv without seconds",
-                            history_without_seconds(run / "history.csv"))):
+                            history_without_seconds(run / "history.csv")),
+                           ("augmented make_batches pass", augmented_pass(manifest))):
             print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 
