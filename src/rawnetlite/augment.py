@@ -21,13 +21,13 @@ README says more.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .audio_io import FixedClip, _resample_by_ratio, fit_clip
+from .fileio import check_fields
 
 STFT_WIN = 1024
 STFT_HOP = 256
@@ -50,12 +50,13 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.p_apply <= 1.0:
             raise ValueError(f"p_apply must be in [0, 1], got {self.p_apply}")
         for name, (least, most) in _RANGE_BOUNDS.items():
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and least <= lo <= hi <= most):
-                raise ValueError(f"{name} must be a finite ordered pair within [{least}, {most}], got ({lo}, {hi})")
+            if not least <= lo <= hi <= most:
+                raise ValueError(f"{name} must be an ordered pair within [{least}, {most}], got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)

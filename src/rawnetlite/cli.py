@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -31,10 +32,10 @@ import yaml
 from . import audio_io, losses_metrics as lm, model as model_mod, train_eval
 from .augment import AugmentConfig
 from .data_pipeline import (
-    BatchStats, DataError, DomainCap, ManifestError, MixSpec, ProtocolViolationError,
+    BatchStats, DataError, ManifestError, MixSpec, ProtocolViolationError,
     compose_pools, load_clips, parse_manifest,
 )
-from .fileio import atomic_write, write_json
+from .fileio import atomic_write, check_fields, fits, write_json
 from .losses_metrics import ScoreFileError, UndefinedMetricError
 from .model import CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig
 from .nn_core import ShapeError, TrainingError
@@ -54,94 +55,60 @@ EXIT_NUMERIC = 4
 class RunConfig:
     version: int
     output_dir: str = "runs/out"
-    manifests: dict = dataclasses.field(default_factory=dict)
+    manifests: dict[str, str] = dataclasses.field(default_factory=dict)
     model: RawNetLiteConfig = dataclasses.field(default_factory=RawNetLiteConfig)
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     augment: Optional[AugmentConfig] = None
     mix: MixSpec = dataclasses.field(default_factory=MixSpec)
     cache_dir: Optional[str] = None
 
+    def __post_init__(self):
+        check_fields(self)
 
-def _fits(value, hint) -> bool:
-    """Whether a config value fits a field's annotation; a bool is no int, an int is a float, nan and inf are not."""
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads YAML 1.2 exponent floats such as 1e-4, which YAML 1.1 reads as strings."""
+
+
+# On SafeDumper itself, so `safe_dump`, the echo's writer, quotes a string such as "1e3" for `_Loader`.
+yaml.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+                           list("-+.0123456789"), Loader=_Loader, Dumper=yaml.SafeDumper)
+
+
+def _from_yaml(hint, value, where: str):
+    """A YAML value as the field annotated `hint` takes it: a list becomes a tuple, a mapping a dict or a config."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is typing.Union:  # Optional[X] is Union[X, None]
-        return any(_fits(value, a) for a in args)
-    if origin is tuple:  # tuple[X, Y] or tuple[X, ...]
-        items = args[:1] * len(value) if isinstance(value, tuple) and args[-1] is Ellipsis else args
-        return isinstance(value, tuple) and len(value) == len(items) and all(map(_fits, value, items))
-    if hint is float:
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # False for nan
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-
-
-def _mapping(doc, where: str) -> dict:
-    """A config section as a dict; a null section means the defaults."""
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(doc).__name__}")
-    return doc
-
-
-def _build_section(cls, doc, where: str):
-    doc = _mapping(doc, where)
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(map(str, set(doc) - allowed))
-    if unknown:
+    if origin is typing.Union and value is not None:  # Optional[X]; a null stays None
+        return _from_yaml(args[0], value, where)
+    if origin is tuple and dataclasses.is_dataclass(args[0]) and isinstance(value, (list, type(None))):
+        return tuple(_from_yaml(args[0], v, f"{where}[{i}]") for i, v in enumerate(value or []))  # null caps: ()
+    if dict not in (hint, origin) and not dataclasses.is_dataclass(hint):
+        return tuple(value) if isinstance(value, list) else value
+    if not isinstance(doc := {} if value is None else value, dict):  # a null section means the defaults
+        raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+    if not dataclasses.is_dataclass(hint):
+        return dict(doc)
+    hints = typing.get_type_hints(hint)
+    if unknown := sorted(map(str, set(doc) - hints.keys())):
         raise ConfigError(f"{where}: unknown fields {unknown}")
-    kwargs = dict(doc)
-    hints = typing.get_type_hints(cls)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = value = tuple(value)
-        if not _fits(value, hint := hints[key]):
-            name = hint.__name__ if type(hint) is type else str(hint).replace("typing.", "")
-            raise ConfigError(f"{where}: {key} must be {name}, got {value!r}")
+    kwargs = {k: _from_yaml(hints[k], v, f"{where}.{k}".removeprefix("config root.")) for k, v in doc.items()}
     try:
-        return cls(**kwargs)
+        return hint(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(map(str, set(doc) - allowed))
-    if unknown:
-        raise ConfigError(f"unknown top-level fields {unknown}")
+    doc = _from_yaml(dict, doc, "config root")
     if "version" not in doc:
         raise ConfigError("config is missing the mandatory 'version' field")
     if doc["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {doc['version']!r}, expected {CONFIG_VERSION}")
-
-    mix_doc = dict(_mapping(doc.get("mix"), "mix"))
-    caps = mix_doc.get("caps")
-    if not isinstance(caps, (list, type(None))):
-        raise ConfigError(f"mix: caps must be a list, got {type(caps).__name__}")
-    mix_doc["caps"] = tuple(_build_section(DomainCap, c, f"mix.caps[{i}]")
-                            for i, c in enumerate(caps or []))
-    mix = _build_section(MixSpec, mix_doc, "mix")
-
-    manifests = _mapping(doc.get("manifests"), "manifests")
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in manifests.items()):
-        raise ConfigError("manifests: expected a mapping of domain name to CSV path")
-
-    model = _build_section(RawNetLiteConfig, doc.get("model"), "model")
-    if model.input_len != audio_io.CLIP_SAMPLES:  # the data layer makes no other length
+    cfg = _from_yaml(RunConfig, doc, "config root")
+    if cfg.model.input_len != audio_io.CLIP_SAMPLES:  # the data layer makes no other length
         raise ConfigError(f"model: input_len must be {audio_io.CLIP_SAMPLES}, the length of every "
-                          f"preprocessed clip, got {model.input_len}")
-
-    return _build_section(RunConfig, {
-        **doc,
-        "manifests": dict(manifests),
-        "model": model,
-        "train": _build_section(TrainConfig, doc.get("train"), "train"),
-        "augment": (None if doc.get("augment") is None
-                    else _build_section(AugmentConfig, doc["augment"], "augment")),
-        "mix": mix,
-    }, "config root")
+                          f"preprocessed clip, got {cfg.model.input_len}")
+    return cfg
 
 
 def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
@@ -149,28 +116,25 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects dotted.key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        value = yaml.safe_load(raw)
+        *path, last = key.split(".")
         node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
-        node[parts[-1]] = value
+        for part in path:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[last] = yaml.load(raw, Loader=_Loader)
     return doc
 
 
 def load_run_config(path, overrides: Optional[list[str]] = None) -> RunConfig:
     try:
         with open(path) as f:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=_Loader)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}") from e
-    doc = _apply_overrides(doc or {}, overrides or [])
+    doc = _apply_overrides(_from_yaml(dict, doc, "config root"), overrides or [])
     return config_from_dict(doc)
 
 
@@ -278,7 +242,7 @@ def _report_row(path) -> tuple:
         row = (doc["config"], doc["test_set"], rep["f1_fake"], rep["eer"])
     except (ValueError, TypeError, KeyError) as e:  # not JSON, not an object, or a field missing
         raise DataError(f"{path}: not a report: {type(e).__name__}: {e}") from e
-    if not all(map(_fits, row, (str, str, Optional[float], Optional[float]))):
+    if not all(map(fits, row, (str, str, Optional[float], Optional[float]))):
         raise DataError(f"{path}: config and test_set must be strings, f1_fake and eer finite or null")
     return row
 
@@ -410,7 +374,7 @@ def main(argv=None) -> int:
             FileExistsError) as e:  # the last two: a regular file where a directory must be
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, yaml.YAMLError) as e:  # the last: a --set value that is not YAML
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

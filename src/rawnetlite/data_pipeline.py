@@ -15,14 +15,14 @@ import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Literal, Optional
 
 import numpy as np
 
 from . import audio_io
 from .audio_io import CLIP_SAMPLES, KAISER_BETA, TAPS_PER_PHASE, TARGET_RATE_HZ, FixedClip
 from .augment import AugmentConfig, augment_pipeline
-from .fileio import read_csv_rows
+from .fileio import check_fields, read_csv_rows
 from .losses_metrics import LABEL_CODES
 
 log = logging.getLogger(__name__)
@@ -70,13 +70,12 @@ class DomainCap:
     domain: str
     n_real: int
     n_fake: int
-    role: str  # "train" | "val" | "test"
+    role: Literal[ROLES]
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_real < 0 or self.n_fake < 0:
             raise ValueError(f"caps must be >= 0, got ({self.n_real}, {self.n_fake})")
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,8 @@ class MixSpec:
     split_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.scale < float("inf"):  # also False for nan
+        check_fields(self)
+        if self.scale < 0:
             raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
 
 

@@ -29,19 +29,16 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
+from typing import Literal
 
 import numpy as np
 
 from . import nn_core
-from .fileio import atomic_write
+from .fileio import ConfigError, atomic_write, check_fields
 from .nn_core import BatchNormState, GRUDirParams, ParamTensor, ShapeError
 
 _MAGIC = b"RNLCKPT1"
 _FORMAT_VERSION = 2
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class CheckpointFormatError(ValueError):
@@ -55,7 +52,7 @@ class CheckpointIntegrityError(ValueError):
 @dataclass(frozen=True)
 class RawNetLiteConfig:
     channels: int = 64
-    kernel: int = 3
+    kernel: Literal[3] = 3  # the only kernel size `nn_core` implements
     n_res_blocks: int = 3
     pool_len: int = 128
     gru_hidden: int = 128
@@ -64,14 +61,10 @@ class RawNetLiteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if type(getattr(self, f.name)) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        check_fields(self)
         for name in ("channels", "pool_len", "gru_hidden", "fc_hidden", "input_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.kernel != 3:
-            raise ConfigError(f"only kernel size 3 is supported, got {self.kernel}")
         if self.n_res_blocks < 0:
             raise ConfigError(f"n_res_blocks must be >= 0, got {self.n_res_blocks}")
         if self.pool_len > self.input_len:
@@ -276,9 +269,12 @@ def load(path) -> Model:
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointIntegrityError("payload checksum mismatch")
 
+    block = header["config"]  # `save` writes every field, so a field left out is an error, not its default
+    if not isinstance(block, dict) or block.keys() != asdict(RawNetLiteConfig()).keys():
+        raise CheckpointFormatError(f"bad config block: {block!r} does not name exactly the config's fields")
     try:
-        config = RawNetLiteConfig(**header["config"])
-    except (TypeError, ConfigError) as e:  # not a mapping of the config's fields, or a field out of range
+        config = RawNetLiteConfig(**block)
+    except ConfigError as e:  # a field mistyped or out of range
         raise CheckpointFormatError(f"bad config block: {e}") from e
     tensors, flags = header["tensors"], header["bn_initialized"]
     if not isinstance(tensors, list):

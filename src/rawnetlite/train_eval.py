@@ -14,7 +14,7 @@ import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -24,14 +24,14 @@ from .data_pipeline import (
     BatchStats, DataError, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
     compose_pools, load_clips, make_batches,
 )
-from .fileio import atomic_write, write_json
+from .fileio import atomic_write, check_fields, write_json
 from .model import ConfigError, Model, RawNetLiteConfig, build, save
 from .nn_core import Adam, TrainingError
 
 
 @dataclass
 class TrainConfig:
-    loss: str = "focal"  # "bce" | "focal"
+    loss: Literal["bce", "focal"] = "focal"
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
     focal_flat_alpha: bool = False
@@ -45,15 +45,12 @@ class TrainConfig:
     strict_data: bool = False
 
     def __post_init__(self):
-        if self.loss not in ("bce", "focal"):
-            raise ConfigError(f"loss must be 'bce' or 'focal', got {self.loss!r}")
+        check_fields(self)
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        for name in ("max_epochs", "patience", "batch_size", "eval_batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1 or null, got {self.max_steps}")
+        for name in ("max_epochs", "patience", "batch_size", "eval_batch_size", "max_steps"):
+            if (value := getattr(self, name)) is not None and value < 1:  # a null max_steps sets no budget
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.focal_gamma < 0:
             raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if not 0.0 <= self.focal_alpha <= 1.0:

@@ -99,6 +99,36 @@ def test_set_override(tmp_path, corpus, capsys):
     assert main(["train", str(cfg), "--dry-run", "--set", "train.loss=hinge"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("root", ["- 1", "3", "x"])
+def test_set_on_a_config_whose_root_is_not_a_mapping_is_config_error(tmp_path, capsys, root):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(root + "\n")
+    assert main(["train", str(cfg), "--dry-run", "--set", "version=1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config root: expected a mapping") and "Traceback" not in err
+
+
+def test_set_value_that_is_not_yaml_is_config_error(tmp_path, corpus, capsys):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out")
+    assert main(["train", str(cfg), "--dry-run", "--set", "train.lr=["]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_exponent_floats_are_numbers_in_files_and_overrides(tmp_path, corpus):
+    cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace("lr: 0.001", "lr: 1e-4"))
+    assert cli.load_run_config(cfg).train.lr == 1e-4
+    assert cli.load_run_config(cfg, ["train.lr=3e-4"]).train.lr == 3e-4
+
+
+def test_echoed_string_that_looks_like_an_exponent_float_reads_back_as_a_string(tmp_path, corpus):
+    cfg = cli.load_run_config(write_config(tmp_path / "c.yaml", corpus, tmp_path / "out"),
+                              ["output_dir='1e3'", "train.lr=2.5e-4"])
+    assert (cfg.output_dir, cfg.train.lr) == ("1e3", 2.5e-4)
+    cli._echo_config(cfg, tmp_path / "echo")
+    assert cli.load_run_config(tmp_path / "echo" / "effective_config.yaml") == cfg
+
+
 # --- train pool composition (manifest paths only; --dry-run reads no audio) -----------
 
 
@@ -208,7 +238,9 @@ def test_train_non_finite_float_is_config_error(tmp_path, corpus, capsys, sectio
 def test_protocol_non_finite_or_negative_scale_is_config_error(tmp_path, corpus, capsys, scale):
     cfg = write_config(tmp_path / "c.yaml", corpus, tmp_path / "out", manifests={"for": str(corpus)})
     assert main(["protocol", "in_domain", str(cfg), "--scale", scale]) == cli.EXIT_CONFIG
-    assert "scale must be finite and >= 0" in capsys.readouterr().err
+    assert {"inf": "config error: scale must be a finite number, got inf\n",
+            "nan": "config error: scale must be a finite number, got nan\n",
+            "-1": "config error: scale must be finite and >= 0, got -1.0\n"}[scale] == capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

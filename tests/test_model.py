@@ -321,6 +321,9 @@ MALFORMED_HEADERS = {
     "config_zero_channels": lambda h: h["config"].update(channels=0),
     "config_kernel_5": lambda h: h["config"].update(kernel=5),
     "config_a_list": lambda h: h.update(config=[4, 3]),
+    # neither is in a tensor shape, so a default would load without any other error
+    "config_missing_pool_len": lambda h: h["config"].pop("pool_len"),
+    "config_missing_input_len": lambda h: h["config"].pop("input_len"),
 }
 
 
