@@ -17,20 +17,33 @@ and invstd, gamma, its per-channel scale and shift in the input's dtype, and
 its output, not xhat. ReLU caches its output (out > 0 exactly where x > 0),
 and conv1d caches its unpadded input, so a conv after a ReLU holds the very
 same array: the stem's output is also res0's conv1 input. A residual block
-keeps no full-size output a1 of its first unit: the block swaps a1, in unit
-1's batch-norm cache and in unit 2's conv cache, for one `Windows` that
-rebuilds any window of it from unit 1's conv output with the cached scale and
-shift, bit for bit. So a block holds its conv outputs c1 and c2 and its
-output; a1 is rebuilt where a backward reads it: a tile at a time for unit 2's
-dw and unit 1's dx, a batch row at a time for unit 1's batch-norm sums. A
-unit's backward passes the gradient of its conv output from the batch norm to
-the conv as `Windows` as well, so it is never full-size either. `Windows` is
-the one lazy array type, and a kernel reads a (B, C, T) operand that may be
-lazy only through `_window_reader`, which gives views of an ndarray.
-`batchnorm1d_*` and `relu_*` are the unfused reference the fused pair is
-tested against; the head runs `relu_*`. No kernel keeps a padded or otherwise
-copied (B, C, T) array, and kernels write into fresh outputs only, never into
-an array a cache holds.
+never builds the output a1 of its first unit in full: unit 1 returns it as
+`Windows` that build any window of it from unit 1's conv output c1 with the
+cached scale and shift, bit for bit, and unit 2's conv reads it a tile at a
+time and keeps it for its dw. As each a1 tile passes, that conv packs the
+tile's ReLU mask, a1 > 0, with np.packbits into a (B, C, ceil(T / 8)) uint8
+array, one bit per sample, which unit 1's batch norm caches in place of its
+output; its backward unpacks the bits a window at a time (`_mask_reader`)
+and never rebuilds a1. So a block holds c1, its unit-2 conv output c2, its
+output and the mask bits. A unit's backward passes the gradient of its conv
+output from the batch norm to the conv as `Windows` as well, so it is never
+full-size either. `Windows` is the one lazy array type, and a kernel reads a
+(B, C, T) operand that may be lazy only through `_window_reader`, which gives
+views of an ndarray. `batchnorm1d_*` and `relu_*` are the unfused reference
+the fused pair is tested against; the head runs `relu_*`. No kernel keeps a
+padded or otherwise copied (B, C, T) array, and kernels never write into an
+array a cache holds. They write into fresh outputs, except in one epilogue:
+unit 2's masked gradient is the block's dskip, and unit 1's conv backward
+adds each finished dx tile into it (`conv1d_backward`'s into), so the
+block's dx needs no array of its own.
+
+Batch statistics: a training conv's tile loop adds each finished output
+tile's per-channel sum and sum of squares into float64 moments while the tile
+is in cache (`_add_moments`), and the batch norm after it reads them, so no
+pass over a whole conv output computes them. The batch-norm backward sums g
+and g * x the same way, a tile at a time. Each goes through one reused
+float64 tile buffer: a float32 value, square or product is exact in float64,
+and only the summation order differs from one whole-array float64 pass.
 
 Tile convention: one function, `_conv_window`, applies conv taps, in training
 and eval alike. It reads a window one column wider on each side than its
@@ -44,6 +57,9 @@ over from one tile to the next: output columns s:e are finished when the loop
 yields the tile. The conv backward's dw reads the tile's columns of x, one
 wider on each side but clamped to [0, T), the same way. No conv allocates a
 full-size tap buffer: taps 0 and 2 go through one tile-sized scratch buffer.
+A window that reaches past either end of the row is one zero-filled buffer,
+into whose middle a lazy source writes (`_padded`). Tile starts are
+multiples of 64, so a tile of packed mask bits fills whole bytes.
 Each output element sums the same products in the same order as an untiled
 conv, so the forward and dx are bit-identical to it (except, across tiles, the
 dx of a C_in = 1 conv, whose taps are matrix-vector products that the BLAS
@@ -152,7 +168,12 @@ class Windows:
 
 
 def _padded(shape, dtype, inside):
-    """`Windows` that read inside(i, lo, hi) for 0 <= lo <= hi <= T, and 0 outside [0, T)."""
+    """`Windows` that read inside(i, lo, hi, out) for 0 <= lo <= hi <= T, and 0 outside [0, T).
+
+    inside returns columns lo:hi of batch row i, or, given out, writes them
+    there. A window that reaches past the row is one zero-filled buffer, into
+    whose middle inside writes.
+    """
     c, t = shape[1], shape[2]
 
     def window(i, lo, hi):
@@ -161,7 +182,7 @@ def _padded(shape, dtype, inside):
             return inside(i, lo, hi)
         out = np.zeros((c, hi - lo), dtype=dtype)
         if s < e:
-            out[:, s - lo : e - lo] = inside(i, s, e)
+            inside(i, s, e, out[:, s - lo : e - lo])
         return out
     return Windows(shape, dtype, window)
 
@@ -170,7 +191,10 @@ def _window_reader(x):
     """The `window` function of x, an ndarray or `Windows`; an ndarray's window inside [0, T) is a view."""
     if isinstance(x, Windows):
         return x.window
-    return _padded(x.shape, x.dtype, lambda i, lo, hi: x[i, :, lo:hi]).window
+
+    def inside(i, lo, hi, out=None):
+        return x[i, :, lo:hi] if out is None else np.copyto(out, x[i, :, lo:hi])
+    return _padded(x.shape, x.dtype, inside).window
 
 
 # --- elementwise -------------------------------------------------------------
@@ -263,24 +287,47 @@ def _conv_window(xw, taps, product, out=None, scratch=None):
     return out
 
 
-def _conv_tiles(src, taps, out, product=np.matmul):
+def _tile_width(t: int) -> int:
+    """The widest of `_tile_bounds(t)`: the columns a reused tile buffer needs."""
+    return max(e - s for s, e in _tile_bounds(t))
+
+
+def _conv_tiles(src, taps, out, product=np.matmul, add=False):
     """Fill out[i] with the conv of src[i] by taps (`_conv_window`), one tile at a time.
 
     src is an ndarray or `Windows`; tile [s, e) of batch row i reads the window
     src[i, :, s - 1 : e + 1] through `_window_reader`, zero past either end of
     the row, and writes out[i, :, s:e] from it, so a tile is finished when it is
-    yielded and no state passes from one tile to the next. One tile-sized
-    scratch buffer serves every tile. Yields (i, tile, s) after each tile: tile
-    is columns s:e of src's row i.
+    yielded and no state passes from one tile to the next. With add, the conv
+    goes to a tile buffer and is added into out[i, :, s:e] instead. One
+    tile-sized scratch buffer serves every tile. Yields (i, tile, s) after each
+    tile: tile is columns s:e of src's row i.
     """
     b, _, t = src.shape
     read, bounds = _window_reader(src), _tile_bounds(t)
-    scratch = np.empty((out.shape[1], max(e - s for s, e in bounds)), dtype=out.dtype)
+    scratch = np.empty((out.shape[1], _tile_width(t)), dtype=out.dtype)
+    acc = np.empty_like(scratch) if add else None
     for i in range(b):
         for s, e in bounds:
             xw = read(i, s - 1, e + 1)
-            _conv_window(xw, taps, product, out[i, :, s:e], scratch)
+            if add:
+                o = out[i, :, s:e]
+                o += _conv_window(xw, taps, product, acc[:, : e - s], scratch)
+            else:
+                _conv_window(xw, taps, product, out[i, :, s:e], scratch)
             yield i, xw[:, 1:-1], s
+
+
+def _add_moments(tile, buf, moments):
+    """Add the per-channel float64 sum and sum of squares of tile, a (C, n) array, into moments[0] and moments[1].
+
+    The tile goes through buf, a reused float64 buffer of C rows and at least
+    n columns; a float32 square is exact in float64.
+    """
+    f = buf[:, : tile.shape[1]]
+    np.copyto(f, tile)
+    moments[0] += f.sum(axis=1)
+    moments[1] += np.einsum("ct,ct->c", f, f)
 
 
 def _check_conv(x, w):
@@ -303,26 +350,41 @@ def _taps(w):
     return [(w[:, :, k], k) for k in (1, 0, 2)]
 
 
-def conv1d_forward(x, w):
+def conv1d_forward(x, w, moments=None, mask=None):
+    """conv1d(x, w) and its cache (x, w). For a training unit, two extras run on each tile while it is in cache:
+
+    moments, a (2, C_out) float64 array, gets the per-channel sum and sum of
+    squares of the output added (`_add_moments`), for the batch norm after the
+    conv; mask, a (B, C_in, ceil(T / 8)) uint8 array, gets x > 0 packed along
+    time (np.packbits), the ReLU mask of a lazy x. Tile starts are multiples of
+    64, so each tile fills whole bytes.
+    """
     _check_conv(x, w)
     out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
-    for _ in _conv_tiles(x, _taps(w), out, _conv_product(w)):
-        pass
+    buf = None if moments is None else np.empty((w.shape[0], _tile_width(x.shape[2])))
+    for i, tile, s in _conv_tiles(x, _taps(w), out, _conv_product(w)):
+        e = s + tile.shape[1]
+        if moments is not None:
+            _add_moments(out[i, :, s:e], buf, moments)
+        if mask is not None:
+            mask[i, :, s // 8 : -(-e // 8)] = np.packbits(tile > 0, axis=1)
     return out, (x, w)
 
 
-def conv1d_backward(dout, cache):
+def conv1d_backward(dout, cache, into=None):
     """(dx, dw). dx is the conv of dout with the transposed taps, summed 1, 0, 2 like the
     forward; dw accumulates each tap's products tile by tile, while the dout tile is in cache,
     from the columns [s - 1, e + 1) of x that the tile needs, clamped to [0, T). dout and the
-    cached input may each be an ndarray or `Windows`."""
+    cached input may each be an ndarray or `Windows`. Given into, an array of dx's shape and
+    dtype, each finished dx tile is added into it and into is returned as dx: float addition
+    commutes, so that is dx + into bit for bit, without a full-size dx."""
     x, w = cache
     t = x.shape[2]
-    dx = np.empty(x.shape, dtype=np.result_type(dout.dtype, w.dtype))
+    dx = np.empty(x.shape, dtype=np.result_type(dout.dtype, w.dtype)) if into is None else into
     dw = np.zeros(w.shape, dtype=dx.dtype)
     taps = [(wk.T, 2 - k) for wk, k in _taps(w)]  # tap k carries dout[t] to dx[t + k - 1]
     read_x = _window_reader(x)
-    for i, d, s in _conv_tiles(dout, taps, dx):
+    for i, d, s in _conv_tiles(dout, taps, dx, add=into is not None):
         e, lo = s + d.shape[1], max(s - 1, 0)
         xw = read_x(i, lo, min(e + 1, t))
         for k in range(3):  # tap k: dw[:, :, k] = sum over t of dout[t] x[t + k - 1]^T
@@ -383,13 +445,13 @@ def batchnorm1d_backward(dout, cache):
 # --- training: batch norm, skip add and ReLU fused --------------------------------
 
 
-def _affine_relu(x, scale, shift, skip=None):
-    """relu(x * scale + shift + skip) into a fresh array, with per-channel (C, 1) scale and shift.
+def _affine_relu(x, scale, shift, skip=None, out=None):
+    """relu(x * scale + shift + skip) into out, or a fresh array, with per-channel (C, 1) scale and shift.
 
     x is (B, C, T) or columns of one (C, T) batch row; elementwise, so a window
     gives bit for bit that window of the whole.
     """
-    out = x * scale
+    out = np.multiply(x, scale, out=out)
     out += shift
     if skip is not None:
         out += skip
@@ -398,26 +460,57 @@ def _affine_relu(x, scale, shift, skip=None):
 
 def _affine_relu_windows(x, scale, shift):
     """relu(x * scale + shift) as `Windows` over the ndarray x: bit for bit the output of a forward without a skip."""
-    return _padded(x.shape, x.dtype, lambda i, lo, hi: _affine_relu(x[i, :, lo:hi], scale, shift))
+    return _padded(x.shape, x.dtype, lambda i, lo, hi, out=None: _affine_relu(x[i, :, lo:hi], scale, shift, out=out))
 
 
-def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
+def _moments(x):
+    """(2, C) float64: the per-channel sum and sum of squares of x, a tile at a time in `conv1d_forward`'s order."""
+    moments, buf = np.zeros((2, x.shape[1])), np.empty((x.shape[1], _tile_width(x.shape[2])))
+    bounds = _tile_bounds(x.shape[2])
+    for i in range(x.shape[0]):
+        for s, e in bounds:
+            _add_moments(x[i, :, s:e], buf, moments)
+    return moments
+
+
+def _mask_reader(out):
+    """read(i, lo, hi), the ReLU mask out > 0 at columns lo:hi of row i as bools, for 0 <= lo <= hi <= T.
+
+    out is a unit's output (an ndarray or `Windows`), or its mask packed along
+    time by np.packbits, a uint8 array, which is unpacked a window at a time.
+    """
+    if out.dtype == np.uint8:
+        def read(i, lo, hi):
+            bits = np.unpackbits(out[i, :, lo // 8 : -(-hi // 8)], axis=1)
+            return bits[:, lo % 8 : lo % 8 + hi - lo].view(bool)
+        return read
+    read_out = _window_reader(out)
+    return lambda i, lo, hi: read_out(i, lo, hi) > 0
+
+
+def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None, moments=None, lazy=False):
     """Training only: relu(batchnorm1d(x) + skip), normalized by the batch statistics.
 
-    The batch statistics update the running ones. The per-channel sum and sum of squares each take one float64 pass over x;
-    in float64 the one-pass variance E[x^2] - mean^2 loses nothing that matters
-    for float32 data. The output is one fresh array, x * scale + shift, to which
-    the skip is added and the ReLU applied in place. The cache keeps the
-    per-channel scale and shift in x's dtype, from which the output can be
-    rebuilt (`_affine_relu_windows`) where it is not kept.
+    The batch statistics update the running ones. They come from moments, the
+    per-channel float64 sum and sum of squares of x that `conv1d_forward`
+    added up tile by tile, or else from `_moments`, which sums in the same
+    order. In float64 the one-pass variance E[x^2] - mean^2 loses nothing that
+    matters for float32 data. The output is one fresh array, x * scale +
+    shift, to which the skip is added and the ReLU applied in place; with lazy
+    (and no skip) it is `Windows` that build it from x a window at a time
+    (`_affine_relu_windows`). The cache keeps the per-channel scale and shift
+    in x's dtype, from which the output can be rebuilt where it is not kept.
     """
     if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm_relu: expected x (B, {gamma.shape[0]}, T), got {x.shape}")
     n = x.shape[0] * x.shape[2]
     if n < 2:
         raise ShapeError("batchnorm_relu needs >= 2 elements per channel")
-    mean = x.sum(axis=(0, 2), dtype=np.float64) / n
-    var = np.einsum("bct,bct->c", x, x, dtype=np.float64) / n - mean * mean
+    if lazy and skip is not None:
+        raise ValueError("a lazy batchnorm_relu output takes no skip")
+    sums, squares = _moments(x) if moments is None else moments
+    mean = sums / n
+    var = squares / n - mean * mean
     var = np.maximum(var, 0.0)  # a constant channel may round below 0
     invstd = 1.0 / np.sqrt(var + state.eps)
     m = state.momentum
@@ -426,7 +519,7 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None):
     state.initialized = True
     scale = gamma * invstd
     affine = scale.astype(x.dtype)[:, None], (beta - mean * scale).astype(x.dtype)[:, None]
-    out = _affine_relu(x, *affine, skip=skip)
+    out = _affine_relu_windows(x, *affine) if lazy else _affine_relu(x, *affine, skip=skip)
     return out, (x, mean, invstd, gamma, affine, out, skip is not None)
 
 
@@ -435,35 +528,46 @@ def batchnorm_relu_backward(dout, cache):
 
     With g the upstream gradient under the ReLU mask and xhat = (x - mean) * invstd,
     dx = gamma * invstd / n * (n * g - sum(g) - xhat * sum(g * xhat)), which is
-    a * g + b * x + k with per-channel a, b, k. One pass over whole batch rows
-    sums g and g * x in float64; dx is returned as `Windows` that rebuild each
-    window of g and apply a, b, k to it. So neither g nor dx is ever full-size,
-    except g when it is returned as dskip. dout is an ndarray; the cached
-    output may be an ndarray or Windows.
+    a * g + b * x + k with per-channel a, b, k. One pass sums g and g * x in
+    float64 a tile at a time, through one reused float64 tile buffer; dx is
+    returned as `Windows` that rebuild each window of g and apply a, b, k to
+    it. So neither g nor dx is ever full-size, except g when it is returned as
+    dskip. dout is an ndarray; the cached output may be an ndarray, `Windows`,
+    or its ReLU mask packed by np.packbits (`_mask_reader`).
     """
     x, mean, invstd, gamma, _, out, has_skip = cache
     t = x.shape[2]
     n = x.shape[0] * t
-    read_out = _window_reader(out)
+    mask = _mask_reader(out)
 
     def masked(i, lo, hi, into=None):  # subgradient at exactly 0 is 0
-        return np.multiply(dout[i, :, lo:hi], read_out(i, lo, hi) > 0, out=into)
+        return np.multiply(dout[i, :, lo:hi], mask(i, lo, hi), out=into)
 
     g = np.empty(x.shape, dtype=dout.dtype) if has_skip else None
     dbeta = np.zeros(x.shape[1])
     sum_gx = np.zeros(x.shape[1])
+    buf, bounds = np.empty((x.shape[1], _tile_width(t))), _tile_bounds(t)
     for i in range(x.shape[0]):
-        gi = masked(i, 0, t, None if g is None else g[i])
-        dbeta += gi.sum(axis=1, dtype=np.float64)
-        sum_gx += np.einsum("ct,ct->c", gi, x[i], dtype=np.float64)
+        for s, e in bounds:
+            f = buf[:, : e - s]
+            if g is None:
+                masked(i, s, e, f)  # a float32 product, cast to float64 exactly
+            else:
+                np.copyto(f, masked(i, s, e, g[i, :, s:e]))
+            dbeta += f.sum(axis=1)
+            sum_gx += np.einsum("ct,ct->c", f, x[i, :, s:e])
     dgamma = invstd * (sum_gx - mean * dbeta)
     a = gamma * invstd
     b = -a * invstd * dgamma / n
     k = -a * dbeta / n - b * mean
     a, b, k = (v.astype(dout.dtype)[:, None] for v in (a, b, k))
 
-    def dx(i, lo, hi):
-        d = (masked(i, lo, hi) if g is None else g[i, :, lo:hi]) * a
+    def dx(i, lo, hi, out=None):
+        if g is None:
+            d = masked(i, lo, hi, out)
+            d *= a
+        else:
+            d = np.multiply(g[i, :, lo:hi], a, out=out)
         d += x[i, :, lo:hi] * b
         d += k
         return d
@@ -528,26 +632,29 @@ def _folded_windows(x, folds, skip: bool):
 # --- conv -> batch norm -> ReLU: the stem and each residual block half ---------
 
 
-def conv_bn_relu_forward(x, w, gamma, beta, state: BatchNormState, mode: str, skip=None):
-    """relu(BN(conv1d(x, w)) + skip). Train mode runs `conv1d_forward` and then
-    `batchnorm_relu_forward`; eval mode folds the batch norm into the conv,
-    returns the output as `Windows` and no cache, and takes no skip."""
+def conv_bn_relu_forward(x, w, gamma, beta, state: BatchNormState, mode: str, skip=None, lazy=False, mask=None):
+    """relu(BN(conv1d(x, w)) + skip). Train mode runs `conv1d_forward`, which sums the
+    batch statistics tile by tile, and then `batchnorm_relu_forward`, whose output is
+    `Windows` with lazy; mask goes to `conv1d_forward`. Eval mode folds the batch norm
+    into the conv, returns the output as `Windows` and no cache, and takes no skip."""
     if mode == "eval":
         if skip is not None:
             raise ValueError("an eval unit takes no skip; residual_block_forward adds its own")
         return _folded_windows(x, [fold_batchnorm(w, gamma, beta, state)], skip=False), None
     if mode != "train":
         raise ValueError(f"unknown mode {mode!r}")
-    c, cache_conv = conv1d_forward(x, w)
-    out, cache_bn = batchnorm_relu_forward(c, gamma, beta, state, skip)
+    moments = np.zeros((2, w.shape[0]))
+    c, cache_conv = conv1d_forward(x, w, moments, mask)
+    out, cache_bn = batchnorm_relu_forward(c, gamma, beta, state, skip, moments, lazy)
     return out, (cache_conv, cache_bn)
 
 
-def conv_bn_relu_backward(dout, cache):
-    """(dx, dw, dgamma, dbeta), and dskip when the forward took a skip."""
+def conv_bn_relu_backward(dout, cache, into=None):
+    """(dx, dw, dgamma, dbeta), and dskip when the forward took a skip. Given into, dx
+    is added into it (`conv1d_backward`)."""
     cache_conv, cache_bn = cache
     dc, *grads = batchnorm_relu_backward(dout, cache_bn)
-    dx, dw = conv1d_backward(dc, cache_conv)
+    dx, dw = conv1d_backward(dc, cache_conv, into)
     return (dx, dw, *grads)
 
 
@@ -721,27 +828,26 @@ def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, stat
 
     Two conv -> BN -> ReLU units, the second adding the skip. Eval mode folds
     both and returns the output as `Windows`, each read from one window of x
-    that is also the skip, and no cache. In train mode the block does not keep
-    unit 1's output a1: unit 1's batch norm (for its ReLU mask) and unit 2's
-    conv (for its dw) hold `Windows` that rebuild it from unit 1's conv output.
+    that is also the skip, and no cache. In train mode unit 1's output a1 is
+    never built in full: it is `Windows` over unit 1's conv output, which unit
+    2's conv reads a tile at a time, and keeps for its dw. As each a1 tile
+    passes, unit 2's conv packs its ReLU mask into bits, which unit 1's batch
+    norm keeps in place of its output.
     """
     if mode == "eval":
         folds = [fold_batchnorm(w1, gamma1, beta1, state1), fold_batchnorm(w2, gamma2, beta2, state2)]
         return _folded_windows(x, folds, skip=True), None
-    a1, cache1 = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode)
-    out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x)
-    conv1, (c1, mean, invstd, gamma, affine, _, has_skip) = cache1
-    (_, w), bn2 = cache2
-    a1 = _affine_relu_windows(c1, *affine)
-    return out, ((conv1, (c1, mean, invstd, gamma, affine, a1, has_skip)), ((a1, w), bn2))
+    a1, (conv1, bn1) = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode, lazy=True)
+    bits = np.empty(a1.shape[:2] + (-(-a1.shape[2] // 8),), dtype=np.uint8)
+    out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x, mask=bits)
+    return out, ((conv1, bn1[:5] + (bits, False)), cache2)
 
 
 def residual_block_backward(dout, cache):
-    """(dx, dw1, dgamma1, dbeta1, dw2, dgamma2, dbeta2)."""
+    """(dx, dw1, dgamma1, dbeta1, dw2, dgamma2, dbeta2). Unit 1's conv backward adds dx into dskip's buffer."""
     cache1, cache2 = cache
     da1, *grads2, dskip = conv_bn_relu_backward(dout, cache2)
-    dx, *grads1 = conv_bn_relu_backward(da1, cache1)
-    dx += dskip
+    dx, *grads1 = conv_bn_relu_backward(da1, cache1, into=dskip)
     return (dx, *grads1, *grads2)
 
 

@@ -550,19 +550,24 @@ def test_eval_forward_before_training_raises():
 # NumPy allocations are visible to tracemalloc, so these byte counts are exact and
 # repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
 # stem's conv output and its fused batch norm + ReLU output (also res0's input),
-# and per block the conv outputs c1 and c2 and the block output (also the next
-# layer's input): 2 + 3 * 3 activations for three blocks; 11.06 measured. A
-# block keeps no a1, the output of its first unit, and a unit's backward hands
-# the conv backward the gradient of its conv output unbuilt: both are
-# `Windows`, the one lazy array type, which the conv tile loop reads one
-# C x ~_TILE window at a time through `_window_reader` (a1, rebuilt from c1,
-# for unit 2's dw and unit 1's ReLU mask; the batch-norm dx from its per-channel
-# float64 sums). Those sums read whole batch rows (a quarter activation each
-# at B = 4), and unit 2's masked gradient is kept whole, as dskip. One step
-# peaks at 16.32, held caches included, in a block's unit-1 conv backward: the
-# block's upstream gradient, dskip, da1 and the dx being built, plus a few
-# tile-sized windows. The conv kernels allocate no full-size tap buffer, only
-# a scratch tile of C x ~_TILE samples (a quarter activation here). An eval
+# and per block the conv outputs c1 and c2, the block output (also the next
+# layer's input) and a1 > 0 packed to bits (1/32 activation): 2 + 3 * 3 + 3 / 32
+# activations for three blocks; 11.15 measured. No training forward builds a1,
+# the output of a block's first unit, and a unit's backward hands the conv
+# backward the gradient of its conv output unbuilt: both are `Windows`, the one
+# lazy array type, which the conv tile loop reads one C x ~_TILE window at a
+# time through `_window_reader` (a1, built from c1, for unit 2's conv and its
+# dw; the batch-norm dx from its per-channel float64 sums). The batch
+# statistics and those sums are taken a tile at a time, through one float64
+# tile buffer; here a tile is a whole row, so that buffer is half an
+# activation. The forward peaks at 11.35 in the last block's unit-2 conv: its
+# output, a1's window, the conv scratch and the float64 buffer. Unit 2's
+# masked gradient is kept whole, as dskip, and unit 1's conv backward adds its
+# dx into it tile by tile. One step peaks at 15.41, held caches included, in a
+# block's unit-1 conv backward: the block's upstream gradient, dskip and da1,
+# plus a few tile-sized windows and buffers. The conv kernels allocate no
+# full-size tap buffer, only a scratch tile of C x ~_TILE samples (a quarter
+# activation here). An eval
 # forward keeps no caches, folds each batch norm into its conv and runs depth
 # first: the pool reads the conv stack one batch row and one time tile at a
 # time, so nothing it allocates grows with B or T. Its peak, about 2.0 MiB at
@@ -586,7 +591,7 @@ def test_memory_bound_forward_backward():
     try:
         base = tracemalloc.get_traced_memory()[0]
         p, caches = m.forward_train(x)
-        held = tracemalloc.get_traced_memory()[0] - base
+        held, peak_forward = (n - base for n in tracemalloc.get_traced_memory())
         m.backward(np.ones_like(p), caches)
         peak_train = tracemalloc.get_traced_memory()[1] - base
         del p, caches
@@ -596,8 +601,9 @@ def test_memory_bound_forward_backward():
         peak_eval = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert _activations(held, 4) < 11.5
-    assert _activations(peak_train, 4) < 16.6
+    assert _activations(held, 4) < 11.2
+    assert _activations(peak_forward, 4) < 11.5
+    assert _activations(peak_train, 4) < 15.5
     assert _activations(peak_eval, 4) < 1.1
 
 
@@ -627,7 +633,7 @@ def test_eval_memory_does_not_grow_with_the_clip(monkeypatch):
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
-    """Over several steps, train() peaks like one step: about 16.45 activations, not the 22 of two steps' caches."""
+    """Over several steps, train() peaks like one step: about 15.55 activations, not the 22 of two steps' caches."""
     def synthetic_batches(entries, batch_size=16, **_):
         rng = np.random.default_rng(0)
         for k in range(0, len(entries), batch_size):
@@ -644,7 +650,7 @@ def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _activations(peak, 4) < 16.7
+    assert _activations(peak, 4) < 15.65
 
 
 def _arrays(cache):
@@ -661,8 +667,9 @@ def test_conv_after_relu_caches_the_relu_output():
     assert res0_conv1[0] is stem_bn[5]  # res0.conv1 reads the stem's fused BN + ReLU output
     for block in caches[1 : 1 + N]:
         (conv1, bn1), (conv2, bn2) = block
-        a1 = bn1[5]  # unit 1's output, for its ReLU mask, and conv2's input, for its dw
-        assert isinstance(a1, nn_core.Windows) and conv2[0] is a1
+        a1, bits = conv2[0], bn1[5]  # conv2's input, for its dw, and unit 1's ReLU mask
+        assert isinstance(a1, nn_core.Windows)
+        assert bits.dtype == np.uint8 and bits.shape == (len(x), SMALL.channels, SMALL.input_len // 8)
         full = {id(a): a for a in _arrays(block) if a.shape == (len(x), SMALL.channels, SMALL.input_len)}
         # the block's input, c1, c2 and the block's output; no full-size a1
         assert set(full) == {id(conv1[0]), id(bn1[0]), id(bn2[0]), id(bn2[5])}
@@ -670,22 +677,42 @@ def test_conv_after_relu_caches_the_relu_output():
 
 
 def test_block_rebuilds_a1_bit_for_bit(monkeypatch):
-    forward = nn_core.conv_bn_relu_forward
-    outputs = []
+    """With 64-sample tiles and an odd T, no full-size a1 is built in a training forward, the
+    lazy a1 is bit for bit what an eager batch norm + ReLU gives, and unit 1's mask bits are a1 > 0."""
+    monkeypatch.setattr(nn_core, "_TILE", 64)
+    cfg = RawNetLiteConfig(**{**MEM_CFG.__dict__, "input_len": 1001})
+    forward, affine_relu = nn_core.conv_bn_relu_forward, nn_core._affine_relu
+    outputs, built = [], []
 
     def recording(*args, **kwargs):
         out, cache = forward(*args, **kwargs)
         outputs.append(out)
         return out, cache
 
+    def recording_affine_relu(*args, **kwargs):
+        out = affine_relu(*args, **kwargs)
+        built.append(out.shape)
+        return out
+
     monkeypatch.setattr(nn_core, "conv_bn_relu_forward", recording)
-    m = build(MEM_CFG)
-    _, caches = m.forward_train(small_batch(MEM_CFG, n=4))
-    for i, block in enumerate(caches[1 : 1 + MEM_CFG.n_res_blocks]):
+    monkeypatch.setattr(nn_core, "_affine_relu", recording_affine_relu)
+    m = build(cfg)
+    x = small_batch(cfg, n=4)
+    _, caches = m.forward_train(x)
+    full = (len(x), cfg.channels, cfg.input_len)
+    assert built.count(full) == 1 + cfg.n_res_blocks  # the stem's output and each block's
+    for i, block in enumerate(caches[1 : 1 + cfg.n_res_blocks]):
         (_, bn1), _ = block
         a1 = outputs[1 + 2 * i]  # what the block's unit 1 returned
-        assert (a1 == 0).any() and (a1 > 0).any()
-        assert np.array_equal(np.asarray(bn1[5]), a1)
+        assert isinstance(a1, nn_core.Windows)
+        c1, bits = bn1[0], bn1[5]
+        gamma, beta = (m.params[f"res{i}.bn1.{k}"].values for k in ("gamma", "beta"))
+        eager, _ = nn_core.batchnorm_relu_forward(c1, gamma, beta, nn_core.BatchNormState.create(cfg.channels))
+        assert (eager == 0).any() and (eager > 0).any()
+        assert np.array_equal(np.asarray(a1), eager)
+        unpacked = np.unpackbits(bits, axis=2)
+        assert np.array_equal(unpacked[..., : cfg.input_len], np.asarray(a1) > 0)
+        assert not unpacked[..., cfg.input_len :].any()
 
 
 # --- gradient integrity -----------------------------------------------------------

@@ -363,6 +363,30 @@ def test_conv_tiles_finish_each_tile_when_they_yield_it(monkeypatch, lazy, c_in,
     assert seen == [(i, s, e) for i in range(2) for s, e in nn._tile_bounds(t)]
 
 
+@pytest.mark.parametrize("t", [1, 7, 65, 129, 200])
+def test_conv_kernel_extras_per_tile(monkeypatch, t):
+    """With 64-sample tiles: the forward's moments are `_moments` of its output, within
+    float64 rounding of one whole-array sum; its mask is the input's > 0 packed; and a
+    backward given into adds dx into it, bit for bit dx + into."""
+    monkeypatch.setattr(nn, "_TILE", 64)
+    rng = np.random.default_rng(t)
+    x = rng.normal(size=(2, 8, t)).astype(np.float32)
+    w = rng.normal(size=(16, 8, 3)).astype(np.float32)
+    moments = np.zeros((2, 16))
+    mask = np.empty((2, 8, -(-t // 8)), dtype=np.uint8)
+    out, cache = nn.conv1d_forward(x, w, moments, mask)
+    assert np.array_equal(out, conv1d_reference(x, w))
+    assert np.array_equal(moments, nn._moments(out))
+    o = out.astype(np.float64)
+    assert np.allclose(moments, [o.sum(axis=(0, 2)), (o * o).sum(axis=(0, 2))], rtol=1e-13, atol=0)
+    assert np.array_equal(mask, np.packbits(x > 0, axis=2))
+    dout, into = rng.normal(size=(2, 16, t)).astype(np.float32), rng.normal(size=x.shape).astype(np.float32)
+    dx, dw = nn.conv1d_backward(dout, cache)
+    expected = dx + into
+    got_dx, got_dw = nn.conv1d_backward(dout, cache, into)
+    assert got_dx is into and np.array_equal(got_dx, expected) and np.array_equal(got_dw, dw)
+
+
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
 def test_conv_tiles_cover_the_axis_without_small_tiles(t):
     bounds = nn._tile_bounds(t)
@@ -490,10 +514,11 @@ def test_lazy_operands_read_like_their_arrays(monkeypatch, t, dtype, with_skip, 
                                            skip if with_skip else None)
     a1 = nn._affine_relu_windows(c1, *cache[4])
     dx = nn.batchnorm_relu_backward(dout, cache)[0]
-    if not with_skip:  # a block's unit 1 caches a1 as its output
+    if not with_skip:  # a block's unit 1 caches a1 > 0 packed to bits as its output
         assert np.array_equal(np.asarray(a1), out)
-        lazy_out = nn.batchnorm_relu_backward(dout, cache[:5] + (a1, False))[0]
-        assert np.array_equal(np.asarray(lazy_out), np.asarray(dx))
+        for kept in (a1, np.packbits(out > 0, axis=2)):
+            lazy_out = nn.batchnorm_relu_backward(dout, cache[:5] + (kept, False))[0]
+            assert np.array_equal(np.asarray(lazy_out), np.asarray(dx))
     windows = nn._tile_bounds(t) + [(-2, 1), (t - 1, t + 2), (-1, t + 1)]
     windows += [(lo, lo + n) for lo, n in spans if lo <= t]
     for lazy in (a1, dx):
@@ -661,6 +686,32 @@ def test_residual_gradients_match_fd():
     weights, states = make_res_arrays(3, rng), make_res_states(3)
     fd_layer_check(lambda: nn.residual_block_forward(x, *weights, *states, "train"),
                    nn.residual_block_backward, [x, *weights], rng)
+
+
+@pytest.mark.parametrize("t", [7, 9, 65, 129, 200])
+def test_residual_gradients_match_fd_across_tiles(monkeypatch, t):
+    """With 64-sample tiles: the packed mask bits (the last byte part-filled at odd T), the
+    batch statistics summed tile by tile and unit 1's dx added into dskip tile by tile give
+    the true gradients."""
+    monkeypatch.setattr(nn, "_TILE", 64)
+    rng = np.random.default_rng(t)
+    x = rng.normal(size=(2, 3, t))
+    weights, states = make_res_arrays(3, rng), make_res_states(3)
+    fd_layer_check(lambda: nn.residual_block_forward(x, *weights, *states, "train"),
+                   nn.residual_block_backward, [x, *weights], rng)
+
+
+@pytest.mark.parametrize("t", TILE_CROSSING_T)
+def test_residual_input_gradient_matches_fd_at_tile_crossings(t):
+    """The input gradient at full-size tiles. A weight, gamma or beta step moves every
+    pre-ReLU value by ~h, so at these lengths its central difference crosses ReLU kinks and
+    is off by up to 5% at any commit; a step in one input element moves the batch statistics
+    by ~h / (B * T) and crosses none."""
+    rng = np.random.default_rng(t)
+    x = rng.normal(size=(2, 3, t))
+    weights, states = make_res_arrays(3, rng), make_res_states(3)
+    fd_layer_check(lambda: nn.residual_block_forward(x, *weights, *states, "train"),
+                   nn.residual_block_backward, [x], rng)
 
 
 # --- Adam -------------------------------------------------------------------------
