@@ -167,11 +167,16 @@ class Model:
         """Accumulate gradients of a scalar loss into the registry, given dL/dprob.
 
         `dprobs` is cast to the model dtype, so a float64 loss gradient does
-        not run a float32 model's backward in float64.
+        not run a float32 model's backward in float64. `caches` is consumed:
+        each layer's cache is popped off it as its backward runs, so a layer's
+        activations are freed when that backward returns, and the list is left
+        empty.
         """
+        if len(caches) != len(self.layers):
+            raise ValueError(f"{len(caches)} caches for {len(self.layers)} layers")
         d = dprobs.astype(self.dtype, copy=False)[:, None]
-        for (prefix, stem, _), cache in zip(reversed(self.layers), reversed(caches), strict=True):
-            out = getattr(nn_core, f"{stem}_backward")(d, cache)
+        for prefix, stem, _ in reversed(self.layers):
+            out = getattr(nn_core, f"{stem}_backward")(d, caches.pop())
             d, *grads = out if isinstance(out, tuple) else (out,)
             for p, g in zip(self._layer_params(prefix), grads, strict=True):
                 p.grad += g

@@ -14,28 +14,33 @@ and each residual block half is one `conv_bn_relu` unit, whose batch norm runs
 fused with the ReLU after it (and a block's skip add between them) in
 `batchnorm_relu_forward`, which caches its input, its per-channel float64 mean
 and invstd, gamma, its per-channel scale and shift in the input's dtype, and
-its output, not xhat. ReLU caches its output (out > 0 exactly where x > 0),
-and conv1d caches its unpadded input, so a conv after a ReLU holds the very
-same array: the stem's output is also res0's conv1 input. A residual block
-never builds the output a1 of its first unit in full: unit 1 returns it as
-`Windows` that build any window of it from unit 1's conv output c1 with the
-cached scale and shift, bit for bit, and unit 2's conv reads it a tile at a
-time and keeps it for its dw. As each a1 tile passes, that conv packs the
-tile's ReLU mask, a1 > 0, with np.packbits into a (B, C, ceil(T / 8)) uint8
-array, one bit per sample, which unit 1's batch norm caches in place of its
-output; its backward unpacks the bits a window at a time (`_mask_reader`)
-and never rebuilds a1. So a block holds c1, its unit-2 conv output c2, its
-output and the mask bits. A unit's backward passes the gradient of its conv
-output from the batch norm to the conv as `Windows` as well, so it is never
-full-size either. `Windows` is the one lazy array type, and a kernel reads a
-(B, C, T) operand that may be lazy only through `_window_reader`, which gives
-views of an ndarray. `batchnorm1d_*` and `relu_*` are the unfused reference
-the fused pair is tested against; the head runs `relu_*`. No kernel keeps a
-padded or otherwise copied (B, C, T) array, and kernels never write into an
-array a cache holds. They write into fresh outputs, except in one epilogue:
-unit 2's masked gradient is the block's dskip, and unit 1's conv backward
-adds each finished dx tile into it (`conv1d_backward`'s into), so the
-block's dx needs no array of its own.
+its ReLU mask, out > 0, packed along time with np.packbits into a (B, C,
+ceil(T / 8)) uint8 array, one bit per sample; never its output, nor xhat. Its
+backward unpacks the bits a window at a time (`_mask_reader`). conv1d caches
+its unpadded input, so an activation is held once, by the conv that reads it:
+the stem's output only as res0's conv1 input, and the last block's output by
+no cache at all. A residual block never builds the output a1 of its first
+unit in full: unit 1 returns it as `Windows` that build any window of it from
+unit 1's conv output c1 with the cached scale and shift, bit for bit, and
+unit 2's conv reads it a tile at a time and keeps it for its dw. As each a1
+tile passes, that conv packs the tile's mask into unit 1's bits, so a1 is
+never rebuilt for them. So a block holds c1, its unit-2 conv output c2 and two
+masks, and its input is held by its conv1. Two gradients are `Windows` as
+well: the one a unit's batch norm passes to its conv, and the pool's dx, whose
+windows are built from the (B, C, pool_len) upstream gradient. `Windows` is
+the one lazy array type, and a kernel reads a (B, C, T) operand that may be
+lazy only through `_window_reader`, which gives views of an ndarray.
+`batchnorm1d_*` and `relu_*` are the unfused reference the fused pair is
+tested against; the head runs `relu_*`. No kernel keeps a padded or otherwise
+copied (B, C, T) array, and kernels never write into an array a cache holds.
+They write into fresh outputs, except in one epilogue: unit 2's masked
+gradient is the block's dskip, and unit 1's conv backward adds each finished
+dx tile into it (`conv1d_backward`'s into), so the block's dx needs no array
+of its own.
+`Model.backward` frees each layer's cache as its backward returns, so a
+training step peaks in the last block's conv backwards: all held caches but
+the head's, plus dskip, da1 and a few tile-sized buffers; the upstream
+gradient there is the pool's `Windows`, which holds nothing full-size.
 
 Batch statistics: a training conv's tile loop adds each finished output
 tile's per-channel sum and sum of squares into float64 moments while the tile
@@ -330,6 +335,15 @@ def _add_moments(tile, buf, moments):
     moments[1] += np.einsum("ct,ct->c", f, f)
 
 
+def _pack_mask(tile, bits, i, s):
+    """Pack tile > 0, columns s:s + n of batch row i, into bits along time (np.packbits).
+
+    s is a tile start, a multiple of 64, so the tile fills whole bytes; past T
+    the last byte's bits are 0.
+    """
+    bits[i, :, s // 8 : -(-(s + tile.shape[1]) // 8)] = np.packbits(tile > 0, axis=1)
+
+
 def _check_conv(x, w):
     if len(x.shape) != 3:
         raise ShapeError(f"conv1d: expected x (B, C_in, T), got {x.shape}")
@@ -367,7 +381,7 @@ def conv1d_forward(x, w, moments=None, mask=None):
         if moments is not None:
             _add_moments(out[i, :, s:e], buf, moments)
         if mask is not None:
-            mask[i, :, s // 8 : -(-e // 8)] = np.packbits(tile > 0, axis=1)
+            _pack_mask(tile, mask, i, s)
     return out, (x, w)
 
 
@@ -473,19 +487,16 @@ def _moments(x):
     return moments
 
 
-def _mask_reader(out):
-    """read(i, lo, hi), the ReLU mask out > 0 at columns lo:hi of row i as bools, for 0 <= lo <= hi <= T.
+def _mask_reader(bits):
+    """read(i, lo, hi), the ReLU mask at columns lo:hi of row i as bools, for 0 <= lo <= hi <= T.
 
-    out is a unit's output (an ndarray or `Windows`), or its mask packed along
-    time by np.packbits, a uint8 array, which is unpacked a window at a time.
+    bits is the mask packed along time by np.packbits, a (B, C, ceil(T / 8))
+    uint8 array, which is unpacked a window at a time.
     """
-    if out.dtype == np.uint8:
-        def read(i, lo, hi):
-            bits = np.unpackbits(out[i, :, lo // 8 : -(-hi // 8)], axis=1)
-            return bits[:, lo % 8 : lo % 8 + hi - lo].view(bool)
-        return read
-    read_out = _window_reader(out)
-    return lambda i, lo, hi: read_out(i, lo, hi) > 0
+    def read(i, lo, hi):
+        unpacked = np.unpackbits(bits[i, :, lo // 8 : -(-hi // 8)], axis=1)
+        return unpacked[:, lo % 8 : lo % 8 + hi - lo].view(bool)
+    return read
 
 
 def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None, moments=None, lazy=False):
@@ -499,7 +510,11 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None, mom
     shift, to which the skip is added and the ReLU applied in place; with lazy
     (and no skip) it is `Windows` that build it from x a window at a time
     (`_affine_relu_windows`). The cache keeps the per-channel scale and shift
-    in x's dtype, from which the output can be rebuilt where it is not kept.
+    in x's dtype, from which the output can be rebuilt, and the ReLU mask
+    out > 0 packed along time into a (B, C, ceil(T / 8)) uint8 array, never the
+    output itself. The mask of an array output is packed here a tile at a
+    time; that of a lazy one is left for the conv that reads the output to
+    fill as it passes (`conv1d_forward`'s mask).
     """
     if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm_relu: expected x (B, {gamma.shape[0]}, T), got {x.shape}")
@@ -519,8 +534,16 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None, mom
     state.initialized = True
     scale = gamma * invstd
     affine = scale.astype(x.dtype)[:, None], (beta - mean * scale).astype(x.dtype)[:, None]
-    out = _affine_relu_windows(x, *affine) if lazy else _affine_relu(x, *affine, skip=skip)
-    return out, (x, mean, invstd, gamma, affine, out, skip is not None)
+    bits = np.empty(x.shape[:2] + (-(-x.shape[2] // 8),), dtype=np.uint8)
+    if lazy:
+        out = _affine_relu_windows(x, *affine)
+    else:
+        out = _affine_relu(x, *affine, skip=skip)
+        bounds = _tile_bounds(x.shape[2])
+        for i in range(x.shape[0]):
+            for s, e in bounds:
+                _pack_mask(out[i, :, s:e], bits, i, s)
+    return out, (x, mean, invstd, gamma, affine, bits, skip is not None)
 
 
 def batchnorm_relu_backward(dout, cache):
@@ -532,16 +555,17 @@ def batchnorm_relu_backward(dout, cache):
     float64 a tile at a time, through one reused float64 tile buffer; dx is
     returned as `Windows` that rebuild each window of g and apply a, b, k to
     it. So neither g nor dx is ever full-size, except g when it is returned as
-    dskip. dout is an ndarray; the cached output may be an ndarray, `Windows`,
-    or its ReLU mask packed by np.packbits (`_mask_reader`).
+    dskip. dout is an ndarray or `Windows` (the pool's gradient), read through
+    `_window_reader`; the ReLU mask is unpacked from the cached bits a window
+    at a time (`_mask_reader`).
     """
-    x, mean, invstd, gamma, _, out, has_skip = cache
+    x, mean, invstd, gamma, _, bits, has_skip = cache
     t = x.shape[2]
     n = x.shape[0] * t
-    mask = _mask_reader(out)
+    read, mask = _window_reader(dout), _mask_reader(bits)
 
     def masked(i, lo, hi, into=None):  # subgradient at exactly 0 is 0
-        return np.multiply(dout[i, :, lo:hi], mask(i, lo, hi), out=into)
+        return np.multiply(read(i, lo, hi), mask(i, lo, hi), out=into)
 
     g = np.empty(x.shape, dtype=dout.dtype) if has_skip else None
     dbeta = np.zeros(x.shape[1])
@@ -699,11 +723,19 @@ def _pool_windows(x, bins):
 
 
 def adaptive_avg_pool1d_backward(dout, cache):
+    """dx as `Windows`: a window starts from zeros and adds dout[i, :, j] / (e - s) at
+    its columns of each bin [s, e) it overlaps, in bin order, so it is bit for bit that
+    window of the dense dx, also where adjacent bins share a column."""
     t, bins = cache
-    dx = np.zeros(dout.shape[:2] + (t,), dtype=dout.dtype)
-    for j, (s, e) in enumerate(bins):
-        dx[:, :, s:e] += dout[:, :, j : j + 1] / (e - s)
-    return dx
+    scaled = dout / np.array([e - s for s, e in bins], dtype=dout.dtype)
+
+    def window(i, lo, hi):
+        out = np.zeros((dout.shape[1], hi - lo), dtype=dout.dtype)
+        for j, (s, e) in enumerate(bins):
+            if s < hi and e > lo:
+                out[:, max(s, lo) - lo : min(e, hi) - lo] += scaled[i, :, j, None]
+        return out
+    return Windows(dout.shape[:2] + (t,), dout.dtype, window)
 
 
 # --- GRU -----------------------------------------------------------------------
@@ -831,16 +863,16 @@ def residual_block_forward(x, w1, gamma1, beta1, w2, gamma2, beta2, state1, stat
     that is also the skip, and no cache. In train mode unit 1's output a1 is
     never built in full: it is `Windows` over unit 1's conv output, which unit
     2's conv reads a tile at a time, and keeps for its dw. As each a1 tile
-    passes, unit 2's conv packs its ReLU mask into bits, which unit 1's batch
-    norm keeps in place of its output.
+    passes, unit 2's conv packs its ReLU mask into the bits that unit 1's
+    batch norm caches.
     """
     if mode == "eval":
         folds = [fold_batchnorm(w1, gamma1, beta1, state1), fold_batchnorm(w2, gamma2, beta2, state2)]
         return _folded_windows(x, folds, skip=True), None
-    a1, (conv1, bn1) = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode, lazy=True)
-    bits = np.empty(a1.shape[:2] + (-(-a1.shape[2] // 8),), dtype=np.uint8)
+    a1, cache1 = conv_bn_relu_forward(x, w1, gamma1, beta1, state1, mode, lazy=True)
+    bits = cache1[1][5]  # unit 1's ReLU mask, which unit 2's conv fills
     out, cache2 = conv_bn_relu_forward(a1, w2, gamma2, beta2, state2, mode, skip=x, mask=bits)
-    return out, ((conv1, bn1[:5] + (bits, False)), cache2)
+    return out, (cache1, cache2)
 
 
 def residual_block_backward(dout, cache):

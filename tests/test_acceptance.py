@@ -70,6 +70,8 @@ def test_criterion_1_gradient_integrity():
 def _corrupt_everything(out):
     if isinstance(out, np.ndarray):
         return out * 1.01
+    if isinstance(out, nn_core.Windows):  # a lazy gradient: scale each window as it is built
+        return nn_core.Windows(out.shape, out.dtype, lambda i, lo, hi: out.window(i, lo, hi) * 1.01)
     if isinstance(out, tuple):
         return tuple(_corrupt_everything(o) for o in out)
     return out

@@ -548,24 +548,28 @@ def test_eval_forward_before_training_raises():
 
 # --- memory ---------------------------------------------------------------------------
 # NumPy allocations are visible to tracemalloc, so these byte counts are exact and
-# repeatable. Unit: one (B, C, T) float32 activation. A training forward keeps the
-# stem's conv output and its fused batch norm + ReLU output (also res0's input),
-# and per block the conv outputs c1 and c2, the block output (also the next
-# layer's input) and a1 > 0 packed to bits (1/32 activation): 2 + 3 * 3 + 3 / 32
-# activations for three blocks; 11.15 measured. No training forward builds a1,
-# the output of a block's first unit, and a unit's backward hands the conv
-# backward the gradient of its conv output unbuilt: both are `Windows`, the one
-# lazy array type, which the conv tile loop reads one C x ~_TILE window at a
-# time through `_window_reader` (a1, built from c1, for unit 2's conv and its
-# dw; the batch-norm dx from its per-channel float64 sums). The batch
-# statistics and those sums are taken a tile at a time, through one float64
-# tile buffer; here a tile is a whole row, so that buffer is half an
-# activation. The forward peaks at 11.35 in the last block's unit-2 conv: its
-# output, a1's window, the conv scratch and the float64 buffer. Unit 2's
-# masked gradient is kept whole, as dskip, and unit 1's conv backward adds its
-# dx into it tile by tile. One step peaks at 15.41, held caches included, in a
-# block's unit-1 conv backward: the block's upstream gradient, dskip and da1,
-# plus a few tile-sized windows and buffers. The conv kernels allocate no
+# repeatable. Unit: one (B, C, T) float32 activation. No batch norm caches its
+# output: each caches its ReLU mask, out > 0, packed to bits (1/32 activation).
+# So a training forward keeps the stem's conv output and its output (as res0's
+# conv1 input), per block the conv outputs c1 and c2 and, but for the last
+# block, the block output (as the next conv's input), and seven masks: 2 + 2 * 3
+# + 2 + 7 / 32 activations for three blocks; 10.28 measured. No training forward
+# builds a1, the output of a block's first unit, and a unit's backward hands the
+# conv backward the gradient of its conv output unbuilt; the pool's gradient is
+# unbuilt too. All three are `Windows`, the one lazy array type, which the
+# kernels read one C x ~_TILE window at a time through `_window_reader` (a1,
+# built from c1, for unit 2's conv and its dw; the batch-norm dx from its
+# per-channel float64 sums; the pool's dx from its (B, C, pool_len) gradient).
+# The batch statistics and those sums are taken a tile at a time, through one
+# float64 tile buffer; here a tile is a whole row, so that buffer is half an
+# activation. The forward peaks at 11.45 in the last block's unit-2 conv: its
+# output, a1's window, the conv scratch and the float64 buffer. Unit 2's masked
+# gradient is kept whole, as dskip, and unit 1's conv backward adds its dx into
+# it tile by tile. `Model.backward` pops each layer's cache, so a block's
+# activations are freed when its backward returns. One step peaks at 13.49 in
+# the last block's conv backwards: the held caches, dskip and da1, plus a few
+# tile-sized windows and buffers; each earlier block starts about two
+# activations lower than the one after it. The conv kernels allocate no
 # full-size tap buffer, only a scratch tile of C x ~_TILE samples (a quarter
 # activation here). An eval
 # forward keeps no caches, folds each batch norm into its conv and runs depth
@@ -601,10 +605,27 @@ def test_memory_bound_forward_backward():
         peak_eval = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert _activations(held, 4) < 11.2
+    assert _activations(held, 4) < 10.4
     assert _activations(peak_forward, 4) < 11.5
-    assert _activations(peak_train, 4) < 15.5
+    assert _activations(peak_train, 4) < 13.6
     assert _activations(peak_eval, 4) < 1.1
+
+
+def test_memory_bound_one_step_at_the_paper_config():
+    """One float32 step at the paper config, B = 2, peaks at 12.65 (B, C, T) activations, ~296 MiB."""
+    cfg = RawNetLiteConfig()
+    m = build(cfg)
+    x = small_batch(cfg, n=2)
+    m.forward(x, mode="train")  # warm-up, so one-time allocations stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p, caches = m.forward_train(x)
+        m.backward(np.ones_like(p), caches)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 * cfg.channels * cfg.input_len * 4) < 12.8
 
 
 def _eval_peak(cfg, batch):
@@ -633,7 +654,7 @@ def test_eval_memory_does_not_grow_with_the_clip(monkeypatch):
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
-    """Over several steps, train() peaks like one step: about 15.55 activations, not the 22 of two steps' caches."""
+    """Over several steps, train() peaks like one step: about 13.64 activations, not the 20.6 of two steps' caches."""
     def synthetic_batches(entries, batch_size=16, **_):
         rng = np.random.default_rng(0)
         for k in range(0, len(entries), batch_size):
@@ -650,7 +671,7 @@ def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _activations(peak, 4) < 15.65
+    assert _activations(peak, 4) < 13.75
 
 
 def _arrays(cache):
@@ -659,21 +680,41 @@ def _arrays(cache):
     return [cache] if isinstance(cache, np.ndarray) else []
 
 
-def test_conv_after_relu_caches_the_relu_output():
-    m = build(SMALL)
-    x = small_batch()
-    _, caches = m.forward_train(x)
-    (_, stem_bn), ((res0_conv1, _), _) = caches[0], caches[1]
-    assert res0_conv1[0] is stem_bn[5]  # res0.conv1 reads the stem's fused BN + ReLU output
-    for block in caches[1 : 1 + N]:
-        (conv1, bn1), (conv2, bn2) = block
-        a1, bits = conv2[0], bn1[5]  # conv2's input, for its dw, and unit 1's ReLU mask
-        assert isinstance(a1, nn_core.Windows)
-        assert bits.dtype == np.uint8 and bits.shape == (len(x), SMALL.channels, SMALL.input_len // 8)
-        full = {id(a): a for a in _arrays(block) if a.shape == (len(x), SMALL.channels, SMALL.input_len)}
-        # the block's input, c1, c2 and the block's output; no full-size a1
-        assert set(full) == {id(conv1[0]), id(bn1[0]), id(bn2[0]), id(bn2[5])}
-        assert not any(np.array_equal(a, np.asarray(a1)) for a in full.values())
+def test_conv_after_relu_caches_the_relu_output(monkeypatch):
+    """With 64-sample tiles and an odd T, the stem's and each unit 2's batch norm caches its
+    ReLU mask out > 0 packed to bits, with zero padding bits, not its output. So the stem's
+    and each block's output is held only by the next conv, as its input, and the last
+    block's by no cache."""
+    monkeypatch.setattr(nn_core, "_TILE", 64)
+    cfg = RawNetLiteConfig(**{**SMALL.__dict__, "input_len": 1001})
+    forward, outputs = nn_core.conv_bn_relu_forward, []
+
+    def recording(*args, **kwargs):
+        out, cache = forward(*args, **kwargs)
+        outputs.append(out)
+        return out, cache
+
+    monkeypatch.setattr(nn_core, "conv_bn_relu_forward", recording)
+    x = small_batch(cfg)
+    _, caches = build(cfg).forward_train(x)
+    n, full = cfg.n_res_blocks, (len(x), cfg.channels, cfg.input_len)
+    blocks = caches[1 : 1 + n]
+    # the stem's output and each block's, with the cache of the batch norm that made it
+    eager = [(outputs[0], caches[0][1])] + [(outputs[2 + 2 * i], bn2) for i, (_, (_, bn2)) in enumerate(blocks)]
+    held = [id(a) for cache in caches for a in _arrays(cache)]
+    for k, (out, bn) in enumerate(eager):
+        bits = bn[5]
+        assert isinstance(out, np.ndarray) and out.shape == full and (out > 0).any() and (out == 0).any()
+        assert bits.dtype == np.uint8 and bits.shape == full[:2] + (-(-cfg.input_len // 8),)
+        unpacked = np.unpackbits(bits, axis=2)
+        assert np.array_equal(unpacked[..., : cfg.input_len], out > 0)
+        assert not unpacked[..., cfg.input_len :].any()
+        assert held.count(id(out)) == (k < n)
+    assert blocks[0][0][0][0] is outputs[0]  # res0.conv1 reads the stem's output
+    for (conv1, bn1), (conv2, bn2) in blocks:
+        assert isinstance(conv2[0], nn_core.Windows)  # a1, for conv2's dw
+        full_arrays = {id(a) for a in _arrays(((conv1, bn1), (conv2, bn2))) if a.shape == full}
+        assert full_arrays == {id(conv1[0]), id(bn1[0]), id(bn2[0])}  # the block's input, c1 and c2
 
 
 def test_block_rebuilds_a1_bit_for_bit(monkeypatch):
@@ -716,6 +757,15 @@ def test_block_rebuilds_a1_bit_for_bit(monkeypatch):
 
 
 # --- gradient integrity -----------------------------------------------------------
+
+
+def test_backward_consumes_the_caches():
+    m = build(SMALL)
+    p, caches = m.forward_train(small_batch())
+    m.backward(np.ones_like(p), caches)
+    assert caches == []
+    with pytest.raises(ValueError, match="0 caches"):
+        m.backward(np.ones_like(p), caches)
 
 
 def test_backward_casts_dprobs_to_the_model_dtype():

@@ -15,25 +15,43 @@ GRU_FIELDS = ["w_ir", "w_iz", "w_in", "w_hr", "w_hz", "w_hn",
               "b_ir", "b_iz", "b_in", "b_hr", "b_hz", "b_hn"]
 
 
+def _relu_masks(cache):
+    """The packed ReLU masks, the uint8 arrays, in a kernel's cache of nested tuples."""
+    if isinstance(cache, tuple):
+        return [m for c in cache for m in _relu_masks(c)]
+    return [cache] if isinstance(cache, np.ndarray) and cache.dtype == np.uint8 else []
+
+
 def fd_layer_check(forward, backward, arrays_to_check, rng, n_coords=20, tol=1e-4):
     """Project the layer output to a scalar and compare grads to central FDs.
 
-    `backward` is a kernel's own: it returns (dx, *grads), or a bare dx.
+    `backward` is a kernel's own: it returns (dx, *grads), or a bare dx. An
+    entry v is stepped by h = 1e-5 * (|v| + 1), or by h / 10 as often as a
+    step flips a ReLU mask in the cache, down to 1e-8 * (|v| + 1): across a
+    kink the layer has no derivative for the difference to approximate.
     """
     out, cache = forward()
+    masks = _relu_masks(cache)
     w = rng.normal(size=out.shape)
     grads = backward(w, cache)
     grads = grads if isinstance(grads, tuple) else (grads,)
+
+    def probe(flat, i, v):
+        flat[i] = v
+        out, cache = forward()
+        return float((out * w).sum()), all(map(np.array_equal, masks, _relu_masks(cache)))
+
     worst = 0.0
     for arr, g in zip(arrays_to_check, grads):
         flat, gf = arr.reshape(-1), np.asarray(g).reshape(-1)
         for i in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
             orig = flat[i]
             h = 1e-5 * (abs(orig) + 1.0)
-            flat[i] = orig + h
-            fp = float((forward()[0] * w).sum())
-            flat[i] = orig - h
-            fm = float((forward()[0] * w).sum())
+            while True:
+                (fp, kept_p), (fm, kept_m) = probe(flat, i, orig + h), probe(flat, i, orig - h)
+                if (kept_p and kept_m) or h < 1e-8 * (abs(orig) + 1.0):
+                    break
+                h /= 10
             flat[i] = orig
             num = (fp - fm) / (2 * h)
             worst = max(worst, abs(num - gf[i]) / max(abs(num), abs(gf[i]), 1e-5))
@@ -459,19 +477,28 @@ def test_batchnorm_relu_matches_reference_composition(dtype, loc, scale, with_sk
     assert st_fused.initialized
 
 
-def test_batchnorm_relu_caches_input_and_output():
+@pytest.mark.parametrize("with_skip", [False, True])
+def test_batchnorm_relu_caches_its_input_and_mask_bits(monkeypatch, with_skip):
+    """With 64-sample tiles and an odd T, the cache holds x and the ReLU mask out > 0 packed
+    along time, with zero padding bits, and not the output."""
+    monkeypatch.setattr(nn, "_TILE", 64)
     rng = np.random.default_rng(28)
-    x = rng.normal(size=(2, 3, 10)).astype(np.float32)
+    t = 201
+    x = rng.normal(size=(2, 3, t)).astype(np.float32)
     gamma, beta = rng.uniform(0.5, 2.0, 3).astype(np.float32), rng.normal(size=3).astype(np.float32)
-    st_ = BatchNormState.create(3)
-    out, cache = nn.batchnorm_relu_forward(x, gamma, beta, st_)
-    cached_x, mean, invstd, cached_gamma, (scale, shift), cached_out, has_skip = cache
-    assert cached_x is x and cached_out is out and cached_gamma is gamma and not has_skip
+    skip = rng.normal(size=x.shape).astype(np.float32) if with_skip else None
+    out, cache = nn.batchnorm_relu_forward(x, gamma, beta, BatchNormState.create(3), skip)
+    cached_x, mean, invstd, cached_gamma, (scale, shift), bits, has_skip = cache
+    assert cached_x is x and cached_gamma is gamma and has_skip == with_skip
+    assert not any(a is out for a in cache)
     assert mean.dtype == invstd.dtype == np.float64 and out.dtype == np.float32
     assert scale.dtype == shift.dtype == np.float32 and scale.shape == shift.shape == (3, 1)
     assert (out == 0).any() and (out > 0).any()
-    # the cached scale and shift rebuild the output, bit for bit, one window at a time
-    assert np.array_equal(np.asarray(nn._affine_relu_windows(x, scale, shift)), out)
+    assert bits.dtype == np.uint8 and bits.shape == (2, 3, -(-t // 8))
+    unpacked = np.unpackbits(bits, axis=2)
+    assert np.array_equal(unpacked[..., :t], out > 0) and not unpacked[..., t:].any()
+    if not with_skip:  # the cached scale and shift rebuild the output, bit for bit, one window at a time
+        assert np.array_equal(np.asarray(nn._affine_relu_windows(x, scale, shift)), out)
 
 
 @pytest.mark.parametrize("with_skip", [False, True])
@@ -514,11 +541,12 @@ def test_lazy_operands_read_like_their_arrays(monkeypatch, t, dtype, with_skip, 
                                            skip if with_skip else None)
     a1 = nn._affine_relu_windows(c1, *cache[4])
     dx = nn.batchnorm_relu_backward(dout, cache)[0]
-    if not with_skip:  # a block's unit 1 caches a1 > 0 packed to bits as its output
+    if not with_skip:
         assert np.array_equal(np.asarray(a1), out)
-        for kept in (a1, np.packbits(out > 0, axis=2)):
-            lazy_out = nn.batchnorm_relu_backward(dout, cache[:5] + (kept, False))[0]
-            assert np.array_equal(np.asarray(lazy_out), np.asarray(dx))
+    lazy_dout = nn.Windows(dout.shape, dout.dtype, nn._window_reader(dout))  # as the pool's gradient
+    for got, ref in zip(nn.batchnorm_relu_backward(lazy_dout, cache),
+                        nn.batchnorm_relu_backward(dout, cache)):
+        assert np.array_equal(np.asarray(got), np.asarray(ref))
     windows = nn._tile_bounds(t) + [(-2, 1), (t - 1, t + 2), (-1, t + 1)]
     windows += [(lo, lo + n) for lo, n in spans if lo <= t]
     for lazy in (a1, dx):
@@ -591,6 +619,29 @@ def test_pool_rejects_bad_out_len():
         nn.adaptive_avg_pool1d_forward(x, 0)
     with pytest.raises(ValueError):
         nn.adaptive_avg_pool1d_forward(x, 5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t, out_len", [(1000, 7), (1001, 7), (130, 128), (10, 4), (9, 9)])
+def test_pool_gradient_windows_match_the_dense_gradient(dtype, t, out_len):
+    """The lazy pool gradient is bit for bit the dense dx, built bin by bin, also where
+    adjacent bins share a column, in windows past the row's edges and read out of order."""
+    rng = np.random.default_rng(t)
+    dout = rng.normal(size=(2, 3, out_len)).astype(dtype)
+    bins = nn._pool_bins(t, out_len)
+    assert any(b > a for (_, b), (a, _) in zip(bins, bins[1:])) == (t % out_len != 0)
+    dense = np.zeros((2, 3, t), dtype=dtype)
+    for j, (s, e) in enumerate(bins):
+        dense[:, :, s:e] += dout[:, :, j : j + 1] / (e - s)
+    dx = nn.adaptive_avg_pool1d_backward(dout, (t, bins))
+    assert isinstance(dx, nn.Windows) and dx.shape == dense.shape and dx.dtype == dtype
+    assert np.array_equal(np.asarray(dx), dense)
+    spans = [(-3, 2), (t - 2, t + 3), (-1, t + 1), (t // 2, t // 2), (-5, -1), (t + 1, t + 4)]
+    spans += [tuple(sorted(rng.integers(-2, t + 3, size=2))) for _ in range(8)]
+    reads = [(i, lo, hi) for i in range(2) for lo, hi in spans]
+    for k in rng.permutation(len(reads)):
+        i, lo, hi = reads[k]
+        assert np.array_equal(dx.window(i, lo, hi), _padded_reference(dense, i, lo, hi))
 
 
 def test_pool_gradients_match_fd():
@@ -702,16 +753,16 @@ def test_residual_gradients_match_fd_across_tiles(monkeypatch, t):
 
 
 @pytest.mark.parametrize("t", TILE_CROSSING_T)
-def test_residual_input_gradient_matches_fd_at_tile_crossings(t):
-    """The input gradient at full-size tiles. A weight, gamma or beta step moves every
-    pre-ReLU value by ~h, so at these lengths its central difference crosses ReLU kinks and
-    is off by up to 5% at any commit; a step in one input element moves the batch statistics
-    by ~h / (B * T) and crosses none."""
+def test_residual_gradients_match_fd_at_tile_crossings(t):
+    """Every gradient at full-size tiles, where each batch norm's mask bits cross tile edges.
+    A weight, gamma or beta step moves every pre-ReLU value, so at these lengths a step of
+    1e-5 often crosses a ReLU kink (central differences off by up to 5%); `fd_layer_check`
+    then shrinks it until both masks are unchanged."""
     rng = np.random.default_rng(t)
     x = rng.normal(size=(2, 3, t))
     weights, states = make_res_arrays(3, rng), make_res_states(3)
     fd_layer_check(lambda: nn.residual_block_forward(x, *weights, *states, "train"),
-                   nn.residual_block_backward, [x], rng)
+                   nn.residual_block_backward, [x, *weights], rng)
 
 
 # --- Adam -------------------------------------------------------------------------
