@@ -8,9 +8,13 @@ the checkpoint on the same manifest. The script prints the digests of
 wall-clock `seconds` column. The sanity config trains without augmentation, so
 a fourth digest covers that path: every clip and label of one augmented
 `make_batches` pass over the corpus (the default `AugmentConfig`, epoch
-AUG_EPOCH, shuffle seed AUG_SHUFFLE_SEED). A change that must not alter
-results prints the same four lines before and after; run the script in a
-checkout of each.
+AUG_EPOCH, shuffle seed AUG_SHUFFLE_SEED). The sanity model has 8 channels and
+one residual block, so a fifth digest covers the paper config
+(`RawNetLiteConfig()`, 64 channels, three blocks): one batch-2 training step
+from seeded input, hashing the probabilities, every gradient in registry
+order, every running mean and variance after the step, and the eval-mode
+probabilities of the same batch. A change that must not alter results prints
+the same five lines before and after; run the script in a checkout of each.
 
     python scripts/sanity_digests.py
 
@@ -28,15 +32,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rawnetlite import cli, data_pipeline  # noqa: E402
+from rawnetlite import cli, data_pipeline, model  # noqa: E402
 from rawnetlite.augment import AugmentConfig  # noqa: E402
+from rawnetlite.losses_metrics import focal_loss  # noqa: E402
 from rawnetlite.sanity import generate_corpus  # noqa: E402
 
 AUG_EPOCH = 3
 AUG_SHUFFLE_SEED = 5
+PAPER_STEP_SEED = 26
 
 
 def history_without_seconds(path: Path) -> bytes:
@@ -50,6 +58,18 @@ def augmented_pass(manifest: Path) -> bytes:
     batches = data_pipeline.make_batches(data_pipeline.parse_manifest(manifest), augment=AugmentConfig(),
                                          epoch=AUG_EPOCH, shuffle_seed=AUG_SHUFFLE_SEED)
     return b"".join(clips.tobytes() + labels.tobytes() for clips, labels, _ in batches)
+
+
+def paper_step() -> bytes:
+    """The arrays of one paper-config training step at batch 2, then an eval forward of the same batch."""
+    m = model.build(model.RawNetLiteConfig())
+    x = np.random.default_rng(PAPER_STEP_SEED).uniform(-1, 1, (2, 1, m.config.input_len)).astype(np.float32)
+    probs, caches = m.forward_train(x)
+    m.backward(focal_loss(probs, np.array([0.0, 1.0]))[1], caches)
+    arrays = [probs, *(p.grad for p in m.params.values()),
+              *(a for st in m.bn_states.values() for a in (st.running_mean, st.running_var)),
+              m.forward(x, "eval")]
+    return b"".join(a.tobytes() for a in arrays)
 
 
 def main() -> None:
@@ -69,7 +89,8 @@ def main() -> None:
                            ("scores.csv", (evaluated / "scores.csv").read_bytes()),
                            ("history.csv without seconds",
                             history_without_seconds(run / "history.csv")),
-                           ("augmented make_batches pass", augmented_pass(manifest))):
+                           ("augmented make_batches pass", augmented_pass(manifest)),
+                           ("paper-config training step", paper_step())):
             print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 

@@ -42,33 +42,37 @@ training step peaks in the last block's conv backwards: all held caches but
 the head's, plus dskip, da1 and a few tile-sized buffers; the upstream
 gradient there is the pool's `Windows`, which holds nothing full-size.
 
-Batch statistics: a training conv's tile loop adds each finished output
-tile's per-channel sum and sum of squares into float64 moments while the tile
-is in cache (`_add_moments`), and the batch norm after it reads them, so no
-pass over a whole conv output computes them. The batch-norm backward sums g
-and g * x the same way, a tile at a time. Each goes through one reused
-float64 tile buffer: a float32 value, square or product is exact in float64,
-and only the summation order differs from one whole-array float64 pass.
+Batch statistics: a training conv's tile body returns the per-channel float64
+sum and sum of squares of its output tile while that is in cache
+(`_tile_moments`), and the batch norm after the conv reads their totals, so no
+pass over a whole conv output computes them. The batch-norm backward sums g and
+g * x the same way. Each tile goes through one reused float64 buffer: a float32
+value, square or product is exact in float64, and only the summation order
+differs from one whole-array float64 pass.
 
-Tile convention: one function, `_conv_window`, applies conv taps, in training
-and eval alike. It reads a window one column wider on each side than its
-output, zero past either end of the row, and sums tap 1, then 0, then 2. Every
-training conv (forward and backward) runs one loop, `_conv_tiles`, over each
-batch row in time tiles of about `_TILE` samples. Tile [s, e) reads its haloed
-window, columns s - 1 : e + 1, through `_window_reader`, so a lazy input (a1,
-or the batch-norm gradient) is built tile by tile inside the loop, and a
-tile's input, output and scratch stay in a core's L2 cache. Nothing carries
-over from one tile to the next: output columns s:e are finished when the loop
-yields the tile. The conv backward's dw reads the tile's columns of x, one
-wider on each side but clamped to [0, T), the same way. No conv allocates a
-full-size tap buffer: taps 0 and 2 go through one tile-sized scratch buffer.
-A window that reaches past either end of the row is one zero-filled buffer,
-into whose middle a lazy source writes (`_padded`). Tile starts are
-multiples of 64, so a tile of packed mask bits fills whole bytes.
-Each output element sums the same products in the same order as an untiled
-conv, so the forward and dx are bit-identical to it (except, across tiles, the
-dx of a C_in = 1 conv, whose taps are matrix-vector products that the BLAS
-rounds by position); dw sums its tiles in another order.
+Tile convention: every loop over batch rows and time tiles runs in one driver,
+`_tile_pass`: the training convs, `_moments`, the batch norm's mask pack and
+backward sums, the pool of `Windows` and `np.asarray` of `Windows`. Tiles are
+about `_TILE` samples and start at multiples of 64, so a tile of packed mask
+bits fills whole bytes. The fold order is the driver's alone: a body returns
+its tile's partials and each is added into its accumulator at once, row by row
+and tile by tile, so every cross-tile sum (the moments, dw, dgamma, dbeta)
+rounds the same way on every run. One function, `_conv_window`, applies conv
+taps, in training and eval alike. It reads a window one column wider on each
+side than its output, zero past either end of the row, and sums tap 1, then 0,
+then 2. A conv's tile [s, e) reads its haloed window, columns s - 1 : e + 1,
+through `_window_reader`, so a lazy input (a1, or the batch-norm gradient) is
+built tile by tile, and a tile's input, output and scratch stay in a core's L2
+cache. Only the sums carry over from one tile to the next: output columns s:e
+are finished, and the body's locals freed, when the body returns. The conv
+backward's dw reads the tile's columns of x, one wider on each side but clamped
+to [0, T), the same way. No conv allocates a full-size tap buffer: taps 0 and 2
+go through one tile-sized scratch buffer. A window that reaches past either end
+of the row is one zero-filled buffer, into whose middle a lazy source writes
+(`_padded`). Each output element sums the same products in the same order as an
+untiled conv, so the forward and dx are bit-identical to it (except, across
+tiles, the dx of a C_in = 1 conv, whose taps are matrix-vector products that
+the BLAS rounds by position); dw sums its tiles in another order.
 
 Eval convention: an eval forward keeps nothing for a backward pass and runs
 depth first, so it never holds a (B, C, T) activation. An eval
@@ -95,6 +99,7 @@ GRU convention: `bigru_*` read and give back (B, C, T) and run `gru_*` over
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,9 +171,7 @@ class Windows:
 
     def __array__(self, dtype=None, copy=None):
         out = np.empty(self.shape, self.dtype)
-        for i in range(self.shape[0]):
-            for s, e in _tile_bounds(self.shape[2]):
-                out[i, :, s:e] = self.window(i, s, e)
+        _tile_pass(self.shape, lambda i, s, e: np.copyto(out[i, :, s:e], self.window(i, s, e)))
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
@@ -297,42 +300,28 @@ def _tile_width(t: int) -> int:
     return max(e - s for s, e in _tile_bounds(t))
 
 
-def _conv_tiles(src, taps, out, product=np.matmul, add=False):
-    """Fill out[i] with the conv of src[i] by taps (`_conv_window`), one tile at a time.
+def _tile_pass(shape, body, *sums):
+    """Call body(i, s, e) for each batch row i of a (B, C, T) shape and each tile [s, e) of `_tile_bounds(T)`, row by row.
 
-    src is an ndarray or `Windows`; tile [s, e) of batch row i reads the window
-    src[i, :, s - 1 : e + 1] through `_window_reader`, zero past either end of
-    the row, and writes out[i, :, s:e] from it, so a tile is finished when it is
-    yielded and no state passes from one tile to the next. With add, the conv
-    goes to a tile buffer and is added into out[i, :, s:e] instead. One
-    tile-sized scratch buffer serves every tile. Yields (i, tile, s) after each
-    tile: tile is columns s:e of src's row i.
+    body returns one partial per accumulator in sums, in their order, or
+    nothing when there are none; each is added in place as it is returned.
     """
-    b, _, t = src.shape
-    read, bounds = _window_reader(src), _tile_bounds(t)
-    scratch = np.empty((out.shape[1], _tile_width(t)), dtype=out.dtype)
-    acc = np.empty_like(scratch) if add else None
-    for i in range(b):
+    bounds = _tile_bounds(shape[2])
+    for i in range(shape[0]):
         for s, e in bounds:
-            xw = read(i, s - 1, e + 1)
-            if add:
-                o = out[i, :, s:e]
-                o += _conv_window(xw, taps, product, acc[:, : e - s], scratch)
-            else:
-                _conv_window(xw, taps, product, out[i, :, s:e], scratch)
-            yield i, xw[:, 1:-1], s
+            for acc, part in zip(sums, body(i, s, e) or (), strict=True):
+                acc += part
 
 
-def _add_moments(tile, buf, moments):
-    """Add the per-channel float64 sum and sum of squares of tile, a (C, n) array, into moments[0] and moments[1].
+def _tile_moments(tile, buf):
+    """The per-channel float64 sum and sum of squares of tile, a (C, n) array.
 
     The tile goes through buf, a reused float64 buffer of C rows and at least
     n columns; a float32 square is exact in float64.
     """
     f = buf[:, : tile.shape[1]]
     np.copyto(f, tile)
-    moments[0] += f.sum(axis=1)
-    moments[1] += np.einsum("ct,ct->c", f, f)
+    return f.sum(axis=1), np.einsum("ct,ct->c", f, f)
 
 
 def _pack_mask(tile, bits, i, s):
@@ -365,23 +354,27 @@ def _taps(w):
 
 
 def conv1d_forward(x, w, moments=None, mask=None):
-    """conv1d(x, w) and its cache (x, w). For a training unit, two extras run on each tile while it is in cache:
+    """conv1d(x, w) and its cache (x, w), a tile at a time. For a training unit, two extras run on each tile while it is in cache:
 
     moments, a (2, C_out) float64 array, gets the per-channel sum and sum of
-    squares of the output added (`_add_moments`), for the batch norm after the
-    conv; mask, a (B, C_in, ceil(T / 8)) uint8 array, gets x > 0 packed along
-    time (np.packbits), the ReLU mask of a lazy x. Tile starts are multiples of
-    64, so each tile fills whole bytes.
+    squares of the output added (`_tile_moments`), for the batch norm after
+    the conv; mask, a (B, C_in, ceil(T / 8)) uint8 array, gets x > 0 packed
+    along time (np.packbits), the ReLU mask of a lazy x. Tile starts are
+    multiples of 64, so each tile fills whole bytes.
     """
     _check_conv(x, w)
     out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
-    buf = None if moments is None else np.empty((w.shape[0], _tile_width(x.shape[2])))
-    for i, tile, s in _conv_tiles(x, _taps(w), out, _conv_product(w)):
-        e = s + tile.shape[1]
-        if moments is not None:
-            _add_moments(out[i, :, s:e], buf, moments)
+    read, taps, product = _window_reader(x), _taps(w), _conv_product(w)
+    scratch = np.empty((w.shape[0], _tile_width(x.shape[2])), dtype=out.dtype)
+    buf = None if moments is None else np.empty(scratch.shape)
+
+    def tile(i, s, e):
+        xw = read(i, s - 1, e + 1)
+        o = _conv_window(xw, taps, product, out[i, :, s:e], scratch)
         if mask is not None:
-            _pack_mask(tile, mask, i, s)
+            _pack_mask(xw[:, 1:-1], mask, i, s)
+        return None if moments is None else _tile_moments(o, buf)
+    _tile_pass(out.shape, tile, *(() if moments is None else moments))
     return out, (x, w)
 
 
@@ -397,13 +390,24 @@ def conv1d_backward(dout, cache, into=None):
     dx = np.empty(x.shape, dtype=np.result_type(dout.dtype, w.dtype)) if into is None else into
     dw = np.zeros(w.shape, dtype=dx.dtype)
     taps = [(wk.T, 2 - k) for wk, k in _taps(w)]  # tap k carries dout[t] to dx[t + k - 1]
-    read_x = _window_reader(x)
-    for i, d, s in _conv_tiles(dout, taps, dx, add=into is not None):
-        e, lo = s + d.shape[1], max(s - 1, 0)
+    read, read_x = _window_reader(dout), _window_reader(x)
+    scratch = np.empty((x.shape[1], _tile_width(t)), dtype=dx.dtype)
+    acc = None if into is None else np.empty_like(scratch)
+
+    def tile(i, s, e):
+        win, o = read(i, s - 1, e + 1), dx[i, :, s:e]
+        if into is None:
+            _conv_window(win, taps, np.matmul, o, scratch)
+        else:
+            o += _conv_window(win, taps, np.matmul, acc[:, : e - s], scratch)
+        d, lo = win[:, 1:-1], max(s - 1, 0)
         xw = read_x(i, lo, min(e + 1, t))
+        parts = []
         for k in range(3):  # tap k: dw[:, :, k] = sum over t of dout[t] x[t + k - 1]^T
             l, h = max(s, 1 - k), min(e, t + 1 - k)
-            dw[:, :, k] += np.matmul(d[:, l - s : h - s], xw[:, l + k - 1 - lo : h + k - 1 - lo].T)
+            parts.append(np.matmul(d[:, l - s : h - s], xw[:, l + k - 1 - lo : h + k - 1 - lo].T))
+        return parts
+    _tile_pass(dx.shape, tile, *(dw[:, :, k] for k in range(3)))
     return dx, dw
 
 
@@ -480,10 +484,7 @@ def _affine_relu_windows(x, scale, shift):
 def _moments(x):
     """(2, C) float64: the per-channel sum and sum of squares of x, a tile at a time in `conv1d_forward`'s order."""
     moments, buf = np.zeros((2, x.shape[1])), np.empty((x.shape[1], _tile_width(x.shape[2])))
-    bounds = _tile_bounds(x.shape[2])
-    for i in range(x.shape[0]):
-        for s, e in bounds:
-            _add_moments(x[i, :, s:e], buf, moments)
+    _tile_pass(x.shape, lambda i, s, e: _tile_moments(x[i, :, s:e], buf), *moments)
     return moments
 
 
@@ -539,10 +540,7 @@ def batchnorm_relu_forward(x, gamma, beta, state: BatchNormState, skip=None, mom
         out = _affine_relu_windows(x, *affine)
     else:
         out = _affine_relu(x, *affine, skip=skip)
-        bounds = _tile_bounds(x.shape[2])
-        for i in range(x.shape[0]):
-            for s, e in bounds:
-                _pack_mask(out[i, :, s:e], bits, i, s)
+        _tile_pass(x.shape, lambda i, s, e: _pack_mask(out[i, :, s:e], bits, i, s))
     return out, (x, mean, invstd, gamma, affine, bits, skip is not None)
 
 
@@ -568,18 +566,17 @@ def batchnorm_relu_backward(dout, cache):
         return np.multiply(read(i, lo, hi), mask(i, lo, hi), out=into)
 
     g = np.empty(x.shape, dtype=dout.dtype) if has_skip else None
-    dbeta = np.zeros(x.shape[1])
-    sum_gx = np.zeros(x.shape[1])
-    buf, bounds = np.empty((x.shape[1], _tile_width(t))), _tile_bounds(t)
-    for i in range(x.shape[0]):
-        for s, e in bounds:
-            f = buf[:, : e - s]
-            if g is None:
-                masked(i, s, e, f)  # a float32 product, cast to float64 exactly
-            else:
-                np.copyto(f, masked(i, s, e, g[i, :, s:e]))
-            dbeta += f.sum(axis=1)
-            sum_gx += np.einsum("ct,ct->c", f, x[i, :, s:e])
+    dbeta, sum_gx = np.zeros((2, x.shape[1]))
+    buf = np.empty((x.shape[1], _tile_width(t)))
+
+    def sums(i, s, e):
+        f = buf[:, : e - s]
+        if g is None:
+            masked(i, s, e, f)  # a float32 product, cast to float64 exactly
+        else:
+            np.copyto(f, masked(i, s, e, g[i, :, s:e]))
+        return f.sum(axis=1), np.einsum("ct,ct->c", f, x[i, :, s:e])
+    _tile_pass(x.shape, sums, dbeta, sum_gx)
     dgamma = invstd * (sum_gx - mean * dbeta)
     a = gamma * invstd
     b = -a * invstd * dgamma / n
@@ -709,15 +706,16 @@ def _pool_windows(x, bins):
 
     Adjacent bins may share a column, so a column can count toward two bins.
     """
-    tiles = [(s, e, [(j, max(a, s), min(b, e)) for j, (a, b) in enumerate(bins) if a < e and b > s])
-             for s, e in _tile_bounds(x.shape[2])]
+    @functools.cache  # the bins each tile overlaps, found on the first row and kept for the rest
+    def parts(s, e):
+        return [(j, max(a, s), min(b, e)) for j, (a, b) in enumerate(bins) if a < e and b > s]
+
+    def tile(i, s, e):
+        win = x.window(i, s, e)
+        for j, a, b in parts(s, e):
+            sums[i, :, j] += win[:, a - s : b - s].sum(axis=1, dtype=np.float64)
     sums = np.zeros(x.shape[:2] + (len(bins),))
-    for i in range(x.shape[0]):
-        for s, e, parts in tiles:
-            tile = x.window(i, s, e)
-            for j, a, b in parts:
-                sums[i, :, j] += tile[:, a - s : b - s].sum(axis=1, dtype=np.float64)
-            del tile  # else it stays alive while the next tile is built
+    _tile_pass(x.shape, tile)
     sums /= [e - s for s, e in bins]
     return sums.astype(x.dtype)
 

@@ -358,51 +358,94 @@ def test_folded_unit_matches_forward_bias_skip_relu(with_skip, c_in, t):
 
 
 @pytest.mark.parametrize("lazy", [False, True])
-@pytest.mark.parametrize("c_in", [1, 24])
-@pytest.mark.parametrize("t", [63, 128, 129, 200])
-def test_conv_tiles_finish_each_tile_when_they_yield_it(monkeypatch, lazy, c_in, t):
-    """With 64-sample tiles, output columns s:e equal the padded reference as soon as
-    `_conv_tiles` yields tile [s, e), for an ndarray source and a `Windows` one."""
+@pytest.mark.parametrize("c_in", [1, 8])
+@pytest.mark.parametrize("t", [1, 7, 63, 65, 128, 129, 200])
+def test_conv_kernel_extras_per_tile(monkeypatch, lazy, c_in, t):
+    """With 64-sample tiles, for an ndarray input and a `Windows` one: the forward is the padded
+    reference; its moments are `_moments` of its output, within float64 rounding of one
+    whole-array sum; its mask is the input's > 0 packed; and a backward given into adds dx
+    into it, bit for bit dx + into."""
     monkeypatch.setattr(nn, "_TILE", 64)
-    rng = np.random.default_rng(31)
+    rng = np.random.default_rng(t)
     x = rng.normal(size=(2, c_in, t)).astype(np.float32)
     w = rng.normal(size=(16, c_in, 3)).astype(np.float32)
     scale, shift = (rng.normal(size=(c_in, 1)).astype(np.float32) for _ in range(2))
     src = nn._affine_relu_windows(x, scale, shift) if lazy else x
     full = np.asarray(src)
-    ref = conv1d_reference(full, w)
-    out = np.full(ref.shape, np.nan, dtype=np.float32)
-    seen = []
-    for i, tile, s in nn._conv_tiles(src, nn._taps(w), out, nn._conv_product(w)):
-        e = s + tile.shape[1]
-        assert np.array_equal(tile, full[i, :, s:e])
-        assert np.array_equal(out[i, :, s:e], ref[i, :, s:e]), (i, s, e)
-        seen.append((i, s, e))
-    assert seen == [(i, s, e) for i in range(2) for s, e in nn._tile_bounds(t)]
-
-
-@pytest.mark.parametrize("t", [1, 7, 65, 129, 200])
-def test_conv_kernel_extras_per_tile(monkeypatch, t):
-    """With 64-sample tiles: the forward's moments are `_moments` of its output, within
-    float64 rounding of one whole-array sum; its mask is the input's > 0 packed; and a
-    backward given into adds dx into it, bit for bit dx + into."""
-    monkeypatch.setattr(nn, "_TILE", 64)
-    rng = np.random.default_rng(t)
-    x = rng.normal(size=(2, 8, t)).astype(np.float32)
-    w = rng.normal(size=(16, 8, 3)).astype(np.float32)
     moments = np.zeros((2, 16))
-    mask = np.empty((2, 8, -(-t // 8)), dtype=np.uint8)
-    out, cache = nn.conv1d_forward(x, w, moments, mask)
-    assert np.array_equal(out, conv1d_reference(x, w))
+    mask = np.empty((2, c_in, -(-t // 8)), dtype=np.uint8)
+    out, cache = nn.conv1d_forward(src, w, moments, mask)
+    assert np.array_equal(out, conv1d_reference(full, w))
     assert np.array_equal(moments, nn._moments(out))
     o = out.astype(np.float64)
     assert np.allclose(moments, [o.sum(axis=(0, 2)), (o * o).sum(axis=(0, 2))], rtol=1e-13, atol=0)
-    assert np.array_equal(mask, np.packbits(x > 0, axis=2))
+    assert np.array_equal(mask, np.packbits(full > 0, axis=2))
     dout, into = rng.normal(size=(2, 16, t)).astype(np.float32), rng.normal(size=x.shape).astype(np.float32)
     dx, dw = nn.conv1d_backward(dout, cache)
     expected = dx + into
     got_dx, got_dw = nn.conv1d_backward(dout, cache, into)
     assert got_dx is into and np.array_equal(got_dx, expected) and np.array_equal(got_dw, dw)
+
+
+def _rows_reversed_tile_pass(shape, body, *sums):
+    """`_tile_pass` with its batch rows walked last to first: the same sums in another order."""
+    bounds = nn._tile_bounds(shape[2])
+    for i in reversed(range(shape[0])):
+        for s, e in bounds:
+            for acc, part in zip(sums, body(i, s, e) or ()):
+                acc += part
+
+
+def test_tile_sums_fold_row_by_row_then_tile_by_tile(monkeypatch):
+    """With 64-sample tiles and data spanning many binades, the conv forward's moments, the conv
+    backward's dw and the batch-norm backward's dgamma and dbeta are bit for bit a serial fold
+    of per-tile partials in (row, tile) order; with the rows walked in reverse none of them is.
+    dgamma and dbeta are float32 casts of float64 sums, so the order shows in them only after
+    a cancellation: rows 0 and 2 of the batch norm's input are equal, so their ReLU masks are,
+    and the upstream gradient has +1e20 in row 0 and -1e20 in row 2 at one column."""
+    monkeypatch.setattr(nn, "_TILE", 64)
+    rng = np.random.default_rng(26)
+    b, c, t = 3, 8, 200
+    bounds = nn._tile_bounds(t)
+    assert len(bounds) == 3
+
+    def wide(*shape):
+        return (rng.normal(size=shape) * np.exp(4 * rng.normal(size=shape))).astype(np.float32)
+    x, w, dout, xb, up = wide(b, c, t), wide(c, c, 3), wide(b, c, t), wide(b, c, t), wide(b, c, t)
+    xb[2] = xb[0]
+    up[0, :, 70], up[2, :, 70] = 1e20, -1e20
+    gamma, beta = rng.uniform(0.5, 2.0, c).astype(np.float32), rng.normal(size=c).astype(np.float32)
+
+    def kernels_and_folds():
+        moments = np.zeros((2, c))
+        out, cache = nn.conv1d_forward(x, w, moments)
+        _, dw = nn.conv1d_backward(dout, cache)
+        y, bn_cache = nn.batchnorm_relu_forward(xb, gamma, beta, BatchNormState.create(c))
+        _, dgamma, dbeta = nn.batchnorm_relu_backward(up, bn_cache)
+        assert (y[0, :, 70] > 0).any()  # the +-1e20 reach dgamma and dbeta
+        ref_moments, ref_dw = np.zeros((2, c)), np.zeros(w.shape, np.float32)
+        ref_dbeta, sum_gx = np.zeros(c), np.zeros(c)
+        for i in range(b):
+            for s, e in bounds:
+                f = out[i, :, s:e].astype(np.float64)
+                ref_moments[0] += f.sum(axis=1)
+                ref_moments[1] += np.einsum("ct,ct->c", f, f)
+                for k in range(3):  # dout[t] with x[t + k - 1], both inside [0, T)
+                    lo, hi = max(s, 1 - k), min(e, t + 1 - k)
+                    ref_dw[:, :, k] += dout[i, :, lo:hi] @ x[i, :, lo + k - 1 : hi + k - 1].T
+                g = (up[i, :, s:e] * (y[i, :, s:e] > 0)).astype(np.float64)
+                ref_dbeta += g.sum(axis=1)
+                sum_gx += np.einsum("ct,ct->c", g, xb[i, :, s:e])
+        mean, invstd = bn_cache[1:3]
+        ref_dgamma = invstd * (sum_gx - mean * ref_dbeta)
+        return [(moments, ref_moments), (dw, ref_dw),
+                (dgamma, ref_dgamma.astype(np.float32)), (dbeta, ref_dbeta.astype(np.float32))]
+
+    for got, ref in kernels_and_folds():
+        assert np.array_equal(got, ref)
+    monkeypatch.setattr(nn, "_tile_pass", _rows_reversed_tile_pass)
+    for got, ref in kernels_and_folds():
+        assert not np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
