@@ -706,6 +706,8 @@ def _pool_windows(x, bins):
 
     Adjacent bins may share a column, so a column can count toward two bins.
     """
+    sums = np.zeros(x.shape[:2] + (len(bins),))
+
     @functools.cache  # the bins each tile overlaps, found on the first row and kept for the rest
     def parts(s, e):
         return [(j, max(a, s), min(b, e)) for j, (a, b) in enumerate(bins) if a < e and b > s]
@@ -714,7 +716,6 @@ def _pool_windows(x, bins):
         win = x.window(i, s, e)
         for j, a, b in parts(s, e):
             sums[i, :, j] += win[:, a - s : b - s].sum(axis=1, dtype=np.float64)
-    sums = np.zeros(x.shape[:2] + (len(bins),))
     _tile_pass(x.shape, tile)
     sums /= [e - s for s, e in bins]
     return sums.astype(x.dtype)
