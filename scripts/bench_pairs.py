@@ -10,7 +10,9 @@ once in each export, one process at a time. The parent runs first in even
 pairs and the change in odd ones, so drift on the host hits both sides alike.
 
 The runs are merged into `BENCH_<name>.json` at the repository root, under
-`end_to_end.<workload>`, in the schema of the earlier BENCH files: every run,
+`end_to_end.<workload>`; a set already there for that workload is moved to the
+end of the list `earlier_sets.<workload>` first, so no run is lost. An entry
+follows the schema of the earlier BENCH files: every run,
 the median, quartiles and IQR per side, the pairs the change won, who ran
 first, the failed checks per side and the host. For each end-to-end metric in
 BENCHMARK.json the script prints two verdicts:
@@ -104,6 +106,15 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
             "within_bound": worse_by <= metric["bound"]}
 
 
+def merge(doc: dict, workload: str, entry: dict) -> dict:
+    """doc with entry as end_to_end.<workload>, after moving the set it replaces to the end of earlier_sets.<workload>."""
+    sets = doc.setdefault("end_to_end", {})
+    if workload in sets:
+        doc.setdefault("earlier_sets", {}).setdefault(workload, []).append(sets[workload])
+    sets[workload] = entry
+    return doc
+
+
 def host(env: dict) -> dict:
     cpu = "unknown"
     try:
@@ -159,7 +170,7 @@ def main(argv=None) -> int:
                             "commit, one process at a time, order alternated pair by pair "
                             "(scripts/bench_pairs.py)"),
                 "host": host(runs["change"][-1]["env"])})
-    doc.setdefault("end_to_end", {})[args.workload] = entry
+    merge(doc, args.workload, entry)
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}; failed checks: "

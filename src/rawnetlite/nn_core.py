@@ -46,18 +46,27 @@ Batch statistics: a training conv's tile body returns the per-channel float64
 sum and sum of squares of its output tile while that is in cache
 (`_tile_moments`), and the batch norm after the conv reads their totals, so no
 pass over a whole conv output computes them. The batch-norm backward sums g and
-g * x the same way. Each tile goes through one reused float64 buffer: a float32
-value, square or product is exact in float64, and only the summation order
-differs from one whole-array float64 pass.
+g * x the same way. Each tile goes through a reused float64 buffer, one per
+thread: a float32 value, square or product is exact in float64, and only the
+summation order differs from one whole-array float64 pass.
 
 Tile convention: every loop over batch rows and time tiles runs in one driver,
 `_tile_pass`: the training convs, `_moments`, the batch norm's mask pack and
 backward sums, the pool of `Windows` and `np.asarray` of `Windows`. Tiles are
 about `_TILE` samples and start at multiples of 64, so a tile of packed mask
-bits fills whole bytes. The fold order is the driver's alone: a body returns
-its tile's partials and each is added into its accumulator at once, row by row
-and tile by tile, so every cross-tile sum (the moments, dw, dgamma, dbeta)
-rounds the same way on every run. One function, `_conv_window`, applies conv
+bits fills whole bytes. The batch rows run on min(usable cores, OpenBLAS's
+thread count, B) participants (`_participants`): the calling thread and
+threads of one lazily started pool, which take rows in turn. OpenBLAS runs at
+one thread meanwhile, and gets its count back when the pass ends; with one
+participant, or any other BLAS, the pass is a plain loop on the caller. A body
+writes only into its own row of an output. Its tile buffers (conv scratch,
+float64 sum buffers) are one set per participant, all allocated by the caller:
+glibc would keep buffers freed by a pool thread in that thread's malloc arena,
+which adds to the process's peak RSS.
+The fold order is the driver's alone: a body returns its tile's partials, and
+only the caller adds them into the accumulators, row by row and tile by tile,
+so every cross-tile sum (the moments, dw, dgamma, dbeta) rounds the same way
+on one thread and on several. One function, `_conv_window`, applies conv
 taps, in training and eval alike. It reads a window one column wider on each
 side than its output, zero past either end of the row, and sums tap 1, then 0,
 then 2. A conv's tile [s, e) reads its haloed window, columns s - 1 : e + 1,
@@ -70,9 +79,12 @@ to [0, T), the same way. No conv allocates a full-size tap buffer: taps 0 and 2
 go through one tile-sized scratch buffer. A window that reaches past either end
 of the row is one zero-filled buffer, into whose middle a lazy source writes
 (`_padded`). Each output element sums the same products in the same order as an
-untiled conv, so the forward and dx are bit-identical to it (except, across
-tiles, the dx of a C_in = 1 conv, whose taps are matrix-vector products that
-the BLAS rounds by position); dw sums its tiles in another order.
+untiled conv. In float32 the forward and dx are bit-identical to it, at any
+BLAS thread count (except, across tiles, the dx of a C_in = 1 conv, whose taps
+are matrix-vector products that the BLAS rounds by position). OpenBLAS's
+float64 GEMM rounds a column by its place in the call and by how the call is
+split over threads, so in float64 they agree with it to a few ulps. dw sums
+its tiles in another order.
 
 Eval convention: an eval forward keeps nothing for a backward pass and runs
 depth first, so it never holds a (B, C, T) activation. An eval
@@ -99,7 +111,11 @@ GRU convention: `bigru_*` read and give back (B, C, T) and run `gru_*` over
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,17 +316,114 @@ def _tile_width(t: int) -> int:
     return max(e - s for s, e in _tile_bounds(t))
 
 
-def _tile_pass(shape, body, *sums):
-    """Call body(i, s, e) for each batch row i of a (B, C, T) shape and each tile [s, e) of `_tile_bounds(T)`, row by row.
+# Process-wide, as OpenBLAS's thread count is: one threaded pass at a time, on one pool of
+# participants besides the caller, started by the first threaded pass. A pass that finds the
+# lock held runs serially.
+_PASS_LOCK = threading.Lock()
+_POOL = None
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships in numpy.libs, or None for any other BLAS."""
+    libs = os.path.dirname(np.__file__) + ".libs"
+    names = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_")] if os.path.isdir(libs) else []
+    if len(names) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(os.path.join(libs, names[0]))  # numpy has it loaded already, so this is the same library
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS at one thread inside the block, and restore its thread count however the block ends."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def _participants(rows: int) -> int:
+    """How many threads run a pass over rows batch rows: min(usable cores, OpenBLAS's threads, rows), or 1 with any other BLAS."""
+    blas = _openblas()
+    return 1 if blas is None or rows < 2 else min(len(os.sched_getaffinity(0)), blas[0](), rows)
+
+
+def _tile_pass(shape, body, *sums, buffers=()):
+    """Call body(i, s, e, *bufs) for each batch row i of a (B, C, T) shape and each tile [s, e) of `_tile_bounds(T)`.
 
     body returns one partial per accumulator in sums, in their order, or
-    nothing when there are none; each is added in place as it is returned.
+    nothing when there are none; once every row is done they are added in
+    place in (row, tile) order. buffers lists (channels, dtype) pairs, and bufs
+    is one tile buffer of shape (channels, `_tile_width(T)`) for each, which
+    only the thread running body uses. The rows run on `_participants(B)`
+    threads, the caller among them, which take rows in turn.
     """
-    bounds = _tile_bounds(shape[2])
-    for i in range(shape[0]):
-        for s, e in bounds:
-            for acc, part in zip(sums, body(i, s, e) or (), strict=True):
+    bounds, width = _tile_bounds(shape[2]), _tile_width(shape[2])
+    rows, parts, take, failed = iter(range(shape[0])), [None] * shape[0], threading.Lock(), []
+
+    def participant(bufs):
+        while not failed:
+            with take:
+                i = next(rows, None)
+            if i is None:
+                return
+            try:
+                parts[i] = [body(i, s, e, *bufs) for s, e in bounds]
+            except BaseException:
+                failed.append(i)  # the other participants take no further rows
+                raise
+
+    def buffer_set():
+        return [np.empty((c, width), dtype) for c, dtype in buffers]
+    if shape[0] > 1 and _PASS_LOCK.acquire(blocking=False):
+        try:
+            _run_participants(participant, [buffer_set() for _ in range(_participants(shape[0]))])
+        finally:
+            _PASS_LOCK.release()
+    else:  # one row, or a pass inside a body or on another thread while a pass runs
+        participant(buffer_set())
+    for row in parts:
+        for tile in row:
+            for acc, part in zip(sums, tile or (), strict=True):
                 acc += part
+
+
+def _run_participants(participant, sets):
+    """participant(sets[0]) on the caller and participant(bufs) for each other set on a pool thread.
+
+    Every buffer set comes from the caller. With more than one, OpenBLAS runs
+    at one thread until all have returned. The first error raised is raised.
+    """
+    global _POOL
+    if len(sets) == 1:
+        return participant(sets[0])
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max(1, len(os.sched_getaffinity(0)) - 1), thread_name_prefix="rawnetlite-tiles")
+    with _one_blas_thread():
+        futures = [_POOL.submit(participant, bufs) for bufs in sets[1:]]
+        try:
+            participant(sets[0])
+        finally:
+            for f in futures:
+                if not f.cancel():
+                    f.exception()  # waits for a participant that started
+        for f in futures:
+            if not f.cancelled() and f.exception() is not None:
+                raise f.exception()
 
 
 def _tile_moments(tile, buf):
@@ -365,16 +478,15 @@ def conv1d_forward(x, w, moments=None, mask=None):
     _check_conv(x, w)
     out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
     read, taps, product = _window_reader(x), _taps(w), _conv_product(w)
-    scratch = np.empty((w.shape[0], _tile_width(x.shape[2])), dtype=out.dtype)
-    buf = None if moments is None else np.empty(scratch.shape)
 
-    def tile(i, s, e):
+    def tile(i, s, e, scratch, buf=None):
         xw = read(i, s - 1, e + 1)
         o = _conv_window(xw, taps, product, out[i, :, s:e], scratch)
         if mask is not None:
             _pack_mask(xw[:, 1:-1], mask, i, s)
         return None if moments is None else _tile_moments(o, buf)
-    _tile_pass(out.shape, tile, *(() if moments is None else moments))
+    buffers = [(w.shape[0], out.dtype)] + ([] if moments is None else [(w.shape[0], np.float64)])
+    _tile_pass(out.shape, tile, *(() if moments is None else moments), buffers=buffers)
     return out, (x, w)
 
 
@@ -391,10 +503,8 @@ def conv1d_backward(dout, cache, into=None):
     dw = np.zeros(w.shape, dtype=dx.dtype)
     taps = [(wk.T, 2 - k) for wk, k in _taps(w)]  # tap k carries dout[t] to dx[t + k - 1]
     read, read_x = _window_reader(dout), _window_reader(x)
-    scratch = np.empty((x.shape[1], _tile_width(t)), dtype=dx.dtype)
-    acc = None if into is None else np.empty_like(scratch)
 
-    def tile(i, s, e):
+    def tile(i, s, e, scratch, acc=None):
         win, o = read(i, s - 1, e + 1), dx[i, :, s:e]
         if into is None:
             _conv_window(win, taps, np.matmul, o, scratch)
@@ -407,7 +517,8 @@ def conv1d_backward(dout, cache, into=None):
             l, h = max(s, 1 - k), min(e, t + 1 - k)
             parts.append(np.matmul(d[:, l - s : h - s], xw[:, l + k - 1 - lo : h + k - 1 - lo].T))
         return parts
-    _tile_pass(dx.shape, tile, *(dw[:, :, k] for k in range(3)))
+    buffers = [(x.shape[1], dx.dtype)] * (1 if into is None else 2)
+    _tile_pass(dx.shape, tile, *(dw[:, :, k] for k in range(3)), buffers=buffers)
     return dx, dw
 
 
@@ -483,8 +594,9 @@ def _affine_relu_windows(x, scale, shift):
 
 def _moments(x):
     """(2, C) float64: the per-channel sum and sum of squares of x, a tile at a time in `conv1d_forward`'s order."""
-    moments, buf = np.zeros((2, x.shape[1])), np.empty((x.shape[1], _tile_width(x.shape[2])))
-    _tile_pass(x.shape, lambda i, s, e: _tile_moments(x[i, :, s:e], buf), *moments)
+    moments = np.zeros((2, x.shape[1]))
+    _tile_pass(x.shape, lambda i, s, e, buf: _tile_moments(x[i, :, s:e], buf), *moments,
+               buffers=[(x.shape[1], np.float64)])
     return moments
 
 
@@ -567,16 +679,15 @@ def batchnorm_relu_backward(dout, cache):
 
     g = np.empty(x.shape, dtype=dout.dtype) if has_skip else None
     dbeta, sum_gx = np.zeros((2, x.shape[1]))
-    buf = np.empty((x.shape[1], _tile_width(t)))
 
-    def sums(i, s, e):
+    def sums(i, s, e, buf):
         f = buf[:, : e - s]
         if g is None:
             masked(i, s, e, f)  # a float32 product, cast to float64 exactly
         else:
             np.copyto(f, masked(i, s, e, g[i, :, s:e]))
         return f.sum(axis=1), np.einsum("ct,ct->c", f, x[i, :, s:e])
-    _tile_pass(x.shape, sums, dbeta, sum_gx)
+    _tile_pass(x.shape, sums, dbeta, sum_gx, buffers=[(x.shape[1], np.float64)])
     dgamma = invstd * (sum_gx - mean * dbeta)
     a = gamma * invstd
     b = -a * invstd * dgamma / n

@@ -125,3 +125,13 @@ def tiny_model_cfg():
 
     return RawNetLiteConfig(channels=4, n_res_blocks=1, pool_len=32, gru_hidden=8,
                             fc_hidden=8, input_len=48000, seed=5)
+
+
+@pytest.fixture(params=[1, 2], ids=["serial", "two_threads"])
+def participants(request, monkeypatch):
+    """Run every tile pass on at most this many threads, whatever the host's cores and BLAS: 1 is the serial loop."""
+    from rawnetlite import nn_core
+
+    n = request.param
+    monkeypatch.setattr(nn_core, "_participants", lambda rows: min(n, rows))
+    return n

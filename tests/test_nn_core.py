@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -305,10 +310,13 @@ def test_conv1d_matches_padded_reference(dtype, c_in, t):
 
 
 # The conv kernels run over time tiles of about nn._TILE samples. These lengths put
-# the tile boundaries just before, at and just after T, and make three tiles. The
-# forward and dx still match the reference bit for bit, except dx with C_in = 1:
-# each of its taps is then a matrix-vector product, which the BLAS rounds by the
-# column's place in the call, so it agrees within DX_GEMV_TOL_EPS instead.
+# the tile boundaries just before, at and just after T, and make three tiles. In
+# float32 the forward and dx still match the reference bit for bit, except dx with
+# C_in = 1: each of its taps is then a matrix-vector product, which the BLAS rounds
+# by the column's place in the call, so it agrees within DX_GEMV_TOL_EPS instead.
+# OpenBLAS's float64 GEMM also rounds a column by its place in the call and by how
+# the call is split over threads, and a tile pass over two or more rows runs the
+# BLAS at one thread, so in float64 the forward and dx agree within DX_GEMV_TOL_EPS.
 
 DX_GEMV_TOL_EPS = 16  # |dx - ref| <= DX_GEMV_TOL_EPS * eps(dtype) * max|ref|; measured <= 2
 TILE_CROSSING_T = [nn._TILE - 1, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1]
@@ -325,11 +333,15 @@ def test_conv1d_tiles_match_padded_reference(dtype, b, c_in, t):
     out, cache = nn.conv1d_forward(x, w)
     dx, dw = nn.conv1d_backward(dout, cache)
     ref_dx, ref_dw = conv1d_backward_reference(dout, x, w)
-    assert np.array_equal(out, conv1d_reference(x, w))
-    if c_in > 1:
-        assert np.array_equal(dx, ref_dx)
+    ref_out = conv1d_reference(x, w)
+
+    def positional(got, ref):
+        return np.abs(got - ref).max() <= DX_GEMV_TOL_EPS * np.finfo(dtype).eps * np.abs(ref).max()
+    if dtype == np.float32:
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx) if c_in > 1 else positional(dx, ref_dx)
     else:
-        assert np.abs(dx - ref_dx).max() <= DX_GEMV_TOL_EPS * np.finfo(dtype).eps * np.abs(ref_dx).max()
+        assert positional(out, ref_out) and positional(dx, ref_dx)
     assert np.abs(dw - ref_dw).max() <= DW_TOL_EPS * np.finfo(dtype).eps * np.abs(ref_dw).max()
 
 
@@ -387,19 +399,21 @@ def test_conv_kernel_extras_per_tile(monkeypatch, lazy, c_in, t):
     assert got_dx is into and np.array_equal(got_dx, expected) and np.array_equal(got_dw, dw)
 
 
-def _rows_reversed_tile_pass(shape, body, *sums):
+def _rows_reversed_tile_pass(shape, body, *sums, buffers=()):
     """`_tile_pass` with its batch rows walked last to first: the same sums in another order."""
     bounds = nn._tile_bounds(shape[2])
+    bufs = [np.empty((c, nn._tile_width(shape[2])), dtype) for c, dtype in buffers]
     for i in reversed(range(shape[0])):
         for s, e in bounds:
-            for acc, part in zip(sums, body(i, s, e) or ()):
+            for acc, part in zip(sums, body(i, s, e, *bufs) or ()):
                 acc += part
 
 
-def test_tile_sums_fold_row_by_row_then_tile_by_tile(monkeypatch):
+def test_tile_sums_fold_row_by_row_then_tile_by_tile(monkeypatch, participants):
     """With 64-sample tiles and data spanning many binades, the conv forward's moments, the conv
     backward's dw and the batch-norm backward's dgamma and dbeta are bit for bit a serial fold
-    of per-tile partials in (row, tile) order; with the rows walked in reverse none of them is.
+    of per-tile partials in (row, tile) order, on one thread and on two; with the rows walked
+    in reverse none of them is.
     dgamma and dbeta are float32 casts of float64 sums, so the order shows in them only after
     a cancellation: rows 0 and 2 of the batch norm's input are equal, so their ReLU masks are,
     and the upstream gradient has +1e20 in row 0 and -1e20 in row 2 at one column."""
@@ -446,6 +460,109 @@ def test_tile_sums_fold_row_by_row_then_tile_by_tile(monkeypatch):
     monkeypatch.setattr(nn, "_tile_pass", _rows_reversed_tile_pass)
     for got, ref in kernels_and_folds():
         assert not np.array_equal(got, ref)
+
+
+def _blas_threads():
+    """OpenBLAS's thread count, or None with any other BLAS."""
+    blas = nn._openblas()
+    return None if blas is None else blas[0]()
+
+
+def test_tile_pass_error_on_a_pool_row_propagates(monkeypatch):
+    """A body that raises on a pool thread's row: the pass raises it, OpenBLAS gets its thread
+    count back, and the next pass runs every tile, with OpenBLAS at one thread inside it."""
+    monkeypatch.setattr(nn, "_participants", lambda rows: min(2, rows))
+    caller, pool_row = threading.current_thread(), threading.Event()
+    before = _blas_threads()
+
+    def body(i, s, e):
+        if threading.current_thread() is caller:
+            assert pool_row.wait(timeout=30)  # the caller takes no second row before a pool thread has one
+        else:
+            pool_row.set()
+            raise ValueError(f"row {i}")
+    with pytest.raises(ValueError, match="row"):
+        nn._tile_pass((4, 1, 10), body)
+    assert _blas_threads() == before
+    seen = []
+    nn._tile_pass((4, 1, 2 * nn._TILE + 1), lambda i, s, e: seen.append((i, s, _blas_threads())))
+    assert sorted(i for i, _, _ in seen) == [i for i in range(4) for _ in range(3)]
+    assert all(n in (None, 1) for _, _, n in seen) and _blas_threads() == before
+
+
+def test_tile_pass_inside_a_body_runs_serially(monkeypatch):
+    """A pass started by a body, on the caller or a pool thread, runs on that thread and finishes."""
+    monkeypatch.setattr(nn, "_participants", lambda rows: min(2, rows))
+    inner = []
+
+    def body(i, s, e):
+        me = threading.get_ident()
+        nn._tile_pass((3, 1, 10), lambda j, s2, e2: inner.append((me, threading.get_ident())))
+    outer = threading.Thread(target=nn._tile_pass, args=((4, 1, 10), body), daemon=True)
+    outer.start()
+    outer.join(timeout=60)
+    assert not outer.is_alive(), "a tile pass inside a body did not finish"
+    assert len(inner) == 4 * 3 and all(a == b for a, b in inner)
+
+
+class _FoldLog:
+    """An accumulator that records each partial added into it and the thread that added it."""
+
+    def __init__(self):
+        self.adds = []
+
+    def __iadd__(self, part):
+        self.adds.append((part, threading.get_ident()))
+        return self
+
+
+def test_tile_pass_stress_runs_each_tile_once_and_folds_in_order(monkeypatch):
+    """Eight participants on a fresh pool of seven threads, over 64 rows of three tiles that sleep
+    for random times, with a short switch interval: every (row, tile) runs once, and only the
+    calling thread adds the partials, in (row, tile) order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(nn, "_participants", lambda rows: min(8, rows))
+    monkeypatch.setattr(nn, "_POOL", None)
+    delays = np.random.default_rng(27).uniform(0, 2e-4, size=(64, 3))
+    starts = [s for s, _ in nn._tile_bounds(2 * nn._TILE + 1)]
+    bodies, log = [], _FoldLog()
+
+    def body(i, s, e):
+        bodies.append((i, s, threading.get_ident()))
+        time.sleep(delays[i, starts.index(s)])
+        return ((i, s),)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = threading.Thread(target=nn._tile_pass, args=((64, 1, 2 * nn._TILE + 1), body, log), daemon=True)
+        run.start()
+        run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if nn._POOL is not None:
+            nn._POOL.shutdown()
+    assert not run.is_alive(), "the pass did not finish"
+    order = [(i, s) for i in range(64) for s in starts]
+    assert sorted((i, s) for i, s, _ in bodies) == order
+    assert len({t for _, _, t in bodies}) > 1  # the pool took rows
+    assert [part for part, _ in log.adds] == order and {t for _, t in log.adds} == {run.ident}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8])
+def test_tile_pass_threads_are_at_most_cores_blas_threads_and_rows(monkeypatch, rows):
+    """A pass runs on at most min(usable cores, OpenBLAS's threads, rows) threads, and the pool never
+    holds as many threads as there are cores; with one core or one OpenBLAS thread it is serial."""
+    def threads_used():
+        used = set()
+        nn._tile_pass((rows, 1, 3 * nn._TILE), lambda i, s, e: used.add(threading.get_ident()) or time.sleep(0.001))
+        return len(used)
+    cores = len(os.sched_getaffinity(0))
+    assert threads_used() <= min(cores, rows)
+    assert len([t for t in threading.enumerate() if t.name.startswith("rawnetlite-tiles")]) < max(2, cores)
+    with nn._one_blas_thread():
+        assert threads_used() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert threads_used() == 1
 
 
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
