@@ -657,7 +657,10 @@ def _eval_peak(cfg, batch):
 
 
 def test_eval_memory_does_not_grow_with_the_batch(participants):
-    assert _eval_peak(MEM_CFG, 8) <= 1.1 * _eval_peak(MEM_CFG, participants)
+    """At B=8 an eval forward peaks like one row per thread. The base is B=1, which runs on one
+    thread: at B = 2 on two threads the peak depends on how far the two rows overlap in time,
+    and measured 3.46 or 3.95 MiB at MEM_CFG from run to run."""
+    assert _eval_peak(MEM_CFG, 8) < 1.1 * participants * _eval_peak(MEM_CFG, 1)
 
 
 def test_eval_memory_does_not_grow_with_the_clip(monkeypatch):
