@@ -63,7 +63,7 @@ writes only into its own row of an output. Its tile buffers (conv scratch,
 float64 sum buffers) are one set per participant, all allocated by the caller:
 glibc would keep buffers freed by a pool thread in that thread's malloc arena,
 which adds to the process's peak RSS.
-The fold order is the driver's alone: a body returns its tile's partials, and
+The fold order is `_tile_pass`'s alone: a body returns its tile's partials, and
 only the caller adds them into the accumulators, row by row and tile by tile,
 so every cross-tile sum (the moments, dw, dgamma, dbeta) rounds the same way
 on one thread and on several. One function, `_conv_window`, applies conv

@@ -580,7 +580,7 @@ def test_eval_forward_before_training_raises():
 # 1's output, and unit 2's output and scratch.
 
 # On two threads (the `participants` fixture) each peak may grow by one more
-# thread's tile set, `_tile_set`: the tile buffers the driver gives a body and the
+# thread's tile set, `_tile_set`: the tile buffers `_tile_pass` gives a body and the
 # windows the body builds. Measured at two: forward 12.02, one step 14.25 and
 # `train()` 14.40 activations, an eval forward 2.03, a paper-config B=2 step
 # 12.90 (302.3 MiB). At MEM_CFG a row is one tile, so a tile set is about a row.
