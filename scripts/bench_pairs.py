@@ -19,8 +19,11 @@ BENCHMARK.json the script prints two verdicts:
 
 - gain: the change wins at least nine tenths of the pairs (ties count for
   neither) and its median beats the parent's by more than the parent's IQR;
-- bound: the change's median is no worse than the parent's by more than the
-  metric's bound in BENCHMARK.json.
+- bound: "within" when the change's median is no worse than the parent's by
+  more than the metric's bound in BENCHMARK.json, else "outside"; but
+  "unresolved" when either side's IQR, over the parent's median, is wider
+  than the bound, as the runs then spread too widely to tell, unless every
+  run of the change beats every run of the parent.
 
 `--change` defaults to HEAD. To measure uncommitted work, stage it and pass
 `--change $(git stash create)`, a commit of the index and work tree that
@@ -99,11 +102,17 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     ps, cs = quartiles(parent), quartiles(change)
     gap = sign * (cs["median"] - ps["median"])
     worse_by = -gap / ps["median"] if ps["median"] else 0.0
+    spread = max(ps["iqr"], cs["iqr"]) / abs(ps["median"]) if ps["median"] else 0.0
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > metric["bound"] and not every_run_better:
+        bound = "unresolved"
+    else:
+        bound = "within" if worse_by <= metric["bound"] else "outside"
     return {"unit": metric["unit"], "better": metric["better"], "parent": ps, "change": cs,
             "change_over_parent_median": round(cs["median"] / ps["median"], 4) if ps["median"] else None,
             "change_better_in_pairs": f"{wins}/{len(parent)}",
             "gain_rule_met": wins >= 0.9 * len(parent) and gap > ps["iqr"],
-            "within_bound": worse_by <= metric["bound"]}
+            "bound": bound}
 
 
 def merge(doc: dict, workload: str, entry: dict) -> dict:
@@ -182,7 +191,7 @@ def main(argv=None) -> int:
               f"[{p['q1']:g}-{p['q3']:g}], change {c['median']:g} [{c['q1']:g}-{c['q3']:g}], "
               f"x{s['change_over_parent_median']}, change better in {s['change_better_in_pairs']}; "
               f"gain rule {'met' if s['gain_rule_met'] else 'not met'}; "
-              f"{'within' if s['within_bound'] else 'OUTSIDE'} the regression bound")
+              f"bound: {s['bound']}")
     print(f"wrote {out_path.name}")
     return 0 if entry["all_checks_passed"] else 1
 

@@ -13,8 +13,11 @@ one residual block, so a fifth digest covers the paper config
 (`RawNetLiteConfig()`, 64 channels, three blocks): one batch-2 training step
 from seeded input, hashing the probabilities, every gradient in registry
 order, every running mean and variance after the step, and the eval-mode
-probabilities of the same batch. A change that must not alter results prints
-the same five lines before and after; run the script in a checkout of each.
+probabilities of the same batch. A sixth digest covers `rawnetlite protocol
+in_domain` on the same corpus and config at scale PROTOCOL_SCALE: its
+`checkpoint.ckpt`, `scores_for.csv`, `report_for.json` and `history.csv`
+without seconds, hashed together. A change that must not alter results prints
+the same six lines before and after; run the script in a checkout of each.
 
     python scripts/sanity_digests.py
 
@@ -45,6 +48,7 @@ from rawnetlite.sanity import generate_corpus  # noqa: E402
 AUG_EPOCH = 3
 AUG_SHUFFLE_SEED = 5
 PAPER_STEP_SEED = 26
+PROTOCOL_SCALE = "0.002"
 
 
 def history_without_seconds(path: Path) -> bytes:
@@ -79,18 +83,26 @@ def main() -> None:
         # relative, as configs/sanity.yaml expects: scores.csv then names no temp dir
         os.chdir(tmp)
         manifest = generate_corpus(Path("data/sanity"), n_per_class=64, seed=42)
-        run, evaluated = tmp / "run", tmp / "eval"
+        run, evaluated, protocol = tmp / "run", tmp / "eval", tmp / "protocol"
+        config = str(ROOT / "configs" / "sanity.yaml")
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (["train", str(ROOT / "configs" / "sanity.yaml"), "--output-dir", str(run)],
-                         ["eval", str(run / "checkpoint.ckpt"), str(manifest), str(evaluated)]):
+            for argv in (["train", config, "--output-dir", str(run)],
+                         ["eval", str(run / "checkpoint.ckpt"), str(manifest), str(evaluated)],
+                         ["protocol", "in_domain", config, "--scale", PROTOCOL_SCALE, "--output-dir", str(protocol),
+                          "--set", f"manifests={{for: {manifest}}}"]):
                 if cli.main(argv) != cli.EXIT_OK:
                     sys.exit(f"rawnetlite {argv[0]} failed")
+        protocol /= "in_domain"
         for name, data in (("checkpoint.ckpt", (run / "checkpoint.ckpt").read_bytes()),
                            ("scores.csv", (evaluated / "scores.csv").read_bytes()),
                            ("history.csv without seconds",
                             history_without_seconds(run / "history.csv")),
                            ("augmented make_batches pass", augmented_pass(manifest)),
-                           ("paper-config training step", paper_step())):
+                           ("paper-config training step", paper_step()),
+                           ("protocol in_domain run", b"".join(
+                               [*((protocol / n).read_bytes() for n in ("checkpoint.ckpt", "scores_for.csv",
+                                                                        "report_for.json")),
+                                history_without_seconds(protocol / "history.csv")]))):
             print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 

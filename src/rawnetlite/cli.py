@@ -1,7 +1,9 @@
 """Command-line front end: preprocess, train, eval, infer, metrics, figure-data, protocol.
 
 Configuration is file-first (versioned YAML) with one-to-one flag overrides
-via repeated `--set dotted.key=value`. Exit codes:
+via repeated `--set dotted.key=value`. `protocol` echoes the RunConfig it runs
+and runs it through `train`'s `_train_run` and `eval`'s `_eval_run`, the only
+code that writes a run directory or a report. Exit codes:
 
 0 success (`--help` too);
 1 usage or config error: a bad argument or --threshold outside [0, 1], a bad
@@ -39,7 +41,7 @@ from .fileio import atomic_write, check_fields, fits, write_json
 from .losses_metrics import ScoreFileError, UndefinedMetricError
 from .model import CheckpointFormatError, CheckpointIntegrityError, ConfigError, RawNetLiteConfig
 from .nn_core import ShapeError, TrainingError
-from .train_eval import TrainConfig, evaluate, format_report, run_protocol, train, write_history_csv
+from .train_eval import TrainConfig, format_report, write_history_csv
 
 CONFIG_VERSION = 1
 CACHE_ENV_VAR = "RAWNETLITE_CACHE_DIR"
@@ -175,6 +177,29 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _train_run(cfg: RunConfig, train_pool, val, out_dir: Path):
+    """Read a val clip and a train clip, echo cfg into out_dir, train, then write checkpoint.ckpt and history.csv."""
+    train_eval.require_readable(val, "val", _cache_dir(cfg), cfg.train.strict_data)
+    train_eval.require_readable(train_pool, "train", _cache_dir(cfg), cfg.train.strict_data)
+    _echo_config(cfg, out_dir)
+    best, history = train_eval.train(cfg.model, cfg.train, train_pool, val,
+                                     augment=cfg.augment, cache_dir=_cache_dir(cfg))
+    model_mod.save(best, out_dir / "checkpoint.ckpt")
+    write_history_csv(history, out_dir / "history.csv")
+    return best, history
+
+
+def _eval_run(model, entries, out_dir: Path, suffix: str, doc: dict, **kwargs) -> lm.EvalReport:
+    """Score entries (`train_eval.evaluate` with kwargs), then write scores<suffix>.csv and
+    report<suffix>.json, doc with n_skipped and the report, into out_dir."""
+    report, records, stats = train_eval.evaluate(model, entries, **kwargs)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lm.write_score_file(records, out_dir / f"scores{suffix}.csv")
+    write_json(out_dir / f"report{suffix}.json",
+               {**doc, "n_skipped": len(stats.skipped), "report": report.to_dict()})
+    return report
+
+
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
     if not cfg.manifests:
@@ -187,14 +212,8 @@ def cmd_train(args) -> int:
     if args.dry_run:
         return EXIT_OK
 
-    train_eval.require_readable(val, "val", _cache_dir(cfg), cfg.train.strict_data)
-    train_eval.require_readable(train_pool, "train", _cache_dir(cfg), cfg.train.strict_data)
     out_dir = Path(args.output_dir or cfg.output_dir)
-    _echo_config(cfg, out_dir)
-    best, history = train(cfg.model, cfg.train, train_pool, val,
-                          augment=cfg.augment, cache_dir=_cache_dir(cfg))
-    model_mod.save(best, out_dir / "checkpoint.ckpt")
-    write_history_csv(history, out_dir / "history.csv")
+    best, history = _train_run(cfg, train_pool, val, out_dir)
     print(f"best epoch {history.best_epoch} "
           f"(val F1 {best.metadata['best_val_f1']:.4f}); "
           f"checkpoint and history written to {out_dir}")
@@ -203,15 +222,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = model_mod.load(args.checkpoint)
-    entries = parse_manifest(args.manifest)
-    report, records, stats = evaluate(model, entries, threshold=args.threshold,
-                                      cache_dir=os.environ.get(CACHE_ENV_VAR), strict=args.strict)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lm.write_score_file(records, out_dir / "scores.csv")
-    doc = {"test_set": Path(args.manifest).stem, "config": "eval",
-           "n_skipped": len(stats.skipped), "report": report.to_dict()}
-    write_json(out_dir / "report.json", doc)
+    report = _eval_run(model, parse_manifest(args.manifest), Path(args.out_dir), "",
+                       {"test_set": Path(args.manifest).stem, "config": "eval"}, threshold=args.threshold,
+                       cache_dir=os.environ.get(CACHE_ENV_VAR), strict=args.strict)
     print(format_report(report, title=f"Evaluation of {args.manifest}"))
     return EXIT_OK
 
@@ -266,24 +279,28 @@ def cmd_figure_data(args) -> int:
 
 def cmd_protocol(args) -> int:
     cfg = load_run_config(args.config, args.set)
+    # protocol_mix runs MixSpec's checks, so a bad --scale fails before anything is written
+    mix = train_eval.protocol_mix(args.name, scale=cfg.mix.scale if args.scale is None else args.scale,
+                                  split_seed=cfg.mix.split_seed, seed=cfg.mix.seed)
     ignored = [f"mix.{k}" for k in ("caps", "primary_domain")
-               if getattr(cfg.mix, k) != getattr(MixSpec(), k)]
+               if getattr(cfg.mix, k) not in (getattr(MixSpec(), k), getattr(mix, k))]
     if ignored:
         raise ConfigError(f"protocol draws its caps from FULL_COUNTS with primary domain 'for'; "
                           f"remove {', '.join(ignored)}")
-    manifests = _load_manifests(cfg)
-    # replace() runs MixSpec's checks, so a bad --scale fails before anything is written
-    mix = cfg.mix if args.scale is None else dataclasses.replace(cfg.mix, scale=args.scale)
+    augment = (cfg.augment or AugmentConfig()) if train_eval.PROTOCOLS[args.name]["augmented"] else None
+    cfg = dataclasses.replace(cfg, mix=mix, augment=augment)
+    train_pool, val, test_sets = train_eval.compose_protocol(
+        args.name, _load_manifests(cfg), scale=mix.scale, split_seed=mix.split_seed, mix_seed=mix.seed)
     out_dir = Path(args.output_dir or cfg.output_dir) / args.name
-    summary = run_protocol(
-        args.name, manifests, cfg.model, cfg.train, cfg.augment, out_dir,
-        scale=mix.scale, split_seed=mix.split_seed, mix_seed=mix.seed,
-        cache_dir=_cache_dir(cfg),
-        on_composed=lambda out: _echo_config(dataclasses.replace(cfg, mix=mix), out))
-    for ts_name, doc in summary["test_sets"].items():
-        rep = doc["report"]
-        f1 = "n/a" if rep["f1_fake"] is None else f"{rep['f1_fake']:.4f}"
-        print(f"{args.name} / {ts_name}: fake F1 {f1}, EER {rep['eer']:.4f}")
+    model, _ = _train_run(cfg, train_pool, val, out_dir)
+    protected = {e.path for e in train_pool} | {e.path for e in val}
+    for ts_name, entries in test_sets.items():
+        report = _eval_run(model, entries, out_dir, f"_{ts_name}",
+                           {"config": args.name, "test_set": ts_name, "scale": mix.scale},
+                           batch_size=cfg.train.eval_batch_size, cache_dir=_cache_dir(cfg),
+                           strict=cfg.train.strict_data, train_paths=protected)
+        f1 = "n/a" if report.f1_fake is None else f"{report.f1_fake:.4f}"
+        print(f"{args.name} / {ts_name}: fake F1 {f1}, EER {report.eer:.4f}")
     print(f"reports written to {out_dir}")
     return EXIT_OK
 

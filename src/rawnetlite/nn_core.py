@@ -355,10 +355,15 @@ def _one_blas_thread():
         set_(old)
 
 
+def _cores() -> int:
+    """The cores this process may run on: its affinity mask where the platform has one (Linux), else os.cpu_count()."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _participants(rows: int) -> int:
     """How many threads run a pass over rows batch rows: min(usable cores, OpenBLAS's threads, rows), or 1 with any other BLAS."""
     blas = _openblas()
-    return 1 if blas is None or rows < 2 else min(len(os.sched_getaffinity(0)), blas[0](), rows)
+    return 1 if blas is None or rows < 2 else min(_cores(), blas[0](), rows)
 
 
 def _tile_pass(shape, body, *sums, buffers=()):
@@ -386,15 +391,14 @@ def _tile_pass(shape, body, *sums, buffers=()):
                 failed.append(i)  # the other participants take no further rows
                 raise
 
-    def buffer_set():
-        return [np.empty((c, width), dtype) for c, dtype in buffers]
-    if shape[0] > 1 and _PASS_LOCK.acquire(blocking=False):
-        try:
-            _run_participants(participant, [buffer_set() for _ in range(_participants(shape[0]))])
-        finally:
+    # one participant for one row, or for a pass inside a body or on another thread while a pass runs
+    locked = shape[0] > 1 and _PASS_LOCK.acquire(blocking=False)
+    try:
+        _run_participants(participant, [[np.empty((c, width), dtype) for c, dtype in buffers]
+                                        for _ in range(_participants(shape[0]) if locked else 1)])
+    finally:
+        if locked:
             _PASS_LOCK.release()
-    else:  # one row, or a pass inside a body or on another thread while a pass runs
-        participant(buffer_set())
     for row in parts:
         for tile in row:
             for acc, part in zip(sums, tile or (), strict=True):
@@ -412,7 +416,7 @@ def _run_participants(participant, sets):
         return participant(sets[0])
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(max(1, len(os.sched_getaffinity(0)) - 1), thread_name_prefix="rawnetlite-tiles")
+        _POOL = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="rawnetlite-tiles")
     with _one_blas_thread():
         futures = [_POOL.submit(participant, bufs) for bufs in sets[1:]]
         try:

@@ -1,11 +1,13 @@
 """Training loop (Adam + early stopping on validation F1) and evaluation runner.
 
-`run_protocol` reproduces the experiment matrix: in-domain training on one
-corpus, cross/triple-domain mixes with fixed per-domain sample caps, and the
-augmented variants, all scalable by a single factor for desk-size runs.
-`compose_protocol` only turns a protocol name into caps and test-set names;
-the pools themselves come from `data_pipeline.compose_pools`, the single
-pool composer that the `train` command uses too.
+`PROTOCOLS` is the experiment matrix: in-domain training on one corpus,
+cross/triple-domain mixes with fixed per-domain sample caps (`FULL_COUNTS`),
+and the augmented variants, all scalable by a single factor for desk-size
+runs. `protocol_mix` turns a protocol name into the MixSpec that draws its
+caps, and `compose_protocol` draws it with `data_pipeline.compose_pools`, the
+single pool composer that the `train` command uses too, and names the test
+sets. The `protocol` command of `cli` runs a protocol through the same code as
+`train` and `eval`; the run directory's layout lives there.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Literal, Optional
 
 import numpy as np
@@ -24,8 +25,8 @@ from .data_pipeline import (
     BatchStats, DataError, DomainCap, ManifestEntry, MixSpec, ProtocolViolationError,
     compose_pools, load_clips, make_batches,
 )
-from .fileio import atomic_write, check_fields, write_json
-from .model import ConfigError, Model, RawNetLiteConfig, build, save
+from .fileio import atomic_write, check_fields
+from .model import ConfigError, Model, RawNetLiteConfig, build
 from .nn_core import Adam, TrainingError
 
 
@@ -273,78 +274,32 @@ PROTOCOLS = {
 }
 
 
+def protocol_mix(name: str, scale: float = 1.0, split_seed: int = 0, seed: int = 0) -> MixSpec:
+    """The MixSpec of one protocol: its FULL_COUNTS caps, primary domain "for", the seeds and the scale."""
+    if name not in PROTOCOLS:
+        raise ConfigError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
+    proto = PROTOCOLS[name]
+    caps = [DomainCap("for", *FULL_COUNTS["for"][role], role) for role in ("train", "val", "test")]
+    caps += [DomainCap(d, *FULL_COUNTS[d]["train"], "train") for d in proto["train_extra"]]
+    caps += [DomainCap(d, *FULL_COUNTS[d]["test"], "test") for d in ("avspoof", "codecfake")
+             if d in proto["train_extra"] + proto["tests"]]
+    return MixSpec(tuple(caps), seed=seed, primary_domain="for", scale=scale, split_seed=split_seed)
+
+
 def compose_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
                      scale: float = 1.0, split_seed: int = 0, mix_seed: int = 0):
     """Assemble the train/val/test pools for one protocol configuration.
 
-    Builds the protocol's caps from FULL_COUNTS and draws them with
-    `compose_pools` (primary domain "for"); returns (train, val,
-    {test_set_name: entries}), all pairwise disjoint by path.
+    Draws the caps of `protocol_mix` with `compose_pools`; returns (train,
+    val, {test_set_name: entries}), all pairwise disjoint by path.
     """
-    if name not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
-    proto = PROTOCOLS[name]
-    needed = {"for"} | set(proto["train_extra"]) | {t for t in proto["tests"] if t in FULL_COUNTS}
+    spec = protocol_mix(name, scale=scale, split_seed=split_seed, seed=mix_seed)
+    needed = {cap.domain for cap in spec.caps}
     missing = sorted(needed - set(manifests))
     if missing:
         raise ConfigError(f"protocol {name!r} requires manifests for {missing}")
-
-    caps = [DomainCap("for", *FULL_COUNTS["for"][role], role) for role in ("train", "val", "test")]
-    caps += [DomainCap(d, *FULL_COUNTS[d]["train"], "train") for d in proto["train_extra"]]
-    caps += [DomainCap(d, *FULL_COUNTS[d]["test"], "test")
-             for d in ("avspoof", "codecfake") if d in needed]
-    spec = MixSpec(tuple(caps), seed=mix_seed, primary_domain="for", scale=scale,
-                   split_seed=split_seed)
     train_pool, val, pools = compose_pools(spec, {d: manifests[d] for d in needed})
 
     cross = pools.get("avspoof", []) + pools.get("codecfake", [])
     pools.update(cross=cross, triple=pools["for"] + cross)
-    return train_pool, val, {t: pools[t] for t in proto["tests"]}
-
-
-def run_protocol(name: str, manifests: dict[str, list[ManifestEntry]],
-                 model_cfg: RawNetLiteConfig, train_cfg: TrainConfig,
-                 augment_cfg: Optional[AugmentConfig], out_dir,
-                 scale: float = 1.0, split_seed: int = 0, mix_seed: int = 0,
-                 cache_dir=None, on_composed=None) -> dict:
-    """Compose, train, and evaluate one protocol; emits one report per test set.
-
-    Nothing is written until the pools are composed and a val clip and a
-    train clip have been read; then out_dir is created and
-    `on_composed(out_dir)` is called, if given, before training starts.
-    """
-    train_pool, val, test_sets = compose_protocol(
-        name, manifests, scale=scale, split_seed=split_seed, mix_seed=mix_seed)
-    require_readable(val, "val", cache_dir, train_cfg.strict_data)
-    require_readable(train_pool, "train", cache_dir, train_cfg.strict_data)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if on_composed is not None:
-        on_composed(out_dir)
-
-    augment = None
-    if PROTOCOLS[name]["augmented"]:
-        augment = augment_cfg if augment_cfg is not None else AugmentConfig()
-
-    model, history = train(model_cfg, train_cfg, train_pool, val,
-                           augment=augment, cache_dir=cache_dir)
-    save(model, out_dir / "checkpoint.ckpt")
-    write_history_csv(history, out_dir / "history.csv")
-
-    protected = {e.path for e in train_pool} | {e.path for e in val}
-    summary = {"protocol": name, "scale": scale, "test_sets": {}}
-    for ts_name, entries in test_sets.items():
-        report, _, stats = evaluate(
-            model, entries, score_path=out_dir / f"scores_{ts_name}.csv",
-            batch_size=train_cfg.eval_batch_size, cache_dir=cache_dir,
-            strict=train_cfg.strict_data, train_paths=protected)
-        doc = {
-            "config": name,
-            "test_set": ts_name,
-            "scale": scale,
-            "n_skipped": len(stats.skipped),
-            "report": report.to_dict(),
-        }
-        write_json(out_dir / f"report_{ts_name}.json", doc)
-        summary["test_sets"][ts_name] = doc
-    return summary
+    return train_pool, val, {t: pools[t] for t in PROTOCOLS[name]["tests"]}

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
+import yaml
 
 from rawnetlite.losses_metrics import ScoreRecord
 
@@ -48,6 +50,14 @@ def make_wav(samples: np.ndarray, rate: int, fmt: str = "pcm16") -> bytes:
         b"data", len(payload),
     )
     return header + payload
+
+
+def write_run_config(path, **fields):
+    """Write RunConfig(version=1, **fields) to path as the YAML config that `rawnetlite train` and `protocol` read."""
+    from rawnetlite.cli import RunConfig
+
+    path.write_text(yaml.safe_dump(dataclasses.asdict(RunConfig(version=1, **fields))))
+    return path
 
 
 def brute_force_eer(records: list[ScoreRecord]) -> tuple[float, float]:

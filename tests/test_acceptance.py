@@ -12,14 +12,14 @@ import pytest
 from rawnetlite import cli, nn_core
 from rawnetlite.augment import AugmentConfig, add_noise_samples, draw_plan, pitch_shift_samples
 from rawnetlite.audio_io import CLIP_SAMPLES, TARGET_RATE_HZ, preprocess
-from rawnetlite.data_pipeline import ManifestEntry, parse_manifest, stratified_split
+from rawnetlite.data_pipeline import ManifestEntry, MixSpec, parse_manifest, stratified_split
 from rawnetlite.losses_metrics import (
     ScoreRecord, bce_loss, classification_metrics, eer, focal_loss,
 )
 from rawnetlite.model import RawNetLiteConfig, build
-from rawnetlite.train_eval import FULL_COUNTS, PROTOCOLS, TrainConfig, compose_protocol, run_protocol, score_entries, train
+from rawnetlite.train_eval import FULL_COUNTS, PROTOCOLS, TrainConfig, compose_protocol, score_entries, train
 
-from conftest import brute_force_eer, finite_difference_check, make_wav, records_from_scores
+from conftest import brute_force_eer, finite_difference_check, make_wav, records_from_scores, write_run_config
 
 REDUCED = RawNetLiteConfig(channels=4, n_res_blocks=3, pool_len=8, gru_hidden=3,
                            fc_hidden=4, input_len=256, seed=123)
@@ -299,14 +299,15 @@ def test_criterion_7_protocol_hygiene():
 
 @criterion(8, "determinism")
 def test_criterion_8_protocol_determinism(sanity_corpus, tiny_model_cfg, tmp_path):
-    manifests = {"for": parse_manifest(sanity_corpus)}
     cfg = TrainConfig(loss="bce", lr=1e-3, batch_size=8, max_epochs=1, patience=1,
                       max_steps=3, shuffle_seed=2, eval_batch_size=16)
     outputs = []
     for run in ("a", "b"):
-        out = tmp_path / run
-        run_protocol("in_domain", manifests, tiny_model_cfg, cfg, None, out,
-                     scale=0.002, split_seed=5, mix_seed=6, cache_dir=tmp_path / "cache")
+        config = write_run_config(tmp_path / f"{run}.yaml", output_dir=str(tmp_path / run),
+                                  manifests={"for": str(sanity_corpus)}, model=tiny_model_cfg, train=cfg,
+                                  mix=MixSpec(split_seed=5, seed=6), cache_dir=str(tmp_path / "cache"))
+        assert cli.main(["protocol", "in_domain", str(config), "--scale", "0.002"]) == 0
+        out = tmp_path / run / "in_domain"
         fig = tmp_path / f"fig_{run}.csv"
         assert cli.main(["figure-data", str(out), "--out", str(fig)]) == 0
         outputs.append({

@@ -326,19 +326,67 @@ def test_falsy_non_mapping_section_is_config_error(doc):
     assert cli.config_from_dict({"version": 1, **nulled}) == cli.RunConfig(version=1)
 
 
-def test_protocol_echoes_the_scale_that_ran(tmp_path, monkeypatch):
-    manifest = write_manifest(tmp_path / "for.csv", "for", 16000, 16000)
-    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out", manifests={"for": str(manifest)})
-
+def stop_at_training(monkeypatch):
+    """Make `train_eval.train` raise, and every clip count as readable: the manifests' files do not exist."""
     def stop(*args, **kwargs):
         raise TrainingError("stopped once the pools are composed")
 
-    monkeypatch.setattr(train_eval, "require_readable", lambda *a, **k: None)  # the manifest's files do not exist
+    monkeypatch.setattr(train_eval, "require_readable", lambda *a, **k: None)
     monkeypatch.setattr(train_eval, "train", stop)
+
+
+def test_protocol_echoes_the_scale_that_ran(tmp_path, monkeypatch):
+    manifest = write_manifest(tmp_path / "for.csv", "for", 16000, 16000)
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out", manifests={"for": str(manifest)})
+    stop_at_training(monkeypatch)
     assert main(["protocol", "in_domain", str(cfg), "--scale", "0.5"]) == cli.EXIT_NUMERIC
     echo = tmp_path / "out" / "in_domain" / "effective_config.yaml"
     assert yaml.safe_load(echo.read_text())["mix"]["scale"] == 0.5
-    assert cli.load_run_config(echo).mix == MixSpec(scale=0.5, split_seed=3)
+    # the caps and primary domain that ran, so `train` on the echo draws the same pools
+    assert cli.load_run_config(echo).mix == train_eval.protocol_mix("in_domain", scale=0.5, split_seed=3)
+
+
+@pytest.mark.parametrize("name, augment, expected", [
+    ("cross_domain", {"p_apply": 0.25}, None),
+    ("cross_augmented", None, AugmentConfig()),
+    ("cross_augmented", {"p_apply": 0.25}, AugmentConfig(p_apply=0.25)),
+])
+def test_protocol_echoes_the_augmentation_that_ran(tmp_path, monkeypatch, name, augment, expected):
+    manifests = {d: str(write_manifest(tmp_path / f"{d}.csv", d, n, n))
+                 for d, n in (("for", 400), ("avspoof", 350), ("codecfake", 600))}
+    cfg = write_config(tmp_path / "c.yaml", manifests["for"], tmp_path / "out", manifests=manifests,
+                       augment=augment)
+    stop_at_training(monkeypatch)
+    assert main(["protocol", name, str(cfg), "--scale", "0.01"]) == cli.EXIT_NUMERIC
+    assert cli.load_run_config(tmp_path / "out" / name / "effective_config.yaml").augment == expected
+
+
+def history_without_seconds(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_train_on_a_protocol_echo_reproduces_the_protocol(tmp_path, sanity_corpus, capsys):
+    cfg = write_config(tmp_path / "c.yaml", sanity_corpus, tmp_path / "out",
+                       manifests={"for": str(sanity_corpus)})
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.002"]) == cli.EXIT_OK
+    ran = tmp_path / "out" / "in_domain"
+    assert main(["train", str(ran / "effective_config.yaml"), "--output-dir", str(tmp_path / "again")]) == 0
+    again = tmp_path / "again"
+    assert (again / "checkpoint.ckpt").read_bytes() == (ran / "checkpoint.ckpt").read_bytes()
+    assert history_without_seconds(again / "history.csv") == history_without_seconds(ran / "history.csv")
+    assert (again / "effective_config.yaml").read_text() == (ran / "effective_config.yaml").read_text()
+
+
+def test_protocol_runs_on_its_own_echo(tmp_path, sanity_corpus, capsys):
+    cfg = write_config(tmp_path / "c.yaml", sanity_corpus, tmp_path / "out",
+                       manifests={"for": str(sanity_corpus)})
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.002"]) == cli.EXIT_OK
+    ran = tmp_path / "out" / "in_domain"
+    assert main(["protocol", "in_domain", str(ran / "effective_config.yaml"),
+                 "--output-dir", str(tmp_path / "again")]) == cli.EXIT_OK
+    again = tmp_path / "again" / "in_domain"
+    for name in ("checkpoint.ckpt", "effective_config.yaml", "scores_for.csv", "report_for.json"):
+        assert (again / name).read_bytes() == (ran / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name, scale, message", [
@@ -518,7 +566,7 @@ def test_train_with_no_readable_val_clip_fails_before_writing(tmp_path, corpus, 
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,label,domain,split\n" + "\n".join(rows) + "\n")
     cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out")
-    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained with an unreadable val set"))
+    monkeypatch.setattr(train_eval, "train", lambda *a, **k: pytest.fail("trained with an unreadable val set"))
     assert main(["train", str(cfg)]) == cli.EXIT_DATA
     assert "none of the 2 val clips is readable" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

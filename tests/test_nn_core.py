@@ -565,6 +565,21 @@ def test_tile_pass_threads_are_at_most_cores_blas_threads_and_rows(monkeypatch, 
     assert threads_used() == 1
 
 
+def test_tile_pass_without_sched_getaffinity_runs_on_at_most_cpu_count_threads(monkeypatch):
+    """os.sched_getaffinity is Linux-only. Without it, a pass over four rows under an OpenBLAS at four
+    threads runs, and on at most os.cpu_count() threads, a fresh pool's included."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(nn, "_openblas", lambda: (lambda: 4, lambda n: None))
+    monkeypatch.setattr(nn, "_POOL", None)
+    used = set()
+    try:
+        nn._tile_pass((4, 1, 3 * nn._TILE), lambda i, s, e: used.add(threading.get_ident()) or time.sleep(0.001))
+    finally:
+        if nn._POOL is not None:
+            nn._POOL.shutdown()
+    assert 1 <= len(used) <= os.cpu_count()
+
+
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
 def test_conv_tiles_cover_the_axis_without_small_tiles(t):
     bounds = nn._tile_bounds(t)

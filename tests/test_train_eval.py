@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from rawnetlite import train_eval
+from rawnetlite import cli, train_eval
 from rawnetlite.data_pipeline import ManifestEntry, ProtocolViolationError, parse_manifest
 from rawnetlite.losses_metrics import write_score_file
 from rawnetlite.model import ConfigError, RawNetLiteConfig, build
 from rawnetlite.train_eval import (
     BestTracker, FULL_COUNTS, PROTOCOLS, TrainConfig, compose_protocol, evaluate,
-    run_protocol, score_entries, train, write_history_csv,
+    score_entries, train, write_history_csv,
 )
+
+from conftest import write_run_config
 
 
 def synthetic_entries(n_real, n_fake, domain):
@@ -257,29 +261,34 @@ def test_compose_determinism():
     assert a == b
 
 
-# --- run_protocol end to end (tiny) --------------------------------------------------
+# --- protocol end to end (tiny) ------------------------------------------------------
 
 
-def test_run_protocol_in_domain(tiny_model_cfg, sanity_corpus, clip_cache, tmp_path):
-    manifests = {"for": parse_manifest(sanity_corpus)}
+def run_in_domain(tmp_path, model_cfg, train_cfg, corpus, cache_dir):
+    """`rawnetlite protocol in_domain` at scale 0.002; returns its run directory."""
+    cfg = write_run_config(tmp_path / "c.yaml", output_dir=str(tmp_path / "proto"),
+                           manifests={"for": str(corpus)}, model=model_cfg, train=train_cfg,
+                           cache_dir=str(cache_dir))
     # 64 clips per class; scale so caps become 51/6/6 per class
-    scale = 0.002
-    out = tmp_path / "proto"
-    summary = run_protocol("in_domain", manifests, tiny_model_cfg,
-                           small_train_cfg(max_steps=2, max_epochs=1), None, out,
-                           scale=scale, cache_dir=clip_cache)
+    assert cli.main(["protocol", "in_domain", str(cfg), "--scale", "0.002"]) == cli.EXIT_OK
+    return tmp_path / "proto" / "in_domain"
+
+
+def test_protocol_in_domain(tiny_model_cfg, sanity_corpus, clip_cache, tmp_path):
+    out = run_in_domain(tmp_path, tiny_model_cfg, small_train_cfg(max_steps=2, max_epochs=1),
+                        sanity_corpus, clip_cache)
     assert (out / "checkpoint.ckpt").exists()
     assert (out / "history.csv").exists()
     assert (out / "report_for.json").exists()
     assert (out / "scores_for.csv").exists()
-    rep = summary["test_sets"]["for"]["report"]
+    rep = json.loads((out / "report_for.json").read_text())["report"]
     assert rep["eer"] is not None
     assert rep["tp"] + rep["tn"] + rep["fp"] + rep["fn"] == len(
         open(out / "scores_for.csv").readlines()) - 1
 
 
-def test_run_protocol_scores_test_sets_at_eval_batch_size(tiny_model_cfg, sanity_corpus, clip_cache,
-                                                         tmp_path, monkeypatch):
+def test_protocol_scores_test_sets_at_eval_batch_size(tiny_model_cfg, sanity_corpus, clip_cache,
+                                                      tmp_path, monkeypatch):
     sizes = []
 
     def recording(model, entries, batch_size=64, **kw):
@@ -287,7 +296,6 @@ def test_run_protocol_scores_test_sets_at_eval_batch_size(tiny_model_cfg, sanity
         return score_entries(model, entries, batch_size=batch_size, **kw)
 
     monkeypatch.setattr(train_eval, "score_entries", recording)
-    run_protocol("in_domain", {"for": parse_manifest(sanity_corpus)}, tiny_model_cfg,
-                 small_train_cfg(max_steps=1, max_epochs=1, eval_batch_size=5), None,
-                 tmp_path / "proto", scale=0.002, cache_dir=clip_cache)
+    run_in_domain(tmp_path, tiny_model_cfg, small_train_cfg(max_steps=1, max_epochs=1, eval_batch_size=5),
+                  sanity_corpus, clip_cache)
     assert sizes == [5, 5]  # the val set, then the one test set
