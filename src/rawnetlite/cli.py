@@ -177,10 +177,13 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _train_run(cfg: RunConfig, train_pool, val, out_dir: Path):
-    """Read a val clip and a train clip, echo cfg into out_dir, train, then write checkpoint.ckpt and history.csv."""
-    train_eval.require_readable(val, "val", _cache_dir(cfg), cfg.train.strict_data)
-    train_eval.require_readable(train_pool, "train", _cache_dir(cfg), cfg.train.strict_data)
+def _train_run(cfg: RunConfig, train_pool, val, out_dir: Path, test_sets=None):
+    """Read a val clip, a train clip and a clip of each of test_sets, {name: entries}, echo cfg into
+    out_dir, train, then write checkpoint.ckpt and history.csv. So a set with no readable clip fails
+    before anything is written, not after hours of training."""
+    tests = ((f"{name} test", entries) for name, entries in (test_sets or {}).items())
+    for what, entries in [("val", val), ("train", train_pool), *tests]:
+        train_eval.require_readable(entries, what, _cache_dir(cfg), cfg.train.strict_data)
     _echo_config(cfg, out_dir)
     best, history = train_eval.train(cfg.model, cfg.train, train_pool, val,
                                      augment=cfg.augment, cache_dir=_cache_dir(cfg))
@@ -292,7 +295,7 @@ def cmd_protocol(args) -> int:
     train_pool, val, test_sets = train_eval.compose_protocol(
         args.name, _load_manifests(cfg), scale=mix.scale, split_seed=mix.split_seed, mix_seed=mix.seed)
     out_dir = Path(args.output_dir or cfg.output_dir) / args.name
-    model, _ = _train_run(cfg, train_pool, val, out_dir)
+    model, _ = _train_run(cfg, train_pool, val, out_dir, test_sets)
     protected = {e.path for e in train_pool} | {e.path for e in val}
     for ts_name, entries in test_sets.items():
         report = _eval_run(model, entries, out_dir, f"_{ts_name}",

@@ -58,9 +58,12 @@ bits fills whole bytes. The batch rows run on min(usable cores, OpenBLAS's
 thread count, B) participants (`_participants`): the calling thread and
 threads of one lazily started pool, which take rows in turn. OpenBLAS runs at
 one thread meanwhile, and gets its count back when the pass ends; with one
-participant, or any other BLAS, the pass is a plain loop on the caller. A body
-writes only into its own row of an output. Its tile buffers (conv scratch,
-float64 sum buffers) are one set per participant, all allocated by the caller:
+participant, the pass is a plain loop on the caller. There is one participant
+under any other BLAS and for a pass of fewer than `_THREADED_MIN` B * C * T
+elements, which the caller finishes before a thread handoff would. A body
+writes only into its own row of an output. Its tile buffers (a conv's scratch
+where it has one, float64 sum buffers) are one set per participant, all
+allocated by the caller:
 glibc would keep buffers freed by a pool thread in that thread's malloc arena,
 which adds to the process's peak RSS.
 The fold order is `_tile_pass`'s alone: a body returns its tile's partials, and
@@ -75,16 +78,30 @@ built tile by tile, and a tile's input, output and scratch stay in a core's L2
 cache. Only the sums carry over from one tile to the next: output columns s:e
 are finished, and the body's locals freed, when the body returns. The conv
 backward's dw reads the tile's columns of x, one wider on each side but clamped
-to [0, T), the same way. No conv allocates a full-size tap buffer: taps 0 and 2
-go through one tile-sized scratch buffer. A window that reaches past either end
-of the row is one zero-filled buffer, into whose middle a lazy source writes
-(`_padded`). Each output element sums the same products in the same order as an
-untiled conv. In float32 the forward and dx are bit-identical to it, at any
-BLAS thread count (except, across tiles, the dx of a C_in = 1 conv, whose taps
-are matrix-vector products that the BLAS rounds by position). OpenBLAS's
-float64 GEMM rounds a column by its place in the call and by how the call is
-split over threads, so in float64 they agree with it to a few ulps. dw sums
-its tiles in another order.
+to [0, T), the same way. No conv allocates a full-size tap buffer. A window
+that reaches past either end of the row is one zero-filled buffer, into whose
+middle a lazy source writes (`_padded`). Each output element sums the same
+products in the same order as an untiled conv. In float32 the forward and dx
+are bit-identical to it, at any BLAS thread count (except, across tiles, the
+dx of a C_in = 1 conv, whose taps are matrix-vector products that the BLAS
+rounds by position). OpenBLAS's float64 GEMM rounds a column by its place in
+the call and by how the call is split over threads, so in float64 they agree
+with it to a few ulps. dw sums its tiles in another order.
+
+BLAS taps: a float32 matmul tap is one call to the sgemm of the OpenBLAS that
+numpy ships (`_sgemm`, through ctypes, which drops the GIL as numpy does),
+straight into the output tile: tap 1 with beta=0, then taps 0 and 2 with
+beta=1, so the BLAS adds each into the output in its micro-kernel, and no
+elementwise pass over the tile adds them. With K = C_in up to `_SGEMM_MAX_K`
+the contraction is one k-block, and C += AB rounds as numpy's `out += A @ B`
+does: the same bits. Every other tap takes numpy's path, tap 1 into the output
+and taps 0 and 2 through one tile-sized scratch buffer: float64 (the gradient
+checks), the C_in = 1 stem's forward (a broadcast multiply), any product with
+M, N or K of 1 (numpy runs it as a matrix-vector product, which rounds
+otherwise), K past `_SGEMM_MAX_K`, operands the call cannot read in place, and
+any BLAS that `_openblas` does not find. A conv whose taps all take the BLAS
+gets no scratch buffer. The dw GEMMs, which contract over a whole tile, and the
+dx epilogue of `conv1d_backward`'s into stay numpy.
 
 Eval convention: an eval forward keeps nothing for a backward pass and runs
 depth first, so it never holds a (B, C, T) activation. An eval
@@ -114,6 +131,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -299,15 +317,24 @@ def _conv_window(xw, taps, product, out=None, scratch=None):
     """The conv of the window xw, which is one column wider on each side than the output, into out if given.
 
     taps are (W, k) in summation order; tap (W, k) adds product(W, xw[:, k : k + n])
-    to the n output columns. The first product writes out, the others go through
-    scratch, one buffer at least n columns wide, allocated here if not given.
+    to the n output columns. A matmul tap that `_sgemm` takes is one BLAS call
+    straight into out, the first with beta=0 and the others with beta=1, so the
+    BLAS adds each later product into out itself. Otherwise the first product
+    writes out and the others go through scratch, one buffer at least n columns
+    wide, allocated here if not given. Both ways give the same bits.
     """
-    n = xw.shape[1] - 2
-    (w, k), *rest = taps
-    out = product(w, xw[:, k : k + n], out=out)
-    for w, k in rest:
-        scratch = product(w, xw[:, k : k + n], out=None if scratch is None else scratch[:, :n])
-        out += scratch
+    n, first = xw.shape[1] - 2, taps[0][0]
+    if out is None:
+        out = np.empty((first.shape[0], n), dtype=np.result_type(first.dtype, xw.dtype))
+    for j, (w, k) in enumerate(taps):
+        x = xw[:, k : k + n]
+        if product is np.matmul and _sgemm(w, x, out, beta=0.0 if j == 0 else 1.0):
+            continue
+        if j == 0:
+            product(w, x, out=out)
+        else:
+            scratch = product(w, x, out=None if scratch is None else scratch[:, :n])
+            out += scratch
     return out
 
 
@@ -321,11 +348,18 @@ def _tile_width(t: int) -> int:
 # lock held runs serially.
 _PASS_LOCK = threading.Lock()
 _POOL = None
+# B * C * T below which a pass runs on the caller alone. Measured on 2 cores, serial against two
+# threads: `_moments` 31-159 against 70-273 us and a conv forward 114-906 against 186-1064 us at
+# 512-128000 elements; every pass the benchmark runs has at least 192000.
+_THREADED_MIN = 1 << 17
 
 
 @functools.cache
 def _openblas():
-    """(get, set) of the thread count of the OpenBLAS that numpy ships in numpy.libs, or None for any other BLAS."""
+    """(get, set, sgemm) of the OpenBLAS that numpy ships in numpy.libs, or None for any other BLAS.
+
+    get and set read and set its thread count; sgemm is its ILP64 cblas_sgemm.
+    """
     libs = os.path.dirname(np.__file__) + ".libs"
     names = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_")] if os.path.isdir(libs) else []
     if len(names) != 1:
@@ -333,10 +367,61 @@ def _openblas():
     try:
         lib = ctypes.CDLL(os.path.join(libs, names[0]))  # numpy has it loaded already, so this is the same library
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        sgemm = lib.scipy_cblas_sgemm64_
     except (OSError, AttributeError):
         return None
     get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
-    return get, set_
+    i, f, p = ctypes.c_int64, ctypes.c_float, ctypes.c_void_p
+    sgemm.argtypes = [ctypes.c_int] * 3 + [i, i, i, f, p, i, p, i, f, p, i]
+    sgemm.restype = None
+    return get, set_, sgemm
+
+
+# cblas_sgemm's order and transpose arguments
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+# The deepest contraction `_sgemm` takes. Within OpenBLAS's k-block one call adds a @ b into c once, as
+# numpy's `c += a @ b` does; past it each k-block is added into c in turn, which rounds otherwise. On
+# SkylakeX the bits matched up to K = 448 and not at 512; 128 leaves a margin for shallower k-blocks.
+_SGEMM_MAX_K = 128
+
+
+def _sgemm_takes(m: int, k: int, dtype) -> bool:
+    """Whether `_sgemm` can take an (m, k) a of this dtype: OpenBLAS, float32, m >= 2 and 2 <= k <= `_SGEMM_MAX_K`."""
+    return dtype == np.float32 and m > 1 and 1 < k <= _SGEMM_MAX_K and _openblas() is not None
+
+
+def _leading(v):
+    """The row stride, in elements, of a 2-D array that the BLAS reads row-major in place, or None."""
+    rows, cols = v.strides
+    fits = v.flags.aligned and cols == v.itemsize and rows % v.itemsize == 0 and rows // v.itemsize >= v.shape[1]
+    return rows // v.itemsize if fits else None
+
+
+def _sgemm(a, b, c, beta: float) -> bool:
+    """c = a @ b + beta * c in place by one OpenBLAS sgemm call, and True; False, with c untouched, where it cannot.
+
+    It takes float32 operands of `_sgemm_takes` shapes with n >= 2: numpy runs a
+    product with one row or column as a matrix-vector product, which rounds
+    otherwise. a is read contiguous, in either order, which gives its leading
+    dimension and whether it is transposed; a conv tap, a strided view of the
+    weight, is copied in its own axis order, as numpy's matmul copies it: the
+    BLAS's small-matrix kernels round a transposed a otherwise. b and c need
+    unit column stride (`_leading`). a, b and c stay referenced here until the
+    call returns.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    if (not _sgemm_takes(m, k, a.dtype) or n < 2 or b.shape[0] != k or c.shape != (m, n)
+            or b.dtype != np.float32 or c.dtype != np.float32 or not c.flags.writeable):
+        return False
+    ldb, ldc = _leading(b), _leading(c)
+    if ldb is None or ldc is None:
+        return False
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = a.copy(order="K")
+    trans, lda = (_NO_TRANS, k) if a.flags.c_contiguous else (_TRANS, m)
+    _openblas()[2](_ROW_MAJOR, trans, _NO_TRANS, m, n, k, 1.0, a.ctypes.data, lda, b.ctypes.data, ldb,
+                   beta, c.ctypes.data, ldc)
+    return True
 
 
 @contextlib.contextmanager
@@ -346,7 +431,7 @@ def _one_blas_thread():
     if blas is None:
         yield
         return
-    get, set_ = blas
+    get, set_ = blas[:2]
     old = get()
     set_(1)
     try:
@@ -360,10 +445,11 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _participants(rows: int) -> int:
-    """How many threads run a pass over rows batch rows: min(usable cores, OpenBLAS's threads, rows), or 1 with any other BLAS."""
+def _participants(shape) -> int:
+    """How many threads run a pass over a (B, C, T) shape: min(usable cores, OpenBLAS's threads, B), or 1 with any
+    other BLAS or for a pass of fewer than `_THREADED_MIN` elements, which the caller finishes sooner alone."""
     blas = _openblas()
-    return 1 if blas is None or rows < 2 else min(_cores(), blas[0](), rows)
+    return 1 if blas is None or shape[0] < 2 or math.prod(shape) < _THREADED_MIN else min(_cores(), blas[0](), shape[0])
 
 
 def _tile_pass(shape, body, *sums, buffers=()):
@@ -371,10 +457,11 @@ def _tile_pass(shape, body, *sums, buffers=()):
 
     body returns one partial per accumulator in sums, in their order, or
     nothing when there are none; once every row is done they are added in
-    place in (row, tile) order. buffers lists (channels, dtype) pairs, and bufs
-    is one tile buffer of shape (channels, `_tile_width(T)`) for each, which
-    only the thread running body uses. The rows run on `_participants(B)`
-    threads, the caller among them, which take rows in turn.
+    place in (row, tile) order. buffers lists (channels, dtype) pairs or None,
+    and bufs is one tile buffer of shape (channels, `_tile_width(T)`) for each
+    pair, which only the thread running body uses, and None for each None. The
+    rows run on `_participants(shape)` threads, the caller among them, which
+    take rows in turn.
     """
     bounds, width = _tile_bounds(shape[2]), _tile_width(shape[2])
     rows, parts, take, failed = iter(range(shape[0])), [None] * shape[0], threading.Lock(), []
@@ -391,11 +478,12 @@ def _tile_pass(shape, body, *sums, buffers=()):
                 failed.append(i)  # the other participants take no further rows
                 raise
 
-    # one participant for one row, or for a pass inside a body or on another thread while a pass runs
-    locked = shape[0] > 1 and _PASS_LOCK.acquire(blocking=False)
+    # one participant for a pass inside a body or on another thread while a pass runs
+    n = _participants(shape)
+    locked = n > 1 and _PASS_LOCK.acquire(blocking=False)
     try:
-        _run_participants(participant, [[np.empty((c, width), dtype) for c, dtype in buffers]
-                                        for _ in range(_participants(shape[0]) if locked else 1)])
+        _run_participants(participant, [[None if b is None else np.empty((b[0], width), b[1]) for b in buffers]
+                                        for _ in range(n if locked else 1)])
     finally:
         if locked:
             _PASS_LOCK.release()
@@ -489,7 +577,9 @@ def conv1d_forward(x, w, moments=None, mask=None):
         if mask is not None:
             _pack_mask(xw[:, 1:-1], mask, i, s)
         return None if moments is None else _tile_moments(o, buf)
-    buffers = [(w.shape[0], out.dtype)] + ([] if moments is None else [(w.shape[0], np.float64)])
+    # a scratch tile only for taps the BLAS does not add into the output itself
+    buffers = [None if _sgemm_takes(w.shape[0], w.shape[1], out.dtype) else (w.shape[0], out.dtype)]
+    buffers += [] if moments is None else [(w.shape[0], np.float64)]
     _tile_pass(out.shape, tile, *(() if moments is None else moments), buffers=buffers)
     return out, (x, w)
 
@@ -521,7 +611,8 @@ def conv1d_backward(dout, cache, into=None):
             l, h = max(s, 1 - k), min(e, t + 1 - k)
             parts.append(np.matmul(d[:, l - s : h - s], xw[:, l + k - 1 - lo : h + k - 1 - lo].T))
         return parts
-    buffers = [(x.shape[1], dx.dtype)] * (1 if into is None else 2)
+    buffers = [None if _sgemm_takes(x.shape[1], w.shape[0], dx.dtype) else (x.shape[1], dx.dtype)]
+    buffers += [] if into is None else [(x.shape[1], dx.dtype)]
     _tile_pass(dx.shape, tile, *(dw[:, :, k] for k in range(3)), buffers=buffers)
     return dx, dw
 

@@ -143,5 +143,5 @@ def participants(request, monkeypatch):
     from rawnetlite import nn_core
 
     n = request.param
-    monkeypatch.setattr(nn_core, "_participants", lambda rows: min(n, rows))
+    monkeypatch.setattr(nn_core, "_participants", lambda shape: min(n, shape[0]))
     return n

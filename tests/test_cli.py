@@ -608,6 +608,22 @@ def test_protocol_with_no_readable_train_clip_is_data_error_and_writes_nothing(t
     assert not (tmp_path / "out").exists()
 
 
+def test_protocol_with_no_readable_test_clip_fails_before_training(tmp_path, sanity_corpus, capsys, monkeypatch):
+    """Split-tagged: the corpus clips, readable, are train and val; the test files do not exist.
+    The protocol exits 2 before it trains or writes anything."""
+    readable = sanity_corpus.read_text().strip().splitlines()[1:]
+    rows = [f"{line},{('train', 'train', 'val')[k % 3]}" for k, line in enumerate(readable)]
+    rows += [f"{tmp_path / 'missing'}_{label}_{k}.wav,{label},sanity,test"
+             for label in ("real", "fake") for k in range(2)]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,domain,split\n" + "\n".join(rows) + "\n")
+    cfg = write_config(tmp_path / "c.yaml", manifest, tmp_path / "out", manifests={"for": str(manifest)})
+    monkeypatch.setattr(train_eval, "train", lambda *a, **k: pytest.fail("trained with an unreadable test set"))
+    assert main(["protocol", "in_domain", str(cfg), "--scale", "0.0005"]) == cli.EXIT_DATA
+    assert "none of the 4 for test clips is readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- metrics -------------------------------------------------------------------------
 
 

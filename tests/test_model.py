@@ -562,28 +562,29 @@ def test_eval_forward_before_training_raises():
 # per-channel float64 sums; the pool's dx from its (B, C, pool_len) gradient).
 # The batch statistics and those sums are taken a tile at a time, through one
 # float64 tile buffer; here a tile is a whole row, so that buffer is half an
-# activation. The forward peaks at 11.45 in the last block's unit-2 conv: its
-# output, a1's window, the conv scratch and the float64 buffer. Unit 2's masked
-# gradient is kept whole, as dskip, and unit 1's conv backward adds its dx into
-# it tile by tile. `Model.backward` pops each layer's cache, so a block's
-# activations are freed when its backward returns. One step peaks at 13.49 in
+# activation. The forward peaks at 11.30 in the last block's unit-2 conv: its
+# output, a1's window and the float64 buffer. Unit 2's masked gradient is kept
+# whole, as dskip, and unit 1's conv backward adds its dx into it tile by
+# tile. `Model.backward` pops each layer's cache, so a block's activations are
+# freed when its backward returns. One step peaks at 13.00 in
 # the last block's conv backwards: the held caches, dskip and da1, plus a few
 # tile-sized windows and buffers; each earlier block starts about two
 # activations lower than the one after it. The conv kernels allocate no
-# full-size tap buffer, only a scratch tile of C x ~_TILE samples (a quarter
-# activation here). An eval
-# forward keeps no caches, folds each batch norm into its conv and runs depth
-# first: the pool reads the conv stack one batch row and one time tile at a
-# time, so nothing it allocates grows with B or T. Its peak, about 2.0 MiB at
-# any B here (1.02 activations at B = 4), is four C x ~_TILE windows inside a
-# residual block's second unit: the block's input window (also the skip), unit
-# 1's output, and unit 2's output and scratch.
+# full-size tap buffer: a float32 conv's taps run as BLAS calls straight into
+# its output (`nn_core._sgemm`), and only a conv whose taps take numpy's path
+# uses a scratch tile of C x ~_TILE samples (a quarter activation here); there
+# a step peaks at 13.25. An eval forward keeps no caches, folds each batch norm
+# into its conv and runs depth first: the pool reads the conv stack one batch
+# row and one time tile at a time, so nothing it allocates grows with B or T.
+# Its peak, about 1.5 MiB at any B here (0.78 activations at B = 4), is three
+# C x ~_TILE windows inside a residual block's second unit: the block's input
+# window (also the skip), unit 1's output and unit 2's output.
 
 # On two threads (the `participants` fixture) each peak may grow by one more
 # thread's tile set, `_tile_set`: the tile buffers `_tile_pass` gives a body and the
-# windows the body builds. Measured at two: forward 12.02, one step 14.25 and
-# `train()` 14.40 activations, an eval forward 2.03, a paper-config B=2 step
-# 12.90 (302.3 MiB). At MEM_CFG a row is one tile, so a tile set is about a row.
+# windows the body builds. Measured at two: forward 11.77, one step 13.50 and
+# `train()` 13.90 activations, an eval forward 1.53, a paper-config B=2 step
+# 12.74 (298.6 MiB). At MEM_CFG a row is one tile, so a tile set is about a row.
 
 MEM_CFG = RawNetLiteConfig(channels=16, n_res_blocks=3, pool_len=32, gru_hidden=8,
                            fc_hidden=8, input_len=8000, seed=1)
@@ -595,8 +596,9 @@ def _activations(nbytes, batch, cfg=MEM_CFG):
 
 def _tile_set(cfg):
     """Bytes one more tile-pass thread may hold: per channel and column of a `_tile_width` tile,
-    a float32 conv scratch, a float64 sum buffer, a float32 input window and a float32 temporary."""
-    return cfg.channels * nn_core._tile_width(cfg.input_len) * (4 + 8 + 4 + 4)
+    a float64 sum buffer, a float32 input window and a float32 temporary. A float32 conv whose
+    taps run as BLAS calls (`nn_core._sgemm`) has no scratch tile."""
+    return cfg.channels * nn_core._tile_width(cfg.input_len) * (8 + 4 + 4)
 
 
 def test_memory_bound_forward_backward(participants):
@@ -625,7 +627,7 @@ def test_memory_bound_forward_backward(participants):
 
 
 def test_memory_bound_one_step_at_the_paper_config(participants):
-    """One float32 step at the paper config, B = 2, peaks at 12.56 (B, C, T) activations, ~294 MiB, on one thread."""
+    """One float32 step at the paper config, B = 2, peaks at 12.50 (B, C, T) activations, ~293 MiB, on one thread."""
     cfg = RawNetLiteConfig()
     m = build(cfg)
     x = small_batch(cfg, n=2)
@@ -670,7 +672,7 @@ def test_eval_memory_does_not_grow_with_the_clip(monkeypatch):
 
 
 def test_train_frees_each_steps_caches_before_the_next_forward(monkeypatch, participants):
-    """Over several steps, train() peaks like one step: about 13.64 activations on one thread, not the 20.6 of two steps' caches."""
+    """Over several steps, train() peaks like one step: about 13.15 activations on one thread, not the 20.6 of two steps' caches."""
     def synthetic_batches(entries, batch_size=16, **_):
         rng = np.random.default_rng(0)
         for k in range(0, len(entries), batch_size):
@@ -695,7 +697,7 @@ def test_two_threads_give_the_serial_bits(monkeypatch):
     the probabilities, every gradient, every running statistic and the eval probabilities."""
     runs = []
     for n in (1, 2):
-        monkeypatch.setattr(nn_core, "_participants", lambda rows, n=n: min(n, rows))
+        monkeypatch.setattr(nn_core, "_participants", lambda shape, n=n: min(n, shape[0]))
         m = build(MEM_CFG)
         x = small_batch(MEM_CFG, n=4)
         p, caches = m.forward_train(x)
@@ -704,6 +706,20 @@ def test_two_threads_give_the_serial_bits(monkeypatch):
                      *(a for st in m.bn_states.values() for a in (st.running_mean, st.running_var)),
                      m.forward(x, mode="eval")])
     assert all(a.dtype == np.float32 and np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+
+
+def test_paper_config_step_passes_the_blas_no_illegal_argument(capfd):
+    """OpenBLAS reports an sgemm argument it rejects on the C streams and returns without writing
+    its output: one paper-config B=2 training step and an eval forward print nothing, and give
+    finite probabilities and gradients."""
+    m = build(RawNetLiteConfig())
+    x = small_batch(RawNetLiteConfig(), n=2)
+    p, caches = m.forward_train(x)
+    m.backward(np.ones_like(p), caches)
+    probs = m.forward(x, mode="eval")
+    out, err = capfd.readouterr()
+    assert "illegal value" not in out + err and (out, err) == ("", "")
+    assert all(np.isfinite(a).all() for a in (p, probs, *(t.grad for t in m.params.values())))
 
 
 def _arrays(cache):

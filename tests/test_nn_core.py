@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -184,6 +184,125 @@ def test_conv1d_shape_errors():
         nn.conv1d_forward(np.zeros((1, 2, 5)), np.zeros((4, 3, 3)))
     with pytest.raises(ShapeError):
         nn.conv1d_forward(np.zeros((1, 3, 5)), np.zeros((4, 3, 5)))
+
+
+# --- conv taps through the BLAS ---------------------------------------------------
+# A float32 matmul tap runs as one OpenBLAS sgemm call into the output, the first with
+# beta=0 and the others with beta=1; these tests hold it to the numpy form it replaces:
+# out = W1 @ x1, then out += W0 @ x0 and out += W2 @ x2, each product rounded on its own.
+
+needs_openblas = pytest.mark.skipif(nn._openblas() is None, reason="numpy's OpenBLAS was not found")
+
+
+def _counting_openblas(calls):
+    """`_openblas`'s triple with an sgemm that records each call's (m, n, k) in calls before it runs."""
+    get, set_, sgemm = nn._openblas()
+    counting = get, set_, lambda *args: calls.append(args[3:6]) or sgemm(*args)
+    return lambda: counting
+
+
+@needs_openblas
+@settings(max_examples=100, deadline=None)
+@given(c_in=st.sampled_from([2, 8, 64]), c_out=st.sampled_from([1, 2, 8, 64]),
+       n=st.sampled_from([1, 2, 3, 64, 200]), extra=st.integers(0, 70), rows=st.integers(1, 3),
+       transposed=st.booleans(), fresh=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(c_in=2, c_out=64, n=2, extra=0, rows=1, transposed=True, fresh=False, seed=0)
+@example(c_in=64, c_out=64, n=200, extra=5, rows=3, transposed=True, fresh=False, seed=1)
+def test_blas_taps_equal_the_numpy_three_matmul_form(c_in, c_out, n, extra, rows, transposed, fresh, seed):
+    """Any tile of n columns of any row of a (B, C, T) array, also where its window reaches past the
+    row and is zero-padded, through forward taps or transposed (dx) taps, into a row view of an
+    output or a fresh array: the BLAS path runs one sgemm per tap where M, N and K are all >= 2,
+    none otherwise, and gives the numpy form bit for bit, touching no other column. The first
+    example is a small-matrix kernel's case: a dx tap copied in C order rounds otherwise there."""
+    rng = np.random.default_rng(seed)
+    t = n + extra
+    i, s = seed % rows, seed // rows % (t - n + 1)
+    w = (rng.normal(size=(c_out, c_in, 3)) * np.exp(rng.normal(size=(c_out, c_in, 3)))).astype(np.float32)
+    taps = nn._taps(w)
+    if transposed:  # as conv1d_backward: tap k carries dout[t] to dx[t + k - 1]
+        taps = [(wk.T, 2 - k) for wk, k in taps]
+    m, k = taps[0][0].shape
+    x = (rng.normal(size=(rows, k, t)) * np.exp(rng.normal(size=(rows, k, t)))).astype(np.float32)
+    xw = nn._window_reader(x)(i, s - 1, s + n + 1)
+    ref = np.matmul(taps[0][0], xw[:, taps[0][1] : taps[0][1] + n])
+    for wk, j in taps[1:]:
+        ref += np.matmul(wk, xw[:, j : j + n])
+    dst = np.full((rows, m, t), np.nan, dtype=np.float32)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_openblas", _counting_openblas(calls))
+        got = nn._conv_window(xw, taps, np.matmul, None if fresh else dst[i, :, s : s + n])
+    assert np.array_equal(got, ref)
+    assert len(calls) == (3 if min(m, n, k) >= 2 else 0)
+    if not fresh:
+        assert np.shares_memory(got, dst) and np.isnan(np.delete(dst[i], np.s_[s : s + n], axis=1)).all()
+        assert np.isnan(np.delete(dst, i, axis=0)).all()
+
+
+@pytest.mark.parametrize("c_in, t", [(1, 200), (8, 1), (8, 2), (8, 200), (64, 129)])
+def test_conv_without_openblas_takes_the_numpy_path_with_the_same_bits(monkeypatch, c_in, t):
+    """With `_openblas` patched to None, `_sgemm` takes nothing and every conv tile pass gets a
+    float32 scratch buffer; with the BLAS, a pass whose taps all go to it gets none. The forward,
+    dx, dx added into an array and an eval unit give the same bits both ways."""
+    monkeypatch.setattr(nn, "_TILE", 64)
+    rng = np.random.default_rng(t + c_in)
+    x = rng.normal(size=(3, c_in, t)).astype(np.float32)
+    w = rng.normal(size=(16, c_in, 3)).astype(np.float32)
+    b = rng.normal(size=16).astype(np.float32)
+    dout, into = rng.normal(size=(3, 16, t)).astype(np.float32), rng.normal(size=x.shape).astype(np.float32)
+    tile_pass, scratch = nn._tile_pass, []
+
+    def spy(shape, body, *sums, buffers=()):
+        scratch.append(buffers[0])
+        return tile_pass(shape, body, *sums, buffers=buffers)
+    monkeypatch.setattr(nn, "_tile_pass", spy)
+
+    def kernels():
+        out, cache = nn.conv1d_forward(x, w, np.zeros((2, 16)))
+        dx, dw = nn.conv1d_backward(dout, cache)
+        dx_into, dw_into = nn.conv1d_backward(dout, cache, into.copy())
+        unit = nn._folded_unit(nn._window_reader(x)(1, -1, t + 1), w, b, 0, t, t)
+        return out, dx, dw, dx_into, dw_into, unit
+    blas = kernels()
+    numpy_scratch = [(16, np.float32)] + [(c_in, np.float32)] * 2
+    if nn._openblas() is not None:
+        assert scratch == ([None] * 3 if c_in > 1 else numpy_scratch)
+    scratch.clear()
+    monkeypatch.setattr(nn, "_openblas", lambda: None)
+    assert all(np.array_equal(a, b) for a, b in zip(blas, kernels(), strict=True))
+    assert scratch == numpy_scratch
+    c = np.zeros((16, t), np.float32)
+    assert not nn._sgemm(w[:, :, 1], x[0], c, 0.0) and not c.any()
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", ["m=1", "n=1", "k=1", "deep k", "float64", "b strided", "c strided",
+                                  "c read-only", "b rows overlap", "a strided"])
+def test_sgemm_declines_what_it_cannot_take_and_leaves_c_alone(case):
+    """`_sgemm` returns False, and writes nothing, for a product numpy would round otherwise or
+    operands it cannot pass in place; a strided a is copied and taken."""
+    rng = np.random.default_rng(3)
+    shapes = {"m=1": (1, 8, 5), "n=1": (8, 8, 1), "k=1": (8, 1, 5), "deep k": (8, nn._SGEMM_MAX_K + 1, 5)}
+    m, k, n = shapes.get(case, (8, 8, 5))
+    a, b = rng.normal(size=(m, k)).astype(np.float32), rng.normal(size=(k, n)).astype(np.float32)
+    c = np.zeros((m, n), np.float32)
+    if case == "float64":
+        a = a.astype(np.float64)
+    elif case == "b strided":
+        b = np.repeat(b, 2, axis=1)[:, ::2]
+    elif case == "c strided":
+        c = np.zeros((m, 2 * n), np.float32)[:, ::2]
+    elif case == "c read-only":
+        c.flags.writeable = False
+    elif case == "b rows overlap":
+        b = np.lib.stride_tricks.as_strided(b, strides=(4, 4))
+    elif case == "a strided":
+        a3 = rng.normal(size=(m, k, 3)).astype(np.float32)
+        a = a3[:, :, 1]
+        assert nn._sgemm(a, b, c, 0.0) and np.array_equal(c, np.matmul(a, b))
+        return
+    assert not nn._sgemm(a, b, c, 0.0)
+    assert not c.any()
 
 
 # --- batchnorm ---------------------------------------------------------------------
@@ -402,7 +521,7 @@ def test_conv_kernel_extras_per_tile(monkeypatch, lazy, c_in, t):
 def _rows_reversed_tile_pass(shape, body, *sums, buffers=()):
     """`_tile_pass` with its batch rows walked last to first: the same sums in another order."""
     bounds = nn._tile_bounds(shape[2])
-    bufs = [np.empty((c, nn._tile_width(shape[2])), dtype) for c, dtype in buffers]
+    bufs = [None if b is None else np.empty((b[0], nn._tile_width(shape[2])), b[1]) for b in buffers]
     for i in reversed(range(shape[0])):
         for s, e in bounds:
             for acc, part in zip(sums, body(i, s, e, *bufs) or ()):
@@ -471,7 +590,7 @@ def _blas_threads():
 def test_tile_pass_error_on_a_pool_row_propagates(monkeypatch):
     """A body that raises on a pool thread's row: the pass raises it, OpenBLAS gets its thread
     count back, and the next pass runs every tile, with OpenBLAS at one thread inside it."""
-    monkeypatch.setattr(nn, "_participants", lambda rows: min(2, rows))
+    monkeypatch.setattr(nn, "_participants", lambda shape: min(2, shape[0]))
     caller, pool_row = threading.current_thread(), threading.Event()
     before = _blas_threads()
 
@@ -492,7 +611,7 @@ def test_tile_pass_error_on_a_pool_row_propagates(monkeypatch):
 
 def test_tile_pass_inside_a_body_runs_serially(monkeypatch):
     """A pass started by a body, on the caller or a pool thread, runs on that thread and finishes."""
-    monkeypatch.setattr(nn, "_participants", lambda rows: min(2, rows))
+    monkeypatch.setattr(nn, "_participants", lambda shape: min(2, shape[0]))
     inner = []
 
     def body(i, s, e):
@@ -521,7 +640,7 @@ def test_tile_pass_stress_runs_each_tile_once_and_folds_in_order(monkeypatch):
     for random times, with a short switch interval: every (row, tile) runs once, and only the
     calling thread adds the partials, in (row, tile) order."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(nn, "_participants", lambda rows: min(8, rows))
+    monkeypatch.setattr(nn, "_participants", lambda shape: min(8, shape[0]))
     monkeypatch.setattr(nn, "_POOL", None)
     delays = np.random.default_rng(27).uniform(0, 2e-4, size=(64, 3))
     starts = [s for s, _ in nn._tile_bounds(2 * nn._TILE + 1)]
@@ -554,7 +673,7 @@ def test_tile_pass_threads_are_at_most_cores_blas_threads_and_rows(monkeypatch, 
     holds as many threads as there are cores; with one core or one OpenBLAS thread it is serial."""
     def threads_used():
         used = set()
-        nn._tile_pass((rows, 1, 3 * nn._TILE), lambda i, s, e: used.add(threading.get_ident()) or time.sleep(0.001))
+        nn._tile_pass((rows, 8, 3 * nn._TILE), lambda i, s, e: used.add(threading.get_ident()) or time.sleep(0.001))
         return len(used)
     cores = len(os.sched_getaffinity(0))
     assert threads_used() <= min(cores, rows)
@@ -573,11 +692,25 @@ def test_tile_pass_without_sched_getaffinity_runs_on_at_most_cpu_count_threads(m
     monkeypatch.setattr(nn, "_POOL", None)
     used = set()
     try:
-        nn._tile_pass((4, 1, 3 * nn._TILE), lambda i, s, e: used.add(threading.get_ident()) or time.sleep(0.001))
+        nn._tile_pass((4, 8, 3 * nn._TILE), lambda i, s, e: used.add(threading.get_ident()) or time.sleep(0.001))
     finally:
         if nn._POOL is not None:
             nn._POOL.shutdown()
     assert 1 <= len(used) <= os.cpu_count()
+
+
+def test_tiny_pass_runs_on_the_caller(monkeypatch):
+    """Under an OpenBLAS at four threads on eight cores, a pass of fewer than `_THREADED_MIN` elements
+    runs on the calling thread alone; one at the threshold runs on min(cores, threads, rows)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(nn, "_openblas", lambda: (lambda: 4, lambda n: None))
+    assert nn._participants((8, 4, 64)) == 1
+    assert nn._participants((2, 1, nn._THREADED_MIN // 2 - 1)) == 1
+    assert nn._participants((2, 1, nn._THREADED_MIN // 2)) == 2
+    assert nn._participants((8, 1, nn._THREADED_MIN)) == 4
+    used = set()
+    nn._tile_pass((8, 4, 64), lambda i, s, e: used.add(threading.get_ident()))
+    assert used == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("t", [0, 1, 63, nn._TILE, nn._TILE + 1, 2 * nn._TILE + 1, 48000, 10**6])
