@@ -14,8 +14,11 @@ The runs are merged into `BENCH_<name>.json` at the repository root, under
 end of the list `earlier_sets.<workload>` first, so no run is lost. An entry
 follows the schema of the earlier BENCH files: every run,
 the median, quartiles and IQR per side, the pairs the change won, who ran
-first, the failed checks per side and the host. For each end-to-end metric in
-BENCHMARK.json the script prints two verdicts:
+first, the failed checks per side, each run's exit code (or "timeout") and
+stderr tail, and the host. A run that prints no metrics (it crashed, was
+killed or timed out) is a failed run: its pair enters no quartiles and counts
+for neither side, and the script still writes the BENCH file and exits 1. For
+each end-to-end metric in BENCHMARK.json the script prints two verdicts:
 
 - gain: the change wins at least nine tenths of the pairs (ties count for
   neither) and its median beats the parent's by more than the parent's IQR;
@@ -46,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 1800
+STDERR_TAIL = 2000  # characters of a run's stderr kept in the BENCH file
 
 
 def parse_args(argv):
@@ -75,28 +79,39 @@ def export(sha: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {sha} failed")
 
 
+def _text(stream) -> str:
+    """A captured stream as text: `TimeoutExpired` carries bytes or None even for a text-mode run."""
+    return stream.decode(errors="replace") if isinstance(stream, bytes) else stream or ""
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its env line, result line, exit code (or "timeout") and stderr tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    lines = out.stdout.strip().splitlines()
-    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     try:
+        out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        stdout, stderr, code = out.stdout, out.stderr, out.returncode
+    except subprocess.TimeoutExpired as e:
+        stdout, stderr, code = _text(e.stdout), _text(e.stderr), "timeout"
+    lines = stdout.strip().splitlines()
+    try:
+        env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        result = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+        env, result = {}, {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     if not result["correct"]:
-        print(out.stdout[-2000:], out.stderr[-2000:], sep="\n", file=sys.stderr)
-    return {"env": env, **result}
+        print(stdout[-2000:], stderr[-2000:], sep="\n", file=sys.stderr)
+    return {"env": env, "exit": code, "stderr_tail": stderr[-STDERR_TAIL:], **result}
 
 
 def quartiles(runs: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "iqr": round(q3 - q1, 4), "runs": sorted(round(r, 4) for r in runs)}
 
 
 def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """The verdicts on one metric over the pairs counted, parent[i] against change[i]."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ps, cs = quartiles(parent), quartiles(change)
@@ -124,6 +139,11 @@ def merge(doc: dict, workload: str, entry: dict) -> dict:
     return doc
 
 
+def _cores() -> int:
+    """The cores this process may run on: its affinity mask where the platform has one (Linux), else os.cpu_count()."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def host(env: dict) -> dict:
     cpu = "unknown"
     try:
@@ -132,7 +152,7 @@ def host(env: dict) -> dict:
     except OSError:
         pass
     mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
-    return {"cpu": cpu, "nproc": env.get("nproc", len(os.sched_getaffinity(0))),
+    return {"cpu": cpu, "nproc": env["nproc"] if "nproc" in env else _cores(),
             "memory_gib": round(mem, 1), "os": platform.platform(),
             **{k: env.get(k) for k in ("python", "numpy", "scipy", "blas", "blas_threads")}}
 
@@ -157,19 +177,25 @@ def main(argv=None) -> int:
                 r = run_once(trees[side], args.workload, seed, seconds)
                 runs[side].append(r)
                 shown = " ".join(f"{k}={v['value']:.4g}" for k, v in r["metrics"].items())
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: correct={r['correct']} {shown}",
-                      flush=True)
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: exit={r['exit']} "
+                      f"correct={r['correct']} {shown}", flush=True)
+
+    # a pair counts only when both of its runs printed metrics
+    kept = [i for i in range(args.pairs) if all(runs[side][i]["metrics"] for side in SIDES)]
 
     def values(side: str, name: str) -> list[float]:
-        return [r["metrics"].get(name, {}).get("value", float("nan")) for r in runs[side]]
+        return [runs[side][i]["metrics"][name]["value"] for i in kept]
 
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     attempted = {side: sum(r["attempted"] for r in runs[side]) for side in SIDES}
     entry = {"seeds": seeds, "pairs": args.pairs, "seconds": seconds, "first_in_pair": first,
              "failed_checks": failed, "attempted": attempted,
+             "runs": {side: [{"seed": seed, "exit": r["exit"], "stderr_tail": r["stderr_tail"]}
+                             for seed, r in zip(seeds, runs[side])] for side in SIDES},
+             "pairs_counted": len(kept),
              "all_checks_passed": all(r["correct"] for side in SIDES for r in runs[side]),
              "metrics": {m["name"]: summarize(m, values("parent", m["name"]), values("change", m["name"]))
-                         for m in bench["end_to_end"]}}
+                         for m in bench["end_to_end"]} if kept else {}}
 
     out_path = ROOT / f"BENCH_{args.name}.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -182,8 +208,8 @@ def main(argv=None) -> int:
     merge(doc, args.workload, entry)
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
 
-    print(f"\n{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}; failed checks: "
-          f"parent {failed['parent']}, change {failed['change']}; operations attempted: "
+    print(f"\n{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, {len(kept)} counted; "
+          f"failed checks: parent {failed['parent']}, change {failed['change']}; operations attempted: "
           f"parent {attempted['parent']}, change {attempted['change']}")
     for name, s in entry["metrics"].items():
         p, c = s["parent"], s["change"]

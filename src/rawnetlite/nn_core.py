@@ -61,9 +61,9 @@ one thread meanwhile, and gets its count back when the pass ends; with one
 participant, the pass is a plain loop on the caller. There is one participant
 under any other BLAS and for a pass of fewer than `_THREADED_MIN` B * C * T
 elements, which the caller finishes before a thread handoff would. A body
-writes only into its own row of an output. Its tile buffers (a conv's scratch
-where it has one, float64 sum buffers) are one set per participant, all
-allocated by the caller:
+writes only into its own row of an output. Its tile buffers (float64 sum
+buffers, and the accumulator of `conv1d_backward`'s into) are one set per
+participant, all allocated by the caller:
 glibc would keep buffers freed by a pool thread in that thread's malloc arena,
 which adds to the process's peak RSS.
 The fold order is `_tile_pass`'s alone: a body returns its tile's partials, and
@@ -74,7 +74,7 @@ taps, in training and eval alike. It reads a window one column wider on each
 side than its output, zero past either end of the row, and sums tap 1, then 0,
 then 2. A conv's tile [s, e) reads its haloed window, columns s - 1 : e + 1,
 through `_window_reader`, so a lazy input (a1, or the batch-norm gradient) is
-built tile by tile, and a tile's input, output and scratch stay in a core's L2
+built tile by tile, and a tile's input and output stay in a core's L2
 cache. Only the sums carry over from one tile to the next: output columns s:e
 are finished, and the body's locals freed, when the body returns. The conv
 backward's dw reads the tile's columns of x, one wider on each side but clamped
@@ -94,14 +94,15 @@ straight into the output tile: tap 1 with beta=0, then taps 0 and 2 with
 beta=1, so the BLAS adds each into the output in its micro-kernel, and no
 elementwise pass over the tile adds them. With K = C_in up to `_SGEMM_MAX_K`
 the contraction is one k-block, and C += AB rounds as numpy's `out += A @ B`
-does: the same bits. Every other tap takes numpy's path, tap 1 into the output
-and taps 0 and 2 through one tile-sized scratch buffer: float64 (the gradient
-checks), the C_in = 1 stem's forward (a broadcast multiply), any product with
-M, N or K of 1 (numpy runs it as a matrix-vector product, which rounds
-otherwise), K past `_SGEMM_MAX_K`, operands the call cannot read in place, and
-any BLAS that `_openblas` does not find. A conv whose taps all take the BLAS
-gets no scratch buffer. The dw GEMMs, which contract over a whole tile, and the
-dx epilogue of `conv1d_backward`'s into stay numpy.
+does: the same bits. `_conv_window` decides tap by tap, and numpy computes
+every tap `_sgemm` does not take: float64 (the gradient checks), the C_in = 1
+stem's forward (a broadcast multiply), any product with M, N or K of 1 (numpy
+runs it as a matrix-vector product, which rounds otherwise), K past
+`_SGEMM_MAX_K`, operands the call cannot read in place, and any BLAS that
+`_openblas` does not find. Tap 1 goes into the output, and taps 0 and 2 are
+added in through one temporary that `_conv_window` allocates and reuses. The dw
+GEMMs, which contract over a whole tile, and the dx epilogue of
+`conv1d_backward`'s into stay numpy.
 
 Eval convention: an eval forward keeps nothing for a backward pass and runs
 depth first, so it never holds a (B, C, T) activation. An eval
@@ -177,13 +178,6 @@ class BatchNormState:
     momentum: float = 0.1
     eps: float = 1e-5
     initialized: bool = False
-
-    @classmethod
-    def create(cls, channels: int, dtype=np.float32) -> "BatchNormState":
-        return cls(
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
-        )
 
 
 # --- arrays built one time window at a time -------------------------------------
@@ -313,28 +307,32 @@ def _tile_bounds(t: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [t]))
 
 
-def _conv_window(xw, taps, product, out=None, scratch=None):
+def _conv_window(xw, taps, out=None):
     """The conv of the window xw, which is one column wider on each side than the output, into out if given.
 
-    taps are (W, k) in summation order; tap (W, k) adds product(W, xw[:, k : k + n])
-    to the n output columns. A matmul tap that `_sgemm` takes is one BLAS call
-    straight into out, the first with beta=0 and the others with beta=1, so the
-    BLAS adds each later product into out itself. Otherwise the first product
-    writes out and the others go through scratch, one buffer at least n columns
-    wide, allocated here if not given. Both ways give the same bits.
+    taps are (W, k) in summation order; tap (W, k) adds W @ xw[:, k : k + n] to
+    the n output columns. A tap that `_sgemm` takes is one BLAS call straight
+    into out, the first with beta=0 and the others with beta=1, so the BLAS adds
+    each later product into out itself. numpy computes any other tap, a
+    one-column W (the C_in = 1 stem's forward) as a broadcast multiply, which is
+    cheaper than a K=1 GEMM, and anything else as a matmul: the first writes out
+    and the others are added in through one temporary, allocated by the first of
+    them and reused. Both ways give the same bits.
     """
     n, first = xw.shape[1] - 2, taps[0][0]
     if out is None:
         out = np.empty((first.shape[0], n), dtype=np.result_type(first.dtype, xw.dtype))
+    tmp = None
     for j, (w, k) in enumerate(taps):
         x = xw[:, k : k + n]
-        if product is np.matmul and _sgemm(w, x, out, beta=0.0 if j == 0 else 1.0):
+        if _sgemm(w, x, out, beta=0.0 if j == 0 else 1.0):
             continue
+        product = np.multiply if w.shape[1] == 1 else np.matmul
         if j == 0:
             product(w, x, out=out)
         else:
-            scratch = product(w, x, out=None if scratch is None else scratch[:, :n])
-            out += scratch
+            tmp = product(w, x, out=tmp)
+            out += tmp
     return out
 
 
@@ -385,11 +383,6 @@ _ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
 _SGEMM_MAX_K = 128
 
 
-def _sgemm_takes(m: int, k: int, dtype) -> bool:
-    """Whether `_sgemm` can take an (m, k) a of this dtype: OpenBLAS, float32, m >= 2 and 2 <= k <= `_SGEMM_MAX_K`."""
-    return dtype == np.float32 and m > 1 and 1 < k <= _SGEMM_MAX_K and _openblas() is not None
-
-
 def _leading(v):
     """The row stride, in elements, of a 2-D array that the BLAS reads row-major in place, or None."""
     rows, cols = v.strides
@@ -400,18 +393,18 @@ def _leading(v):
 def _sgemm(a, b, c, beta: float) -> bool:
     """c = a @ b + beta * c in place by one OpenBLAS sgemm call, and True; False, with c untouched, where it cannot.
 
-    It takes float32 operands of `_sgemm_takes` shapes with n >= 2: numpy runs a
-    product with one row or column as a matrix-vector product, which rounds
-    otherwise. a is read contiguous, in either order, which gives its leading
-    dimension and whether it is transposed; a conv tap, a strided view of the
-    weight, is copied in its own axis order, as numpy's matmul copies it: the
-    BLAS's small-matrix kernels round a transposed a otherwise. b and c need
-    unit column stride (`_leading`). a, b and c stay referenced here until the
-    call returns.
+    It takes float32 operands with m, n >= 2 and 2 <= k <= `_SGEMM_MAX_K`, and
+    only with the OpenBLAS that `_openblas` finds: numpy runs a product with one
+    row or column as a matrix-vector product, which rounds otherwise. a is read
+    contiguous, in either order, which gives its leading dimension and whether
+    it is transposed; a conv tap, a strided view of the weight, is copied in its
+    own axis order, as numpy's matmul copies it: the BLAS's small-matrix kernels
+    round a transposed a otherwise. b and c need unit column stride
+    (`_leading`). a, b and c stay referenced here until the call returns.
     """
     (m, k), n = a.shape, b.shape[1]
-    if (not _sgemm_takes(m, k, a.dtype) or n < 2 or b.shape[0] != k or c.shape != (m, n)
-            or b.dtype != np.float32 or c.dtype != np.float32 or not c.flags.writeable):
+    if (min(m, n, k) < 2 or k > _SGEMM_MAX_K or b.shape[0] != k or c.shape != (m, n)
+            or not a.dtype == b.dtype == c.dtype == np.float32 or not c.flags.writeable or _openblas() is None):
         return False
     ldb, ldc = _leading(b), _leading(c)
     if ldb is None or ldc is None:
@@ -457,11 +450,11 @@ def _tile_pass(shape, body, *sums, buffers=()):
 
     body returns one partial per accumulator in sums, in their order, or
     nothing when there are none; once every row is done they are added in
-    place in (row, tile) order. buffers lists (channels, dtype) pairs or None,
-    and bufs is one tile buffer of shape (channels, `_tile_width(T)`) for each
-    pair, which only the thread running body uses, and None for each None. The
-    rows run on `_participants(shape)` threads, the caller among them, which
-    take rows in turn.
+    place in (row, tile) order. buffers lists (channels, dtype) pairs, and bufs
+    is one tile buffer of shape (channels, `_tile_width(T)`) for each pair,
+    which only the thread running body uses. The rows run on
+    `_participants(shape)` threads, the caller among them, which take rows in
+    turn.
     """
     bounds, width = _tile_bounds(shape[2]), _tile_width(shape[2])
     rows, parts, take, failed = iter(range(shape[0])), [None] * shape[0], threading.Lock(), []
@@ -482,7 +475,7 @@ def _tile_pass(shape, body, *sums, buffers=()):
     n = _participants(shape)
     locked = n > 1 and _PASS_LOCK.acquire(blocking=False)
     try:
-        _run_participants(participant, [[None if b is None else np.empty((b[0], width), b[1]) for b in buffers]
+        _run_participants(participant, [[np.empty((c, width), dtype) for c, dtype in buffers]
                                         for _ in range(n if locked else 1)])
     finally:
         if locked:
@@ -547,12 +540,6 @@ def _check_conv(x, w):
         raise ShapeError(f"conv1d: x has {x.shape[1]} channels but w expects {w.shape[1]}")
 
 
-def _conv_product(w):
-    """The product that applies a tap of w: the stem (C_in = 1) multiplies by
-    broadcasting, which is cheaper than a K=1 GEMM."""
-    return np.multiply if w.shape[1] == 1 else np.matmul
-
-
 def _taps(w):
     """The taps of w for `_conv_window`, summed 1, 0, 2; tap k reads x[t + k - 1]."""
     return [(w[:, :, k], k) for k in (1, 0, 2)]
@@ -569,17 +556,15 @@ def conv1d_forward(x, w, moments=None, mask=None):
     """
     _check_conv(x, w)
     out = np.empty((x.shape[0], w.shape[0], x.shape[2]), dtype=np.result_type(x.dtype, w.dtype))
-    read, taps, product = _window_reader(x), _taps(w), _conv_product(w)
+    read, taps = _window_reader(x), _taps(w)
 
-    def tile(i, s, e, scratch, buf=None):
+    def tile(i, s, e, buf=None):
         xw = read(i, s - 1, e + 1)
-        o = _conv_window(xw, taps, product, out[i, :, s:e], scratch)
+        o = _conv_window(xw, taps, out[i, :, s:e])
         if mask is not None:
             _pack_mask(xw[:, 1:-1], mask, i, s)
         return None if moments is None else _tile_moments(o, buf)
-    # a scratch tile only for taps the BLAS does not add into the output itself
-    buffers = [None if _sgemm_takes(w.shape[0], w.shape[1], out.dtype) else (w.shape[0], out.dtype)]
-    buffers += [] if moments is None else [(w.shape[0], np.float64)]
+    buffers = [] if moments is None else [(w.shape[0], np.float64)]
     _tile_pass(out.shape, tile, *(() if moments is None else moments), buffers=buffers)
     return out, (x, w)
 
@@ -598,12 +583,12 @@ def conv1d_backward(dout, cache, into=None):
     taps = [(wk.T, 2 - k) for wk, k in _taps(w)]  # tap k carries dout[t] to dx[t + k - 1]
     read, read_x = _window_reader(dout), _window_reader(x)
 
-    def tile(i, s, e, scratch, acc=None):
+    def tile(i, s, e, acc=None):
         win, o = read(i, s - 1, e + 1), dx[i, :, s:e]
         if into is None:
-            _conv_window(win, taps, np.matmul, o, scratch)
+            _conv_window(win, taps, o)
         else:
-            o += _conv_window(win, taps, np.matmul, acc[:, : e - s], scratch)
+            o += _conv_window(win, taps, acc[:, : e - s])
         d, lo = win[:, 1:-1], max(s - 1, 0)
         xw = read_x(i, lo, min(e + 1, t))
         parts = []
@@ -611,8 +596,7 @@ def conv1d_backward(dout, cache, into=None):
             l, h = max(s, 1 - k), min(e, t + 1 - k)
             parts.append(np.matmul(d[:, l - s : h - s], xw[:, l + k - 1 - lo : h + k - 1 - lo].T))
         return parts
-    buffers = [None if _sgemm_takes(x.shape[1], w.shape[0], dx.dtype) else (x.shape[1], dx.dtype)]
-    buffers += [] if into is None else [(x.shape[1], dx.dtype)]
+    buffers = [] if into is None else [(x.shape[1], dx.dtype)]
     _tile_pass(dx.shape, tile, *(dw[:, :, k] for k in range(3)), buffers=buffers)
     return dx, dw
 
@@ -825,7 +809,7 @@ def _folded_unit(xw, w, b, lo, hi, t, skip=None):
     epilogue: skip, if given, is columns lo:hi, and output columns outside
     [0, t) are zeroed: they are the next conv's padding.
     """
-    out = _conv_window(xw, _taps(w), _conv_product(w))
+    out = _conv_window(xw, _taps(w))
     out += b[:, None]
     if skip is not None:
         out += skip

@@ -145,7 +145,7 @@ def train(model_cfg: RawNetLiteConfig, cfg: TrainConfig,
           train_entries: list[ManifestEntry], val_entries: list[ManifestEntry],
           augment: Optional[AugmentConfig] = None, cache_dir=None,
           ) -> tuple[Model, TrainHistory]:
-    """Train from scratch; returns the best-validation-F1 model and the history."""
+    """Train a newly built model; returns the best-validation-F1 model and the history."""
     if not val_entries:
         raise ConfigError("validation set is empty")
     if not train_entries:

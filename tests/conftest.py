@@ -60,6 +60,13 @@ def write_run_config(path, **fields):
     return path
 
 
+def bn_state(channels: int, dtype=np.float32):
+    """Fresh batch-norm running statistics: mean 0 and variance 1 per channel, not yet initialized."""
+    from rawnetlite.nn_core import BatchNormState
+
+    return BatchNormState(running_mean=np.zeros(channels, dtype=dtype), running_var=np.ones(channels, dtype=dtype))
+
+
 def brute_force_eer(records: list[ScoreRecord]) -> tuple[float, float]:
     """Literal threshold sweep: every distinct score, lowest-threshold tie-break."""
     reals = [r.score for r in records if r.label == 0]

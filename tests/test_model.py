@@ -16,7 +16,7 @@ from rawnetlite.model import (
 )
 from rawnetlite.nn_core import Adam, ShapeError, TrainingError
 
-from conftest import finite_difference_check
+from conftest import bn_state, finite_difference_check
 
 SMALL = RawNetLiteConfig(channels=4, n_res_blocks=2, pool_len=8, gru_hidden=3,
                          fc_hidden=4, input_len=64, seed=9)
@@ -571,9 +571,10 @@ def test_eval_forward_before_training_raises():
 # tile-sized windows and buffers; each earlier block starts about two
 # activations lower than the one after it. The conv kernels allocate no
 # full-size tap buffer: a float32 conv's taps run as BLAS calls straight into
-# its output (`nn_core._sgemm`), and only a conv whose taps take numpy's path
-# uses a scratch tile of C x ~_TILE samples (a quarter activation here); there
-# a step peaks at 13.25. An eval forward keeps no caches, folds each batch norm
+# its output (`nn_core._sgemm`), and a tap that numpy computes is added in
+# through one temporary of C x ~_TILE samples (a quarter activation here) that
+# `nn_core._conv_window` allocates and frees; on numpy's path a step peaks at
+# 13.00 as well. An eval forward keeps no caches, folds each batch norm
 # into its conv and runs depth first: the pool reads the conv stack one batch
 # row and one time tile at a time, so nothing it allocates grows with B or T.
 # Its peak, about 1.5 MiB at any B here (0.78 activations at B = 4), is three
@@ -596,8 +597,8 @@ def _activations(nbytes, batch, cfg=MEM_CFG):
 
 def _tile_set(cfg):
     """Bytes one more tile-pass thread may hold: per channel and column of a `_tile_width` tile,
-    a float64 sum buffer, a float32 input window and a float32 temporary. A float32 conv whose
-    taps run as BLAS calls (`nn_core._sgemm`) has no scratch tile."""
+    a float64 sum buffer, a float32 input window and a float32 temporary, such as the one
+    `nn_core._conv_window` allocates for taps that numpy computes."""
     return cfg.channels * nn_core._tile_width(cfg.input_len) * (8 + 4 + 4)
 
 
@@ -796,7 +797,7 @@ def test_block_rebuilds_a1_bit_for_bit(monkeypatch):
         assert isinstance(a1, nn_core.Windows)
         c1, bits = bn1[0], bn1[5]
         gamma, beta = (m.params[f"res{i}.bn1.{k}"].values for k in ("gamma", "beta"))
-        eager, _ = nn_core.batchnorm_relu_forward(c1, gamma, beta, nn_core.BatchNormState.create(cfg.channels))
+        eager, _ = nn_core.batchnorm_relu_forward(c1, gamma, beta, bn_state(cfg.channels))
         assert (eager == 0).any() and (eager > 0).any()
         assert np.array_equal(np.asarray(a1), eager)
         unpacked = np.unpackbits(bits, axis=2)

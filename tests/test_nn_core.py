@@ -11,10 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from rawnetlite import nn_core as nn
 from rawnetlite.nn_core import (
-    Adam, BatchNormState, GRUDirParams, ParamTensor, ShapeError, TrainingError,
+    Adam, GRUDirParams, ParamTensor, ShapeError, TrainingError,
 )
 
-from conftest import finite_difference_check
+from conftest import bn_state, finite_difference_check
 
 GRU_FIELDS = ["w_ir", "w_iz", "w_in", "w_hr", "w_hz", "w_hn",
               "b_ir", "b_iz", "b_in", "b_hr", "b_hz", "b_hn"]
@@ -203,16 +203,18 @@ def _counting_openblas(calls):
 
 @needs_openblas
 @settings(max_examples=100, deadline=None)
-@given(c_in=st.sampled_from([2, 8, 64]), c_out=st.sampled_from([1, 2, 8, 64]),
+@given(c_in=st.sampled_from([1, 2, 8, 64]), c_out=st.sampled_from([1, 2, 8, 64]),
        n=st.sampled_from([1, 2, 3, 64, 200]), extra=st.integers(0, 70), rows=st.integers(1, 3),
        transposed=st.booleans(), fresh=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(c_in=2, c_out=64, n=2, extra=0, rows=1, transposed=True, fresh=False, seed=0)
 @example(c_in=64, c_out=64, n=200, extra=5, rows=3, transposed=True, fresh=False, seed=1)
+@example(c_in=1, c_out=64, n=200, extra=5, rows=3, transposed=False, fresh=False, seed=2)
 def test_blas_taps_equal_the_numpy_three_matmul_form(c_in, c_out, n, extra, rows, transposed, fresh, seed):
     """Any tile of n columns of any row of a (B, C, T) array, also where its window reaches past the
     row and is zero-padded, through forward taps or transposed (dx) taps, into a row view of an
     output or a fresh array: the BLAS path runs one sgemm per tap where M, N and K are all >= 2,
-    none otherwise, and gives the numpy form bit for bit, touching no other column. The first
+    none otherwise, and gives the numpy form bit for bit, touching no other column. A C_in = 1
+    forward, the stem's, runs its taps as broadcast multiplies, with the same bits. The first
     example is a small-matrix kernel's case: a dx tap copied in C order rounds otherwise there."""
     rng = np.random.default_rng(seed)
     t = n + extra
@@ -231,7 +233,7 @@ def test_blas_taps_equal_the_numpy_three_matmul_form(c_in, c_out, n, extra, rows
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "_openblas", _counting_openblas(calls))
-        got = nn._conv_window(xw, taps, np.matmul, None if fresh else dst[i, :, s : s + n])
+        got = nn._conv_window(xw, taps, None if fresh else dst[i, :, s : s + n])
     assert np.array_equal(got, ref)
     assert len(calls) == (3 if min(m, n, k) >= 2 else 0)
     if not fresh:
@@ -241,19 +243,20 @@ def test_blas_taps_equal_the_numpy_three_matmul_form(c_in, c_out, n, extra, rows
 
 @pytest.mark.parametrize("c_in, t", [(1, 200), (8, 1), (8, 2), (8, 200), (64, 129)])
 def test_conv_without_openblas_takes_the_numpy_path_with_the_same_bits(monkeypatch, c_in, t):
-    """With `_openblas` patched to None, `_sgemm` takes nothing and every conv tile pass gets a
-    float32 scratch buffer; with the BLAS, a pass whose taps all go to it gets none. The forward,
-    dx, dx added into an array and an eval unit give the same bits both ways."""
+    """With `_openblas` patched to None, `_sgemm` takes nothing. Either way a conv tile pass asks
+    `_tile_pass` only for the forward's float64 sum buffer and the accumulator of the backward's
+    into, as `_conv_window` keeps its own temporary. The forward, dx, dx added into an array and
+    an eval unit give the same bits both ways."""
     monkeypatch.setattr(nn, "_TILE", 64)
     rng = np.random.default_rng(t + c_in)
     x = rng.normal(size=(3, c_in, t)).astype(np.float32)
     w = rng.normal(size=(16, c_in, 3)).astype(np.float32)
     b = rng.normal(size=16).astype(np.float32)
     dout, into = rng.normal(size=(3, 16, t)).astype(np.float32), rng.normal(size=x.shape).astype(np.float32)
-    tile_pass, scratch = nn._tile_pass, []
+    tile_pass, requested = nn._tile_pass, []
 
     def spy(shape, body, *sums, buffers=()):
-        scratch.append(buffers[0])
+        requested.append(list(buffers))
         return tile_pass(shape, body, *sums, buffers=buffers)
     monkeypatch.setattr(nn, "_tile_pass", spy)
 
@@ -264,13 +267,12 @@ def test_conv_without_openblas_takes_the_numpy_path_with_the_same_bits(monkeypat
         unit = nn._folded_unit(nn._window_reader(x)(1, -1, t + 1), w, b, 0, t, t)
         return out, dx, dw, dx_into, dw_into, unit
     blas = kernels()
-    numpy_scratch = [(16, np.float32)] + [(c_in, np.float32)] * 2
-    if nn._openblas() is not None:
-        assert scratch == ([None] * 3 if c_in > 1 else numpy_scratch)
-    scratch.clear()
+    sums_and_acc = [[(16, np.float64)], [], [(c_in, np.float32)]]
+    assert requested == sums_and_acc
+    requested.clear()
     monkeypatch.setattr(nn, "_openblas", lambda: None)
     assert all(np.array_equal(a, b) for a, b in zip(blas, kernels(), strict=True))
-    assert scratch == numpy_scratch
+    assert requested == sums_and_acc
     c = np.zeros((16, t), np.float32)
     assert not nn._sgemm(w[:, :, 1], x[0], c, 0.0) and not c.any()
 
@@ -310,21 +312,21 @@ def test_sgemm_declines_what_it_cannot_take_and_leaves_c_alone(case):
 
 def test_batchnorm_constant_channel_is_zero():
     x = np.full((2, 1, 3), 7.0)
-    st_ = BatchNormState.create(1, dtype=np.float64)
+    st_ = bn_state(1, dtype=np.float64)
     out, _ = nn.batchnorm1d_forward(x, np.ones(1), np.zeros(1), st_, "train")
     assert np.allclose(out, 0.0)
 
 
 def test_batchnorm_two_point_channel():
     x = np.array([[[0.0]], [[2.0]]])
-    st_ = BatchNormState.create(1, dtype=np.float64)
+    st_ = bn_state(1, dtype=np.float64)
     out, _ = nn.batchnorm1d_forward(x, np.ones(1), np.zeros(1), st_, "train")
     assert np.allclose(out.ravel(), [-0.999995, 0.999995], atol=1e-6)
 
 
 def test_batchnorm_affine_rescale():
     x = np.array([[[0.0]], [[2.0]]])
-    st_ = BatchNormState.create(1, dtype=np.float64)
+    st_ = bn_state(1, dtype=np.float64)
     out, _ = nn.batchnorm1d_forward(x, np.array([2.0]), np.array([3.0]), st_, "train")
     assert np.allclose(out.ravel(), [1.00001, 4.99999], atol=1e-4)
 
@@ -332,7 +334,7 @@ def test_batchnorm_affine_rescale():
 def test_batchnorm_normalizes_batch():
     rng = np.random.default_rng(12)
     x = rng.normal(loc=3.0, scale=2.5, size=(4, 3, 50))
-    st_ = BatchNormState.create(3, dtype=np.float64)
+    st_ = bn_state(3, dtype=np.float64)
     out, _ = nn.batchnorm1d_forward(x, np.ones(3), np.zeros(3), st_, "train")
     assert np.max(np.abs(out.mean(axis=(0, 2)))) < 1e-6
     assert np.max(np.abs(out.var(axis=(0, 2)) - 1.0)) < 1e-4
@@ -341,7 +343,7 @@ def test_batchnorm_normalizes_batch():
 def test_batchnorm_running_stats_update():
     rng = np.random.default_rng(13)
     x = rng.normal(loc=1.0, size=(4, 2, 25))
-    st_ = BatchNormState.create(2, dtype=np.float64)
+    st_ = bn_state(2, dtype=np.float64)
     nn.batchnorm1d_forward(x, np.ones(2), np.zeros(2), st_, "train")
     n = 4 * 25
     expected_mean = 0.1 * x.mean(axis=(0, 2))
@@ -352,7 +354,7 @@ def test_batchnorm_running_stats_update():
 
 
 def test_batchnorm_eval_before_train_rejected():
-    st_ = BatchNormState.create(2)
+    st_ = bn_state(2)
     with pytest.raises(TrainingError, match="eval mode before"):
         nn.batchnorm1d_forward(np.zeros((1, 2, 4)), np.ones(2), np.zeros(2), st_, "eval")
 
@@ -362,7 +364,7 @@ def test_batchnorm_gradients_match_fd_train():
     x = rng.normal(size=(3, 2, 5))
     gamma = rng.normal(size=2) + 1.0
     beta = rng.normal(size=2)
-    st_ = BatchNormState.create(2, dtype=np.float64)
+    st_ = bn_state(2, dtype=np.float64)
     fd_layer_check(lambda: nn.batchnorm1d_forward(x, gamma, beta, st_, "train"),
                    nn.batchnorm1d_backward, [x, gamma, beta], rng)
 
@@ -521,7 +523,7 @@ def test_conv_kernel_extras_per_tile(monkeypatch, lazy, c_in, t):
 def _rows_reversed_tile_pass(shape, body, *sums, buffers=()):
     """`_tile_pass` with its batch rows walked last to first: the same sums in another order."""
     bounds = nn._tile_bounds(shape[2])
-    bufs = [None if b is None else np.empty((b[0], nn._tile_width(shape[2])), b[1]) for b in buffers]
+    bufs = [np.empty((c, nn._tile_width(shape[2])), dtype) for c, dtype in buffers]
     for i in reversed(range(shape[0])):
         for s, e in bounds:
             for acc, part in zip(sums, body(i, s, e, *bufs) or ()):
@@ -553,7 +555,7 @@ def test_tile_sums_fold_row_by_row_then_tile_by_tile(monkeypatch, participants):
         moments = np.zeros((2, c))
         out, cache = nn.conv1d_forward(x, w, moments)
         _, dw = nn.conv1d_backward(dout, cache)
-        y, bn_cache = nn.batchnorm_relu_forward(xb, gamma, beta, BatchNormState.create(c))
+        y, bn_cache = nn.batchnorm_relu_forward(xb, gamma, beta, bn_state(c))
         _, dgamma, dbeta = nn.batchnorm_relu_backward(up, bn_cache)
         assert (y[0, :, 70] > 0).any()  # the +-1e20 reach dgamma and dbeta
         ref_moments, ref_dw = np.zeros((2, c)), np.zeros(w.shape, np.float32)
@@ -732,7 +734,7 @@ def test_batchnorm_matches_reference_train_and_eval(dtype):
     gamma = (rng.normal(size=32) + 1.0).astype(dtype)
     beta = rng.normal(size=32).astype(dtype)
     dout = rng.normal(size=x.shape).astype(dtype)
-    st_ = BatchNormState.create(32, dtype=dtype)
+    st_ = bn_state(32, dtype=dtype)
     out, cache = nn.batchnorm1d_forward(x, gamma, beta, st_, "train")
     got = (out, *nn.batchnorm1d_backward(dout, cache))
     ref = batchnorm_reference(x, gamma, beta, x.mean(axis=(0, 2)), x.var(axis=(0, 2)),
@@ -773,7 +775,7 @@ def test_batchnorm_relu_matches_reference_composition(dtype, loc, scale, with_sk
     beta = rng.normal(size=32).astype(dtype)
     skip = rng.normal(size=x.shape).astype(dtype) if with_skip else None
     dout = rng.normal(size=x.shape).astype(dtype)
-    st_fused, st_ref = BatchNormState.create(32, dtype=dtype), BatchNormState.create(32, dtype=dtype)
+    st_fused, st_ref = bn_state(32, dtype=dtype), bn_state(32, dtype=dtype)
     out, cache = nn.batchnorm_relu_forward(x, gamma, beta, st_fused, skip)
     got = (out, *nn.batchnorm_relu_backward(dout, cache), st_fused.running_mean, st_fused.running_var)
     ref = (*batchnorm_relu_reference(x, gamma, beta, st_ref, skip, dout),
@@ -795,7 +797,7 @@ def test_batchnorm_relu_caches_its_input_and_mask_bits(monkeypatch, with_skip):
     x = rng.normal(size=(2, 3, t)).astype(np.float32)
     gamma, beta = rng.uniform(0.5, 2.0, 3).astype(np.float32), rng.normal(size=3).astype(np.float32)
     skip = rng.normal(size=x.shape).astype(np.float32) if with_skip else None
-    out, cache = nn.batchnorm_relu_forward(x, gamma, beta, BatchNormState.create(3), skip)
+    out, cache = nn.batchnorm_relu_forward(x, gamma, beta, bn_state(3), skip)
     cached_x, mean, invstd, cached_gamma, (scale, shift), bits, has_skip = cache
     assert cached_x is x and cached_gamma is gamma and has_skip == with_skip
     assert not any(a is out for a in cache)
@@ -817,7 +819,7 @@ def test_batchnorm_relu_backward_returns_dx_as_rows(with_skip):
     skip = rng.normal(size=x.shape).astype(np.float32) if with_skip else None
     dout = rng.normal(size=x.shape).astype(np.float32)
     out, cache = nn.batchnorm_relu_forward(x, np.ones(4, np.float32), np.zeros(4, np.float32),
-                                           BatchNormState.create(4), skip)
+                                           bn_state(4), skip)
     dx, *rest = nn.batchnorm_relu_backward(dout, cache)
     assert isinstance(dx, nn.Windows) and dx.shape == x.shape and dx.dtype == np.float32
     if with_skip:
@@ -845,7 +847,7 @@ def test_lazy_operands_read_like_their_arrays(monkeypatch, t, dtype, with_skip, 
     b, c = 2, 3
     c1, dout, skip = (rng.normal(size=(b, c, t)).astype(dtype) for _ in range(3))
     gamma, beta = rng.uniform(0.5, 2.0, c).astype(dtype), rng.normal(size=c).astype(dtype)
-    out, cache = nn.batchnorm_relu_forward(c1, gamma, beta, BatchNormState.create(c, dtype),
+    out, cache = nn.batchnorm_relu_forward(c1, gamma, beta, bn_state(c, dtype),
                                            skip if with_skip else None)
     a1 = nn._affine_relu_windows(c1, *cache[4])
     dx = nn.batchnorm_relu_backward(dout, cache)[0]
@@ -880,7 +882,7 @@ def test_batchnorm_relu_gradients_match_fd(with_skip):
     gamma = rng.normal(size=2) + 1.0
     beta = rng.normal(size=2)
     skip = rng.normal(size=x.shape) if with_skip else None
-    st_ = BatchNormState.create(2, dtype=np.float64)
+    st_ = bn_state(2, dtype=np.float64)
     fd_layer_check(lambda: nn.batchnorm_relu_forward(x, gamma, beta, st_, skip),
                    nn.batchnorm_relu_backward, [x, gamma, beta] + ([skip] if with_skip else []), rng)
 
@@ -1009,7 +1011,7 @@ def test_conv_bn_relu_gradients_match_fd(with_skip):
     w = rng.normal(size=(4, 3, 3)) * 0.3
     gamma, beta = 1.0 + rng.normal(size=4) * 0.1, rng.normal(size=4) * 0.1
     skip = rng.normal(size=(2, 4, 7)) if with_skip else None
-    st_ = BatchNormState.create(4, dtype=np.float64)
+    st_ = bn_state(4, dtype=np.float64)
     fd_layer_check(lambda: nn.conv_bn_relu_forward(x, w, gamma, beta, st_, "train", skip),
                    nn.conv_bn_relu_backward, [x, w, gamma, beta] + ([skip] if with_skip else []), rng)
 
@@ -1024,7 +1026,7 @@ def make_res_arrays(c, rng):
 
 
 def make_res_states(c):
-    return [BatchNormState.create(c, dtype=np.float64) for _ in range(2)]
+    return [bn_state(c, dtype=np.float64) for _ in range(2)]
 
 
 def test_residual_dead_branch_reduces_to_relu():
